@@ -11,6 +11,9 @@ forge, modify, delete or *roll back* log state. Defences, as in the paper:
   counter value, so presenting an older signed log is detected;
 - :mod:`repro.audit.persistence` — synchronous flush of log state to
   untrusted storage, sealed via the SGX sealing facility;
+- :mod:`repro.audit.wal` — the signed write-ahead intent shared by the
+  seal, key-rotation and shard-membership protocols: one codec, one
+  validator, one checkpointed step runner;
 - :mod:`repro.audit.log` — :class:`AuditLog`, tying the relational store
   (SealDB), the hash chain, the counter and persistence together, with
   trimming that recomputes the chain over surviving entries.
@@ -20,6 +23,7 @@ from repro.audit.admission import AdmissionController
 from repro.audit.hashchain import (
     ChainEntry,
     HashChain,
+    MembershipIntent,
     RotationIntent,
     SealIntent,
     SignedHead,
@@ -50,6 +54,7 @@ from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 __all__ = [
     "ChainEntry",
     "HashChain",
+    "MembershipIntent",
     "RotationIntent",
     "SealIntent",
     "SignedHead",

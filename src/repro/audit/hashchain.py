@@ -16,6 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.audit.wal import (
+    DIGEST,
+    TEXT,
+    TRAILING_TEXT,
+    U32,
+    U64,
+    SignedIntent,
+    intent_field,
+    signed_intent,
+)
 from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey, EcdsaSignature
 from repro.crypto.hashing import sha256
 from repro.errors import IntegrityError
@@ -85,8 +95,8 @@ class SignedHead:
             raise IntegrityError("audit log head signature invalid")
 
 
-@dataclass(frozen=True)
-class SealIntent:
+@signed_intent
+class SealIntent(SignedIntent):
     """A signed write-ahead marker: "a seal of this chain state is in flight".
 
     Written to storage *before* the ROTE increment of each epoch seal.
@@ -98,225 +108,63 @@ class SealIntent:
     a rollback. Without it, any counter gap is treated as an attack.
     """
 
-    log_id: str
-    head_hash: bytes
-    entry_count: int
+    TAG = b"SEAL-INTENT"
+    MAGIC = b"INTENT1"
+    SIDECAR = "intent"
+    NOUN = "seal intent"
+
+    log_id: str = intent_field(TEXT)
+    head_hash: bytes = intent_field(DIGEST)
+    entry_count: int = intent_field(U64)
     signature: EcdsaSignature
 
-    def payload(self) -> bytes:
-        return (
-            b"SEAL-INTENT\x00"
-            + self.log_id.encode()
-            + b"\x00"
-            + self.head_hash
-            + self.entry_count.to_bytes(8, "big")
-        )
 
-    @staticmethod
-    def sign(
-        key: EcdsaPrivateKey, log_id: str, head_hash: bytes, entry_count: int
-    ) -> "SealIntent":
-        unsigned = SealIntent(log_id, head_hash, entry_count, EcdsaSignature(0, 0))
-        return SealIntent(log_id, head_hash, entry_count, key.sign(unsigned.payload()))
-
-    def verify(self, public_key: EcdsaPublicKey) -> None:
-        if not public_key.verify(self.payload(), self.signature):
-            raise IntegrityError("seal intent signature invalid")
-
-    def encode(self) -> bytes:
-        return b"\x00".join(
-            [
-                b"INTENT1",
-                self.log_id.encode(),
-                self.head_hash.hex().encode(),
-                str(self.entry_count).encode(),
-                self.signature.encode().hex().encode(),
-            ]
-        )
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "SealIntent":
-        try:
-            magic, log_id, head_hex, count, sig_hex = blob.split(b"\x00")
-            if magic != b"INTENT1":
-                raise ValueError("bad magic")
-            return cls(
-                log_id.decode(),
-                bytes.fromhex(head_hex.decode()),
-                int(count),
-                EcdsaSignature.decode(bytes.fromhex(sig_hex.decode())),
-            )
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise IntegrityError(f"seal intent unparsable: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class RotationIntent:
+@signed_intent
+class RotationIntent(SignedIntent):
     """A signed write-ahead marker: "a key rotation to ``to_epoch`` is in flight".
 
     Written to storage *before* the authority rotates, so a crash at any
     step of the rotation (rotate keys → audited log record → re-seal →
     replica announcement → retire) can be replayed to completion instead
-    of leaving the deployment split across two epochs. Each step of the
-    replay is idempotent; the sidecar is cleared only once the rotation
-    has fully converged.
+    of leaving the deployment split across two epochs.
     """
 
-    log_id: str
-    from_epoch: int
-    to_epoch: int
-    reason: str
+    TAG = b"ROTATE-INTENT"
+    MAGIC = b"ROTATE1"
+    SIDECAR = "rotation"
+    NOUN = "rotation intent"
+
+    log_id: str = intent_field(TEXT)
+    from_epoch: int = intent_field(U32)
+    to_epoch: int = intent_field(U32)
+    reason: str = intent_field(TRAILING_TEXT)
     signature: EcdsaSignature
 
-    def payload(self) -> bytes:
-        return (
-            b"ROTATE-INTENT\x00"
-            + self.log_id.encode()
-            + b"\x00"
-            + self.from_epoch.to_bytes(4, "big")
-            + self.to_epoch.to_bytes(4, "big")
-            + self.reason.encode()
-        )
 
-    @staticmethod
-    def sign(
-        key: EcdsaPrivateKey, log_id: str, from_epoch: int, to_epoch: int, reason: str
-    ) -> "RotationIntent":
-        unsigned = RotationIntent(
-            log_id, from_epoch, to_epoch, reason, EcdsaSignature(0, 0)
-        )
-        return RotationIntent(
-            log_id, from_epoch, to_epoch, reason, key.sign(unsigned.payload())
-        )
-
-    def verify(self, public_key: EcdsaPublicKey) -> None:
-        if not public_key.verify(self.payload(), self.signature):
-            raise IntegrityError("rotation intent signature invalid")
-
-    def encode(self) -> bytes:
-        return b"\x00".join(
-            [
-                b"ROTATE1",
-                self.log_id.encode(),
-                str(self.from_epoch).encode(),
-                str(self.to_epoch).encode(),
-                self.reason.encode().hex().encode(),
-                self.signature.encode().hex().encode(),
-            ]
-        )
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "RotationIntent":
-        try:
-            magic, log_id, from_e, to_e, reason_hex, sig_hex = blob.split(b"\x00")
-            if magic != b"ROTATE1":
-                raise ValueError("bad magic")
-            return cls(
-                log_id.decode(),
-                int(from_e),
-                int(to_e),
-                bytes.fromhex(reason_hex.decode()).decode(),
-                EcdsaSignature.decode(bytes.fromhex(sig_hex.decode())),
-            )
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise IntegrityError(f"rotation intent unparsable: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class MembershipIntent:
+@signed_intent
+class MembershipIntent(SignedIntent):
     """A signed write-ahead marker: "a shard membership change is in flight".
 
-    Mirrors :class:`RotationIntent` for the sharded audit plane: written
-    to the control log's storage *before* any step of a split/merge
-    executes, so a crash at any rebalance checkpoint (audited record →
-    provisioning → range transfer → cutover → source retire) replays to
-    exactly one owner per log range. Each replayed step is idempotent;
-    the sidecar is cleared only once the change has fully converged.
+    Written to the control log's storage *before* any step of a
+    split/merge executes, so a crash at any rebalance checkpoint (audited
+    record → provisioning → range transfer → cutover → source retire)
+    replays to exactly one owner per log range.
     """
 
-    plane_id: str
-    change_id: str
-    kind: str  #: ``"split"`` (shard added) or ``"merge"`` (shard removed)
-    shard: str
-    generation_from: int
-    generation_to: int
-    epoch: int
+    TAG = b"SHARD-INTENT"
+    MAGIC = b"SHARD1"
+    SIDECAR = "membership"
+    NOUN = "membership intent"
+
+    plane_id: str = intent_field(TEXT)
+    change_id: str = intent_field(TEXT)
+    #: ``"split"`` (shard added) or ``"merge"`` (shard removed)
+    kind: str = intent_field(TEXT)
+    shard: str = intent_field(TEXT)
+    generation_from: int = intent_field(U64)
+    generation_to: int = intent_field(U64)
+    epoch: int = intent_field(U32)
     signature: EcdsaSignature
-
-    def payload(self) -> bytes:
-        return (
-            b"SHARD-INTENT\x00"
-            + self.plane_id.encode()
-            + b"\x00"
-            + self.change_id.encode()
-            + b"\x00"
-            + self.kind.encode()
-            + b"\x00"
-            + self.shard.encode()
-            + b"\x00"
-            + self.generation_from.to_bytes(8, "big")
-            + self.generation_to.to_bytes(8, "big")
-            + self.epoch.to_bytes(4, "big")
-        )
-
-    @staticmethod
-    def sign(
-        key: EcdsaPrivateKey,
-        plane_id: str,
-        change_id: str,
-        kind: str,
-        shard: str,
-        generation_from: int,
-        generation_to: int,
-        epoch: int,
-    ) -> "MembershipIntent":
-        unsigned = MembershipIntent(
-            plane_id, change_id, kind, shard,
-            generation_from, generation_to, epoch, EcdsaSignature(0, 0),
-        )
-        return MembershipIntent(
-            plane_id, change_id, kind, shard,
-            generation_from, generation_to, epoch, key.sign(unsigned.payload()),
-        )
-
-    def verify(self, public_key: EcdsaPublicKey) -> None:
-        if not public_key.verify(self.payload(), self.signature):
-            raise IntegrityError("membership intent signature invalid")
-
-    def encode(self) -> bytes:
-        return b"\x00".join(
-            [
-                b"SHARD1",
-                self.plane_id.encode(),
-                self.change_id.encode(),
-                self.kind.encode(),
-                self.shard.encode(),
-                str(self.generation_from).encode(),
-                str(self.generation_to).encode(),
-                str(self.epoch).encode(),
-                self.signature.encode().hex().encode(),
-            ]
-        )
-
-    @classmethod
-    def decode(cls, blob: bytes) -> "MembershipIntent":
-        try:
-            (magic, plane_id, change_id, kind, shard,
-             gen_from, gen_to, epoch, sig_hex) = blob.split(b"\x00")
-            if magic != b"SHARD1":
-                raise ValueError("bad magic")
-            return cls(
-                plane_id.decode(),
-                change_id.decode(),
-                kind.decode(),
-                shard.decode(),
-                int(gen_from),
-                int(gen_to),
-                int(epoch),
-                EcdsaSignature.decode(bytes.fromhex(sig_hex.decode())),
-            )
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise IntegrityError(f"membership intent unparsable: {exc}") from exc
 
 
 class HashChain:

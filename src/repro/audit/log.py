@@ -276,7 +276,7 @@ class AuditLog:
                 intent = SealIntent.sign(
                     self._signing_key, self.log_id, self.chain.head, len(self.chain)
                 )
-                self.storage.save_intent(intent.encode())
+                self.storage.save_intent(intent.encode(), SealIntent.SIDECAR)
             crash_at("crash_after_intent")
             counter_value = self.rote.increment(self.log_id)
             crash_at("crash_after_increment")
@@ -287,7 +287,7 @@ class AuditLog:
             if self.storage is not None:
                 self.storage.save(self.serialize())
                 crash_at("crash_after_save")
-                self.storage.clear_intent()
+                self.storage.clear_intent(SealIntent.SIDECAR)
             if _obs.ON:
                 _obs.active().metrics.counter(
                     "audit_seals_total", "Epoch seals completed"

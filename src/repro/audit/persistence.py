@@ -13,10 +13,11 @@ file *and* the parent directory (a rename is not durable until the
 directory entry is), and cleaning up orphaned ``.tmp`` files left by
 crashes mid-write.
 
-Alongside the snapshot, storage keeps a small *seal-intent* sidecar file
-written ahead of each ROTE increment (see ``AuditLog.seal_epoch``); the
-recovery protocol uses it to distinguish a benign crash mid-seal from a
-rollback attack.
+Alongside the snapshot, storage keeps small *write-ahead intent* sidecar
+files, one per kind (:data:`SIDECAR_KINDS`, see :mod:`repro.audit.wal`):
+the seal intent written ahead of each ROTE increment, which recovery uses
+to tell a benign crash mid-seal from a rollback attack, and the rotation
+and membership intents their coordinators replay after a crash.
 
 Disk latency is metered (synchronous flush per request/response pair is
 the LibSEAL-disk configuration of Fig. 5). All failures surface as typed
@@ -34,6 +35,16 @@ from repro.errors import StorageError
 from repro.faults import hooks as _faults
 
 DISK_FLUSH_LATENCY_MS = 0.25  # fsync on a datacenter SSD
+
+#: The write-ahead intent sidecars, by the file suffix each is kept under:
+#: the seal intent, the key-rotation intent, the shard-membership intent.
+SIDECAR_KINDS = ("intent", "rotation", "membership")
+
+
+def _checked_kind(kind: str) -> str:
+    if kind not in SIDECAR_KINDS:
+        raise ValueError(f"unknown sidecar kind {kind!r}")
+    return kind
 
 
 def _fsync_directory(path: Path) -> None:
@@ -68,17 +79,8 @@ class LogStorage:
     def _tmp_path(self) -> Path:
         return self.path.with_suffix(self.path.suffix + ".tmp")
 
-    @property
-    def _intent_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".intent")
-
-    @property
-    def _rotation_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".rotation")
-
-    @property
-    def _membership_path(self) -> Path:
-        return self.path.with_suffix(self.path.suffix + ".membership")
+    def _sidecar_path(self, kind: str) -> Path:
+        return self.path.with_suffix(f"{self.path.suffix}.{_checked_kind(kind)}")
 
     def _cleanup_orphans(self) -> list[Path]:
         """Remove ``.tmp`` leftovers from crashed writes (torn tails)."""
@@ -181,98 +183,32 @@ class LogStorage:
         return self.path.stat().st_size if self.exists() else 0
 
     # ------------------------------------------------------------------
-    # Seal-intent sidecar (write-ahead marker for the seal protocol)
+    # Write-ahead intent sidecars (one small file per kind)
     # ------------------------------------------------------------------
 
-    def save_intent(self, blob: bytes) -> None:
-        """Durably record a seal intent (small, overwritten in place)."""
+    def save_intent(self, blob: bytes, kind: str) -> None:
+        """Durably record a signed intent (small, overwritten in place)."""
+        path = self._sidecar_path(kind)
         try:
-            with open(self._intent_path, "wb") as handle:
+            with open(path, "wb") as handle:
                 handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
         except OSError as exc:
-            raise StorageError(
-                f"cannot write intent {self._intent_path}: {exc}"
-            ) from exc
+            raise StorageError(f"cannot write {kind} sidecar {path}: {exc}") from exc
 
-    def load_intent(self) -> bytes | None:
+    def load_intent(self, kind: str) -> bytes | None:
+        path = self._sidecar_path(kind)
         try:
-            return self._intent_path.read_bytes()
+            return path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
-            raise StorageError(
-                f"cannot read intent {self._intent_path}: {exc}"
-            ) from exc
+            raise StorageError(f"cannot read {kind} sidecar {path}: {exc}") from exc
 
-    def clear_intent(self) -> None:
+    def clear_intent(self, kind: str) -> None:
         try:
-            self._intent_path.unlink(missing_ok=True)
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------------
-    # Rotation-intent sidecar (write-ahead marker for key rotation)
-    # ------------------------------------------------------------------
-
-    def save_rotation(self, blob: bytes) -> None:
-        """Durably record a rotation intent (small, overwritten in place)."""
-        try:
-            with open(self._rotation_path, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            raise StorageError(
-                f"cannot write rotation intent {self._rotation_path}: {exc}"
-            ) from exc
-
-    def load_rotation(self) -> bytes | None:
-        try:
-            return self._rotation_path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise StorageError(
-                f"cannot read rotation intent {self._rotation_path}: {exc}"
-            ) from exc
-
-    def clear_rotation(self) -> None:
-        try:
-            self._rotation_path.unlink(missing_ok=True)
-        except OSError:
-            pass
-
-    # ------------------------------------------------------------------
-    # Membership-intent sidecar (write-ahead marker for shard rebalance)
-    # ------------------------------------------------------------------
-
-    def save_membership(self, blob: bytes) -> None:
-        """Durably record a shard membership intent (small, overwritten)."""
-        try:
-            with open(self._membership_path, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-        except OSError as exc:
-            raise StorageError(
-                f"cannot write membership intent {self._membership_path}: {exc}"
-            ) from exc
-
-    def load_membership(self) -> bytes | None:
-        try:
-            return self._membership_path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            raise StorageError(
-                f"cannot read membership intent {self._membership_path}: {exc}"
-            ) from exc
-
-    def clear_membership(self) -> None:
-        try:
-            self._membership_path.unlink(missing_ok=True)
+            self._sidecar_path(kind).unlink(missing_ok=True)
         except OSError:
             pass
 
@@ -287,9 +223,7 @@ class InMemoryStorage(LogStorage):
         self.total_latency_ms = 0.0
         self.orphans_cleaned: list[Path] = []
         self._blob: bytes | None = None
-        self._intent: bytes | None = None
-        self._rotation: bytes | None = None
-        self._membership: bytes | None = None
+        self._sidecars: dict[str, bytes] = {}
 
     def save(self, blob: bytes) -> None:
         self._blob = blob
@@ -308,29 +242,11 @@ class InMemoryStorage(LogStorage):
     def size_bytes(self) -> int:
         return len(self._blob) if self._blob is not None else 0
 
-    def save_intent(self, blob: bytes) -> None:
-        self._intent = blob
+    def save_intent(self, blob: bytes, kind: str) -> None:
+        self._sidecars[_checked_kind(kind)] = blob
 
-    def load_intent(self) -> bytes | None:
-        return self._intent
+    def load_intent(self, kind: str) -> bytes | None:
+        return self._sidecars.get(_checked_kind(kind))
 
-    def clear_intent(self) -> None:
-        self._intent = None
-
-    def save_rotation(self, blob: bytes) -> None:
-        self._rotation = blob
-
-    def load_rotation(self) -> bytes | None:
-        return self._rotation
-
-    def clear_rotation(self) -> None:
-        self._rotation = None
-
-    def save_membership(self, blob: bytes) -> None:
-        self._membership = blob
-
-    def load_membership(self) -> bytes | None:
-        return self._membership
-
-    def clear_membership(self) -> None:
-        self._membership = None
+    def clear_intent(self, kind: str) -> None:
+        self._sidecars.pop(_checked_kind(kind), None)

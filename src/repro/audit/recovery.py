@@ -57,6 +57,7 @@ from repro.audit.hashchain import SealIntent
 from repro.audit.log import AuditLog
 from repro.audit.persistence import LogStorage
 from repro.audit.rote import RoteCluster
+from repro.audit.wal import load_valid_intent
 from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey
 from repro.errors import (
     IntegrityError,
@@ -134,23 +135,6 @@ class RecoveryReport:
         return " ".join(bits)
 
 
-def _load_intent(
-    storage: LogStorage, public_key: EcdsaPublicKey, log_id: str
-) -> SealIntent | None:
-    """The stored seal intent, or None if absent, forged or malformed."""
-    blob = storage.load_intent()
-    if blob is None:
-        return None
-    try:
-        intent = SealIntent.decode(blob)
-        intent.verify(public_key)
-    except IntegrityError:
-        return None  # forged/corrupt intent buys the adversary nothing
-    if intent.log_id != log_id:
-        return None
-    return intent
-
-
 def recover_log(
     storage: LogStorage,
     signing_key: EcdsaPrivateKey,
@@ -186,12 +170,14 @@ def _recover_log(
     log_id: str,
 ) -> RecoveryReport:
     torn = bool(getattr(storage, "orphans_cleaned", []))
-    intent = _load_intent(storage, public_key, log_id)
+    # A forged/corrupt/foreign intent buys the adversary nothing: it reads
+    # as absent, and a counter gap without an intent is a rollback.
+    intent = load_valid_intent(storage, SealIntent, public_key, log_id)
 
     if not storage.exists():
         # Nothing was ever durably sealed. A leftover intent means the
         # very first seal crashed before its snapshot write completed.
-        storage.clear_intent()
+        storage.clear_intent(SealIntent.SIDECAR)
         return RecoveryReport(
             outcome=RecoveryOutcome.NO_SNAPSHOT,
             torn_tmp_found=torn,
@@ -282,7 +268,7 @@ def _recover_log(
     if head.counter_value >= live:
         # Fully fresh. A lingering intent just means the crash hit after
         # the snapshot write but before the intent clear — drop it.
-        storage.clear_intent()
+        storage.clear_intent(SealIntent.SIDECAR)
         if torn:
             report.outcome = RecoveryOutcome.TORN_TAIL_TRUNCATED
             report.detail = "orphaned tmp discarded; previous snapshot intact"

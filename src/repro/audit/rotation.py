@@ -12,10 +12,10 @@ must never leave the deployment split across two epochs, and a slow or
 partitioned replica must never be silently stranded on keys that stop
 verifying.
 
-:class:`KeyRotationCoordinator` gets both properties from a write-ahead
-:class:`~repro.audit.hashchain.RotationIntent` (mirroring the seal
-protocol's :class:`~repro.audit.hashchain.SealIntent`) plus idempotent
-steps:
+:class:`KeyRotationCoordinator` gets both properties from a signed
+write-ahead :class:`~repro.audit.hashchain.RotationIntent` plus
+idempotent steps, run by the shared
+:class:`~repro.audit.wal.CheckpointedWal`:
 
 1. durably record a signed rotation intent (the WAL entry);
 2. advance the authority's epoch registry (old epoch → grace window);
@@ -29,11 +29,14 @@ steps:
    (otherwise it stays in the grace window — rotation never strands a
    healthy replica), then clear the WAL entry.
 
-After a crash, :meth:`resume` replays the surviving intent through the
-same steps; each is guarded (``current_epoch`` check, ``has_event``,
-re-seal, re-announce) so replay converges on exactly one active epoch
-no matter where the crash hit. The ``rotation.step`` fault site lets
-the chaos suite inject a crash between any two steps.
+After a crash, :meth:`~repro.audit.wal.CheckpointedWal.resume` replays
+the surviving intent through the same steps; each is guarded
+(``current_epoch`` check, ``has_event``, re-seal, re-announce) so replay
+converges on exactly one active epoch no matter where the crash hit. An
+intent whose ``to_epoch`` the authority has already moved past is a
+*stale* replay by the storage provider and is discarded, never re-run.
+The ``rotation.step`` fault site lets the chaos suite inject a crash
+between any two steps (:data:`ROTATION_CHECKPOINTS` of them).
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.audit.hashchain import RotationIntent
-from repro.errors import IntegrityError
-from repro.faults import hooks as _faults
+from repro.audit.wal import CheckpointedWal
 from repro.obs import hooks as _obs
 from repro.sgx.sealing import EpochState
 
@@ -80,13 +82,15 @@ class RotationReport:
         return " ".join(bits)
 
 
-class KeyRotationCoordinator:
+class KeyRotationCoordinator(CheckpointedWal):
     """Drives epochal key rotation for one LibSeal instance."""
 
+    INTENT = RotationIntent
+    FAULT_SITE = "rotation.step"
+
     def __init__(self, libseal) -> None:
+        super().__init__()
         self.libseal = libseal
-        self.rotations_started = 0
-        self.rotations_resumed = 0
 
     # The coordinator reads its collaborators through the LibSeal
     # instance on every access: crash recovery replaces the audit log,
@@ -109,7 +113,11 @@ class KeyRotationCoordinator:
         return self.libseal.audit_log
 
     @property
-    def log_id(self) -> str:
+    def public_key(self):
+        return self.libseal.signing_key.public_key()
+
+    @property
+    def owner_id(self) -> str:
         return self.libseal.config.log_id
 
     # ------------------------------------------------------------------
@@ -119,40 +127,15 @@ class KeyRotationCoordinator:
     def rotate(self, reason: str = "scheduled") -> RotationReport:
         """Rotate to a fresh epoch, end to end (WAL write first)."""
         from_epoch = self.authority.current_epoch
-        intent = RotationIntent.sign(
-            self.libseal.signing_key,
-            self.log_id,
-            from_epoch,
-            from_epoch + 1,
-            reason,
+        return self._begin(
+            RotationIntent.sign(
+                self.libseal.signing_key,
+                self.owner_id,
+                from_epoch,
+                from_epoch + 1,
+                reason,
+            )
         )
-        self.storage.save_rotation(intent.encode())
-        self.rotations_started += 1
-        self._checkpoint()
-        return self._run(intent)
-
-    def resume(self) -> RotationReport | None:
-        """Replay a rotation whose WAL entry survived a crash.
-
-        Returns None when no (valid) rotation was in flight. A forged or
-        corrupt intent is discarded — it buys the adversary nothing: the
-        worst outcome is that a genuine in-flight rotation is re-issued
-        by the operator.
-        """
-        blob = self.storage.load_rotation()
-        if blob is None:
-            return None
-        try:
-            intent = RotationIntent.decode(blob)
-            intent.verify(self.libseal.signing_key.public_key())
-        except IntegrityError:
-            self.storage.clear_rotation()
-            return None
-        if intent.log_id != self.log_id:
-            self.storage.clear_rotation()
-            return None
-        self.rotations_resumed += 1
-        return self._run(intent, resumed=True)
 
     def finish(self, force: bool = False) -> list[int]:
         """Retire grace-window epochs once the group no longer needs them.
@@ -178,16 +161,43 @@ class KeyRotationCoordinator:
         return retired
 
     # ------------------------------------------------------------------
-    # The idempotent step sequence
+    # The idempotent step table
     # ------------------------------------------------------------------
 
-    def _checkpoint(self) -> None:
-        """Fault site between rotation steps (chaos injects crashes here)."""
-        for event in _faults.check("rotation.step"):
-            if event.kind in ("crash", "abort"):
-                raise _faults.active().crash(event)
+    def _still_current(self, intent: RotationIntent) -> bool:
+        # Equality is a legitimate mid-flight replay (the registry already
+        # advanced); anything older was completed by a later rotation.
+        return intent.to_epoch >= self.authority.current_epoch
 
-    def _run(self, intent: RotationIntent, resumed: bool = False) -> RotationReport:
+    def _advance_registry(self, intent: RotationIntent, report: RotationReport) -> None:
+        if self.authority.current_epoch < intent.to_epoch:
+            self.authority.rotate(intent.reason)
+
+    def _record_event(self, intent: RotationIntent, report: RotationReport) -> None:
+        """The rotation becomes part of the audited history."""
+        detail = f"epoch {intent.from_epoch}->{intent.to_epoch}: {intent.reason}"
+        if not self.audit_log.has_event("key_rotation", detail):
+            self.audit_log.append_event("key_rotation", detail)
+
+    def _reseal_log(self, intent: RotationIntent, report: RotationReport) -> None:
+        """Re-seal the log snapshot under the new epoch. An availability
+        fault defers the re-seal (degraded mode), it does not abort the
+        rotation — the WAL survives until done."""
+        report.log_resealed = self.libseal._try_seal()
+
+    def _announce(self, intent: RotationIntent, report: RotationReport) -> None:
+        """Replicas adopt the epoch and re-seal their counter state."""
+        report.acks = self.cluster.announce_epoch()
+
+    def _retire_old(self, intent: RotationIntent, report: RotationReport) -> None:
+        """Retire the old lineage only once the whole group is across;
+        otherwise the grace window keeps it verifiable."""
+        if len(report.acks) == self.cluster.n and report.converged:
+            report.retired = self.finish(force=True)
+
+    STEPS = (_advance_registry, _record_event, _reseal_log, _announce, _retire_old)
+
+    def _run(self, intent: RotationIntent, resumed: bool) -> RotationReport:
         report = RotationReport(
             from_epoch=intent.from_epoch,
             to_epoch=intent.to_epoch,
@@ -195,37 +205,9 @@ class KeyRotationCoordinator:
             resumed=resumed,
         )
         with _obs.span("audit.rotation") as obs_span:
-            # Step 2: advance the key registry (guard: already advanced).
-            if self.authority.current_epoch < intent.to_epoch:
-                self.authority.rotate(intent.reason)
-            self._checkpoint()
-
-            # Step 3: the rotation becomes part of the audited history.
-            detail = (
-                f"epoch {intent.from_epoch}->{intent.to_epoch}: {intent.reason}"
-            )
-            if not self.audit_log.has_event("key_rotation", detail):
-                self.audit_log.append_event("key_rotation", detail)
-            self._checkpoint()
-
-            # Step 4: re-seal the log snapshot under the new epoch. An
-            # availability fault defers the re-seal (degraded mode), it
-            # does not abort the rotation — the WAL survives until done.
-            report.log_resealed = self.libseal._try_seal()
-            self._checkpoint()
-
-            # Step 5: replicas adopt the epoch and re-seal their state.
-            report.acks = self.cluster.announce_epoch()
-            self._checkpoint()
-
-            # Step 6: retire the old lineage only once the whole group
-            # is across; otherwise the grace window keeps it verifiable.
-            if len(report.acks) == self.cluster.n and report.converged:
-                report.retired = self.finish(force=True)
-            self._checkpoint()
-
+            self._run_steps(intent, report)
             if report.log_resealed:
-                self.storage.clear_rotation()
+                self._clear()
             if _obs.ON:
                 _obs.active().metrics.counter(
                     "key_rotation_runs_total",
@@ -237,6 +219,7 @@ class KeyRotationCoordinator:
                     obs_span.set_attr("acks", len(report.acks))
         return report
 
-    def reseal_pending(self) -> bool:
-        """Whether a rotation WAL entry is still outstanding."""
-        return self.storage.load_rotation() is not None
+
+#: ``rotation.step`` checkpoints one ``rotate()`` visits: one after the
+#: WAL write, one after every step of the table.
+ROTATION_CHECKPOINTS = KeyRotationCoordinator.checkpoints()

@@ -84,36 +84,17 @@ class SealedLogStorage(LogStorage):
     def size_bytes(self) -> int:
         return self.inner.size_bytes()
 
-    # Seal-intent sidecar: passes through unencrypted — the intent is a
-    # signed public artifact (chain head + count), nothing confidential.
-    def save_intent(self, blob: bytes) -> None:
-        self.inner.save_intent(blob)
+    # Intent sidecars pass through unencrypted: each is a signed public
+    # artifact (chain head + count, epoch numbers, shard names), nothing
+    # confidential.
+    def save_intent(self, blob: bytes, kind: str) -> None:
+        self.inner.save_intent(blob, kind)
 
-    def load_intent(self) -> bytes | None:
-        return self.inner.load_intent()
+    def load_intent(self, kind: str) -> bytes | None:
+        return self.inner.load_intent(kind)
 
-    def clear_intent(self) -> None:
-        self.inner.clear_intent()
-
-    # Rotation-intent sidecar: same reasoning — a signed public artifact.
-    def save_rotation(self, blob: bytes) -> None:
-        self.inner.save_rotation(blob)
-
-    def load_rotation(self) -> bytes | None:
-        return self.inner.load_rotation()
-
-    def clear_rotation(self) -> None:
-        self.inner.clear_rotation()
-
-    # Membership-intent sidecar: same reasoning — a signed public artifact.
-    def save_membership(self, blob: bytes) -> None:
-        self.inner.save_membership(blob)
-
-    def load_membership(self) -> bytes | None:
-        return self.inner.load_membership()
-
-    def clear_membership(self) -> None:
-        self.inner.clear_membership()
+    def clear_intent(self, kind: str) -> None:
+        self.inner.clear_intent(kind)
 
     @property
     def orphans_cleaned(self) -> list:

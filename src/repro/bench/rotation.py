@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 
 from repro.audit.persistence import InMemoryStorage
-from repro.audit.rotation import KeyRotationCoordinator
+from repro.audit.rotation import ROTATION_CHECKPOINTS, KeyRotationCoordinator
 from repro.audit.rote import RoteCluster
 from repro.audit.rote_replica import CounterAttestation, CounterReply
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
@@ -33,9 +33,6 @@ from repro.sim.network import SimNetwork
 from repro.ssm.messaging import MessagingSSM
 
 LOG_ID = "bench-rotation"
-
-#: Checkpoints one rotate() call visits (see KeyRotationCoordinator).
-ROTATION_CHECKPOINTS = 6
 
 
 def _build(f: int = 1, seed: int = 11):
@@ -162,7 +159,7 @@ def rotation_wal_replay(seed: int = 11) -> list[dict]:
                 "replayed": report is not None,
                 "active_epochs": len(active),
                 "final_epoch": authority.current_epoch,
-                "wal_cleared": libseal.storage.load_rotation() is None,
+                "wal_cleared": not coordinator.pending(),
                 "unsealable_blobs": _unsealable_blobs(libseal),
                 "replay_ms": replay_ms,
             }

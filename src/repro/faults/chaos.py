@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from repro.audit.log import AuditLog
 from repro.audit.persistence import InMemoryStorage
 from repro.audit.recovery import DETECTED_OUTCOMES, recover_log
-from repro.audit.rotation import KeyRotationCoordinator
+from repro.audit.rotation import ROTATION_CHECKPOINTS, KeyRotationCoordinator
 from repro.audit.rote import RoteCluster
 from repro.audit.rote_replica import (
     LIE_SHAPES,
@@ -137,10 +137,6 @@ INTRUDER_POISON = 1 << 40
 
 #: Evidence tampers the forged-join intruder cycles through.
 INTRUDER_KINDS = ("rogue", "relabel", "epoch_relabel", "replay")
-
-#: Checkpoints the rotation coordinator visits per ``rotate()`` call —
-#: the crash family picks one of them uniformly.
-ROTATION_CHECKPOINTS = 6
 
 #: Reseal attempts allowed after every fault healed before the oracle
 #: calls the run a liveness violation.
@@ -931,8 +927,7 @@ class ChaosHarness:
         """
         clone = InMemoryStorage()
         clone._blob = self.storage_inner._blob
-        clone._intent = self.storage_inner._intent
-        clone._rotation = self.storage_inner._rotation
+        clone._sidecars = dict(self.storage_inner._sidecars)
         storage = (
             SealedLogStorage(clone, self.log_enclave)
             if self.epoch_aware
@@ -969,7 +964,7 @@ class ChaosHarness:
                 f"epoch registry not converged: active={active}, "
                 f"current={authority.current_epoch}"
             )
-        if self.libseal.storage.load_rotation() is not None:
+        if self.coordinator.pending():
             self._violate("rotation WAL entry outstanding after convergence")
         stranded = []
         for replica in self.cluster.nodes:

@@ -378,9 +378,22 @@ class ShardPlane:
         )
 
     def verify_all(self) -> None:
-        """Full verification of every shard log and the control log."""
+        """Full verification of every shard log and the control log.
+
+        A shard that never received a pair has sealed nothing, so it has
+        no signed head to verify — accepted only while its counter quorum
+        still reads 0. A headless log under an advanced counter is a
+        deleted log and fails closed like any other.
+        """
         for instance in self.instances.values():
-            instance.libseal.verify_log()
+            log = instance.libseal.audit_log
+            never_sealed = (
+                log.signed_head is None
+                and len(log.chain) == 0
+                and log.rote.retrieve(log.log_id) == 0
+            )
+            if not never_sealed:
+                instance.libseal.verify_log()
         self.control_log.verify(self.signing_key.public_key())
 
     def head_counters(self) -> dict[str, int]:

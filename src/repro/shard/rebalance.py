@@ -1,10 +1,10 @@
 """Crash-safe rebalancing: WAL-replayed membership change, fail-closed.
 
 A membership change (split = shard joins, merge = shard leaves) moves
-owned log ranges between enclaves while the plane keeps serving. Like
-key rotation (:mod:`repro.audit.rotation`), it is a distributed,
-multi-step state change that a crash must never leave half-applied —
-so it gets the same shape: a signed write-ahead
+owned log ranges between enclaves while the plane keeps serving. It is
+a distributed, multi-step state change that a crash must never leave
+half-applied, so it runs on the shared
+:class:`~repro.audit.wal.CheckpointedWal`: a signed write-ahead
 :class:`~repro.audit.hashchain.MembershipIntent` persisted *before*
 anything moves, idempotent steps, and a ``shard.step`` fault site
 between every pair of steps (:data:`SHARD_CHECKPOINTS` of them) for the
@@ -32,10 +32,14 @@ The step sequence:
 While the WAL is outstanding, writes to moving ranges are *frozen*
 (:class:`~repro.errors.RangeUnavailableError` from the plane) — the
 window that makes "zero lost or duplicated pairs across a crash at any
-checkpoint" a theorem instead of a race. :meth:`resume` replays the
-surviving intent through the same guarded steps; the target's audited
+checkpoint" a theorem instead of a race.
+:meth:`~repro.audit.wal.CheckpointedWal.resume` replays the surviving
+intent through the same guarded steps; the target's audited
 ``range_import`` marker turns re-sent transfers into acknowledged
-duplicates, so replay converges on exactly one owner per range.
+duplicates, so replay converges on exactly one owner per range. An
+intent whose ``generation_to`` the ring has already moved past is a
+*stale* replay by the storage provider: it is discarded and the ranges
+unfrozen, never re-run.
 """
 
 from __future__ import annotations
@@ -43,23 +47,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.audit.hashchain import MembershipIntent
+from repro.audit.wal import CheckpointedWal
 from repro.errors import (
     AvailabilityError,
     FreshnessUnverifiableError,
     IntegrityError,
     SimulationError,
 )
-from repro.faults import hooks as _faults
 from repro.obs import hooks as _obs
 from repro.shard.instance import RangeExportCommand, ShardInstance
 from repro.shard.router import HashRange
-
-#: ``shard.step`` fault-site checks per change: one after the WAL write,
-#: one after each of steps 2-6.
-SHARD_CHECKPOINTS = 6
-
-#: The fault site the chaos suite injects crashes at.
-FAULT_SITE = "shard.step"
 
 
 @dataclass
@@ -90,16 +87,30 @@ class RebalanceReport:
         return " ".join(bits)
 
 
-class Rebalancer:
+class Rebalancer(CheckpointedWal):
     """Drives WAL-checkpointed membership changes for one plane."""
 
+    INTENT = MembershipIntent
+    FAULT_SITE = "shard.step"
+
     def __init__(self, plane) -> None:
+        super().__init__()
         self.plane = plane
-        self.changes_started = 0
-        self.changes_resumed = 0
         self.failclosed_aborts = 0
         #: Ranges whose writes are blocked while a change is in flight.
         self.frozen: tuple[HashRange, ...] = ()
+
+    @property
+    def storage(self):
+        return self.plane.control_storage
+
+    @property
+    def public_key(self):
+        return self.plane.signing_key.public_key()
+
+    @property
+    def owner_id(self) -> str:
+        return self.plane.plane_id
 
     # ------------------------------------------------------------------
     # Entry points
@@ -107,45 +118,13 @@ class Rebalancer:
 
     def split(self, shard: str) -> RebalanceReport:
         """Admit ``shard`` and move its share of the ring onto it."""
-        return self._begin("split", shard)
+        return self._start("split", shard)
 
     def merge(self, shard: str) -> RebalanceReport:
         """Drain ``shard`` onto the survivors and decommission it."""
-        return self._begin("merge", shard)
+        return self._start("merge", shard)
 
-    def pending(self) -> bool:
-        """Whether a membership-change WAL entry is outstanding."""
-        return self.plane.control_storage.load_membership() is not None
-
-    def resume(self) -> RebalanceReport | None:
-        """Replay a change whose WAL entry survived a crash.
-
-        A forged, corrupt or foreign intent is discarded — the worst
-        outcome is that the operator re-issues a genuine change.
-        """
-        plane = self.plane
-        blob = plane.control_storage.load_membership()
-        if blob is None:
-            return None
-        try:
-            intent = MembershipIntent.decode(blob)
-            intent.verify(plane.signing_key.public_key())
-        except IntegrityError:
-            plane.control_storage.clear_membership()
-            self.frozen = ()
-            return None
-        if intent.plane_id != plane.plane_id:
-            plane.control_storage.clear_membership()
-            self.frozen = ()
-            return None
-        self.changes_resumed += 1
-        return self._run(intent, resumed=True)
-
-    # ------------------------------------------------------------------
-    # The idempotent step sequence
-    # ------------------------------------------------------------------
-
-    def _begin(self, kind: str, shard: str) -> RebalanceReport:
+    def _start(self, kind: str, shard: str) -> RebalanceReport:
         plane = self.plane
         if self.pending():
             raise SimulationError(
@@ -169,34 +148,78 @@ class Rebalancer:
             generation_to=plane.router.generation + 1,
             epoch=plane.authority.current_epoch,
         )
-        # Step 1: the WAL entry, durable before anything changes. Writes
-        # to the moving ranges freeze from this instant.
+        # Writes to the moving ranges freeze from the instant the WAL
+        # entry is durable.
         self.frozen = self._moving_ranges(intent)
-        plane.control_storage.save_membership(intent.encode())
-        self.changes_started += 1
-        self._checkpoint()
-        return self._run(intent)
-
-    def _checkpoint(self) -> None:
-        """Fault site between steps (chaos injects crashes here)."""
-        for event in _faults.check(FAULT_SITE):
-            if event.kind in ("crash", "abort"):
-                raise _faults.active().crash(event)
+        return self._begin(intent)
 
     def _moving_ranges(self, intent: MembershipIntent) -> tuple[HashRange, ...]:
+        return tuple(rng for rng, _, _ in self._plan(intent))
+
+    def _plan(self, intent: MembershipIntent):
+        """The ``(range, source, target)`` moves still ahead of cutover."""
         router = self.plane.router
         if router.generation >= intent.generation_to:
-            return ()  # cutover already applied; nothing left to freeze
+            return []  # cutover already applied; nothing left to move
         if intent.kind == "split":
-            plan = router.plan_add(intent.shard)
-        else:
-            plan = router.plan_remove(intent.shard)
-        return tuple(rng for rng, _, _ in plan)
+            return router.plan_add(intent.shard)
+        return router.plan_remove(intent.shard)
 
-    def _run(
-        self, intent: MembershipIntent, resumed: bool = False
-    ) -> RebalanceReport:
+    def _clear(self) -> None:
+        super()._clear()
+        self.frozen = ()
+
+    # ------------------------------------------------------------------
+    # The idempotent step table
+    # ------------------------------------------------------------------
+
+    def _still_current(self, intent: MembershipIntent) -> bool:
+        # Equality is a legitimate replay past cutover (only the retire
+        # step is left); anything older was completed by a later change.
+        return intent.generation_to >= self.plane.router.generation
+
+    def _record_begin(self, intent: MembershipIntent, report: RebalanceReport) -> None:
+        """The change enters the audited membership history."""
+        if self.plane.membership.record(intent, "begin"):
+            self.plane.seal_control()
+
+    def _provision(self, intent: MembershipIntent, report: RebalanceReport) -> None:
+        """A joining shard exists (mutually admitted) before any range
+        can move onto it."""
+        if intent.kind == "split":
+            self.plane.provisioner.provision(intent.shard)
+
+    def _transfer_ranges(self, intent: MembershipIntent, report: RebalanceReport) -> None:
+        """Move every range, fail-closed. Any unprovable freshness or
+        integrity shortfall aborts *here*, with the WAL still in place
+        and the ranges still frozen."""
+        try:
+            report.transfers = self._transfer_all(intent)
+        except (FreshnessUnverifiableError, IntegrityError):
+            self.failclosed_aborts += 1
+            raise
+
+    def _cutover(self, intent: MembershipIntent, report: RebalanceReport) -> None:
+        """Ownership flips atomically in the ring."""
         plane = self.plane
+        if plane.router.generation < intent.generation_to:
+            if intent.kind == "split":
+                plane.router.apply_add(intent.shard)
+            else:
+                plane.router.apply_remove(intent.shard)
+        if plane.membership.record(intent, "cutover"):
+            plane.seal_control()
+        self.frozen = ()
+        plane.push_ownership()
+
+    def _retire_moved(self, intent: MembershipIntent, report: RebalanceReport) -> None:
+        """Old owners drop what moved away; a drained shard leaves the
+        plane. Both are idempotent under replay."""
+        report.retired_tuples = self._retire(intent)
+
+    STEPS = (_record_begin, _provision, _transfer_ranges, _cutover, _retire_moved)
+
+    def _run(self, intent: MembershipIntent, resumed: bool) -> RebalanceReport:
         report = RebalanceReport(
             change_id=intent.change_id,
             kind=intent.kind,
@@ -208,46 +231,8 @@ class Rebalancer:
         )
         with _obs.span("shard.rebalance") as obs_span:
             self.frozen = self._moving_ranges(intent)
-
-            # Step 2: the change enters the audited membership history.
-            if plane.membership.record(intent, "begin"):
-                plane.seal_control()
-            self._checkpoint()
-
-            # Step 3: a joining shard exists (mutually admitted) before
-            # any range can move onto it.
-            if intent.kind == "split":
-                plane.provisioner.provision(intent.shard)
-            self._checkpoint()
-
-            # Step 4: move every range, fail-closed. Any unprovable
-            # freshness or integrity shortfall aborts *here*, with the
-            # WAL still in place and the ranges still frozen.
-            try:
-                report.transfers = self._transfer_all(intent)
-            except (FreshnessUnverifiableError, IntegrityError):
-                self.failclosed_aborts += 1
-                raise
-            self._checkpoint()
-
-            # Step 5: cutover — ownership flips atomically in the ring.
-            if plane.router.generation < intent.generation_to:
-                if intent.kind == "split":
-                    plane.router.apply_add(intent.shard)
-                else:
-                    plane.router.apply_remove(intent.shard)
-            if plane.membership.record(intent, "cutover"):
-                plane.seal_control()
-            self.frozen = ()
-            plane.push_ownership()
-            self._checkpoint()
-
-            # Step 6: old owners drop what moved away; a drained shard
-            # leaves the plane. Both are idempotent under replay.
-            report.retired_tuples = self._retire(intent)
-            self._checkpoint()
-
-            plane.control_storage.clear_membership()
+            self._run_steps(intent, report)
+            self._clear()
             report.completed = True
             if _obs.ON:
                 _obs.active().metrics.counter(
@@ -268,15 +253,8 @@ class Rebalancer:
     def _transfer_all(
         self, intent: MembershipIntent
     ) -> list[tuple[str, str, int]]:
-        plane = self.plane
-        if plane.router.generation >= intent.generation_to:
-            return []  # replaying past cutover: transfers already landed
-        if intent.kind == "split":
-            plan = plane.router.plan_add(intent.shard)
-        else:
-            plan = plane.router.plan_remove(intent.shard)
         grouped: dict[tuple[str, str], list[HashRange]] = {}
-        for rng, source, target in plan:
+        for rng, source, target in self._plan(intent):
             grouped.setdefault((source, target), []).append(rng)
         transfers = []
         for (source_id, target_id), ranges in sorted(grouped.items()):
@@ -378,3 +356,8 @@ class Rebalancer:
             if shard_id != intent.shard:
                 retired += instance.retire_ranges(moved)
         return retired
+
+
+#: ``shard.step`` checkpoints one change visits: one after the WAL write,
+#: one after every step of the table.
+SHARD_CHECKPOINTS = Rebalancer.checkpoints()

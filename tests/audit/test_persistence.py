@@ -11,10 +11,12 @@ restart performs.
 
 import pytest
 
-from repro.audit.persistence import InMemoryStorage, LogStorage
+from repro.audit.persistence import SIDECAR_KINDS, InMemoryStorage, LogStorage
+from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 from repro.errors import StorageError
 from repro.faults import hooks as _faults
 from repro.faults.plan import FaultEvent, FaultPlan, InjectedCrash
+from repro.sgx.sealing import SigningAuthority
 
 
 @pytest.fixture
@@ -134,12 +136,12 @@ class TestOrphanCleanup:
         path = tmp_path / "audit.log"
         first = LogStorage(path)
         first.save(OLD)
-        first.save_intent(b"intent")
-        first.save_membership(b"membership")
+        first.save_intent(b"intent", "intent")
+        first.save_intent(b"membership", "membership")
         second = LogStorage(path)
         assert second.orphans_cleaned == []
-        assert second.load_intent() == b"intent"
-        assert second.load_membership() == b"membership"
+        assert second.load_intent("intent") == b"intent"
+        assert second.load_intent("membership") == b"membership"
 
 
 class TestLoadFaults:
@@ -177,31 +179,89 @@ class TestLoadFaults:
             store.load()
 
 
-class TestSidecars:
-    """The write-ahead sidecars: intent, rotation, membership."""
+class SidecarContract:
+    """The write-ahead sidecar contract, one kind per protocol (seal
+    intent, rotation, membership), that every storage class honours.
+    Subclasses supply the ``store`` fixture and :meth:`reopen`."""
 
-    @pytest.mark.parametrize("name", ["intent", "rotation", "membership"])
-    def test_sidecar_roundtrip_and_clear(self, store, name):
-        save = getattr(store, f"save_{name}")
-        load = getattr(store, f"load_{name}")
-        clear = getattr(store, f"clear_{name}")
-        assert load() is None
-        save(b"wal-entry")
-        assert load() == b"wal-entry"
-        save(b"wal-entry-2")  # overwritten in place
-        assert load() == b"wal-entry-2"
-        clear()
-        assert load() is None
-        clear()  # idempotent
+    def reopen(self, store):
+        """A second handle over the same stored bytes (a restart)."""
+        raise NotImplementedError
+
+    @pytest.mark.parametrize("kind", SIDECAR_KINDS)
+    def test_sidecar_roundtrip_and_clear(self, store, kind):
+        assert store.load_intent(kind) is None
+        store.save_intent(b"wal-entry", kind)
+        assert store.load_intent(kind) == b"wal-entry"
+        store.save_intent(b"wal-entry-2", kind)  # overwritten in place
+        assert store.load_intent(kind) == b"wal-entry-2"
+        store.clear_intent(kind)
+        assert store.load_intent(kind) is None
+        store.clear_intent(kind)  # idempotent
 
     def test_sidecars_are_independent_files(self, store):
-        store.save_intent(b"a")
-        store.save_rotation(b"b")
-        store.save_membership(b"c")
-        store.clear_rotation()
-        assert store.load_intent() == b"a"
-        assert store.load_rotation() is None
-        assert store.load_membership() == b"c"
+        for kind in SIDECAR_KINDS:
+            store.save_intent(kind.encode(), kind)
+        store.clear_intent("rotation")
+        assert {kind: store.load_intent(kind) for kind in SIDECAR_KINDS} == {
+            "intent": b"intent",
+            "rotation": None,
+            "membership": b"membership",
+        }
+
+    @pytest.mark.parametrize("kind", SIDECAR_KINDS)
+    def test_sidecar_survives_reopen(self, store, kind):
+        # It is a durable write-ahead marker: a restart must find it.
+        store.save_intent(b"wal-entry", kind)
+        assert self.reopen(store).load_intent(kind) == b"wal-entry"
+        self.reopen(store).clear_intent(kind)
+        assert store.load_intent(kind) is None
+
+    def test_unknown_kind_is_rejected(self, store):
+        with pytest.raises(ValueError, match="unknown sidecar kind"):
+            store.save_intent(b"x", "tmp")
+        with pytest.raises(ValueError, match="unknown sidecar kind"):
+            store.load_intent("../escape")
+
+
+class TestSidecars(SidecarContract):
+    """File-backed: one ``<log>.<kind>`` file per sidecar."""
+
+    def reopen(self, store):
+        return LogStorage(store.path)
+
+    @pytest.mark.parametrize("kind", SIDECAR_KINDS)
+    def test_sidecar_file_names(self, store, kind):
+        # The on-disk names are what a crashed deployment resumes from.
+        store.save_intent(b"wal-entry", kind)
+        assert (store.path.parent / f"audit.log.{kind}").read_bytes() == b"wal-entry"
+
+
+class TestInMemorySidecars(SidecarContract):
+    @pytest.fixture
+    def store(self):
+        return InMemoryStorage()
+
+    def reopen(self, store):
+        return store  # lives exactly as long as the process
+
+
+class TestSealedSidecars(SidecarContract):
+    @pytest.fixture
+    def store(self, tmp_path):
+        enclave = make_log_enclave(SigningAuthority("sidecar-test"))
+        return SealedLogStorage(LogStorage(tmp_path / "audit.log"), enclave)
+
+    def reopen(self, store):
+        return SealedLogStorage(LogStorage(store.path), store.enclave)
+
+    @pytest.mark.parametrize("kind", SIDECAR_KINDS)
+    def test_sidecar_passes_through_unencrypted(self, store, kind):
+        # Intents are signed public artifacts; only snapshots are sealed.
+        store.save_intent(b"wal-entry", kind)
+        assert store.inner.load_intent(kind) == b"wal-entry"
+        store.save(OLD)
+        assert store.inner.load() != OLD
 
 
 class TestInMemoryParity:
@@ -213,11 +273,3 @@ class TestInMemoryParity:
         with _faults.inject(crash_plan("storage.load", "corrupt_read")):
             assert store.load() != OLD
         assert store.load() == OLD
-
-    def test_membership_sidecar(self):
-        store = InMemoryStorage()
-        assert store.load_membership() is None
-        store.save_membership(b"m")
-        assert store.load_membership() == b"m"
-        store.clear_membership()
-        assert store.load_membership() is None

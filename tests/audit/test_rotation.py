@@ -25,17 +25,12 @@ from repro.audit.rote_replica import CounterAttestation, CounterReply
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 from repro.core.libseal import LibSeal, LibSealConfig
 from repro.crypto.ecdsa import EcdsaSignature
-from repro.errors import IntegrityError, RetiredEpochError, SealingError
-from repro.faults import hooks as _faults
-from repro.faults.plan import FaultEvent, FaultPlan, InjectedCrash
+from repro.errors import RetiredEpochError, SealingError
 from repro.sgx import Enclave, EnclaveConfig, EpochState, KeyPolicy, SealedBlob
 from repro.sgx.sealing import SigningAuthority
 from repro.sim.network import SimNetwork
 from repro.ssm.messaging import MessagingSSM
-
-#: Checkpoints one rotate() call visits (kept in sync with the
-#: coordinator's _checkpoint() call sites).
-ROTATION_CHECKPOINTS = 6
+from tests.wal_matrix import WalCase, crash_at, crash_matrix
 
 
 class Stack:
@@ -82,7 +77,7 @@ class Stack:
         ]
         assert active == [expected_epoch]
         assert authority.current_epoch == expected_epoch
-        assert self.storage.load_rotation() is None
+        assert not self.coordinator.pending()
         usable = (EpochState.ACTIVE, EpochState.GRACE)
         for replica in self.cluster.nodes:
             if replica.sealed_state is not None:
@@ -149,42 +144,39 @@ class TestHappyPath:
         assert states[3] is EpochState.RETIRED
 
 
+def _seeded_stack() -> Stack:
+    stack = Stack()
+    stack.seed_activity()
+    return stack
+
+
+def _assert_rotation_converged(stack: Stack, report) -> None:
+    assert report.to_epoch == 2
+    stack.assert_converged(2)
+    # Idempotence: the registry rotated exactly once and the audited
+    # record was appended exactly once, no matter where the crash hit.
+    assert stack.authority.rotations == 1
+    assert stack.rotation_events() == ["epoch 1->2: scheduled"]
+
+
+ROTATION_CASE = WalCase(
+    coordinator_type=KeyRotationCoordinator,
+    build=_seeded_stack,
+    coordinator=lambda stack: stack.coordinator,
+    start=lambda stack: stack.coordinator.rotate("scheduled"),
+    assert_converged=_assert_rotation_converged,
+)
+
+
 class TestCrashAtEveryStep:
-    @pytest.mark.parametrize("step", range(1, ROTATION_CHECKPOINTS + 1))
-    def test_crash_then_resume_converges(self, step):
-        stack = Stack()
-        stack.seed_activity()
-        plan = FaultPlan(
-            [FaultEvent("rotation.step", "crash", at=step)],
-            scenario="rotation-crash-test",
-        )
-        with _faults.inject(plan):
-            with pytest.raises(InjectedCrash):
-                stack.coordinator.rotate("scheduled")
-        # The WAL survived the crash; replay must converge.
-        report = stack.coordinator.resume()
-        assert report is not None
-        assert report.resumed
-        assert report.to_epoch == 2
-        stack.assert_converged(2)
-        # Idempotence: the registry rotated exactly once and the audited
-        # record was appended exactly once, no matter where the crash hit.
-        assert stack.authority.rotations == 1
-        assert stack.rotation_events() == ["epoch 1->2: scheduled"]
+    test_crash_then_resume_converges = crash_matrix(ROTATION_CASE)
 
     def test_resume_without_wal_is_noop(self, stack):
         assert stack.coordinator.resume() is None
 
     def test_double_resume_is_idempotent(self):
-        stack = Stack()
-        stack.seed_activity()
-        plan = FaultPlan(
-            [FaultEvent("rotation.step", "crash", at=3)],
-            scenario="rotation-crash-test",
-        )
-        with _faults.inject(plan):
-            with pytest.raises(InjectedCrash):
-                stack.coordinator.rotate("scheduled")
+        stack = _seeded_stack()
+        crash_at(stack.coordinator, 3, lambda: stack.coordinator.rotate("scheduled"))
         assert stack.coordinator.resume() is not None
         assert stack.coordinator.resume() is None  # WAL cleared
         stack.assert_converged(2)
@@ -193,10 +185,31 @@ class TestCrashAtEveryStep:
         intent = RotationIntent(
             "rotation-test", 1, 2, "forged", EcdsaSignature(1, 1)
         )
-        stack.storage.save_rotation(intent.encode())
+        stack.storage.save_intent(intent.encode(), "rotation")
         assert stack.coordinator.resume() is None
-        assert stack.storage.load_rotation() is None
+        assert not stack.coordinator.pending()
         assert stack.authority.current_epoch == 1
+
+    def test_stale_wal_replay_is_discarded(self, stack):
+        """A provider replaying a *completed* rotation's validly signed
+        WAL entry must not re-run it against today's registry: that would
+        force-retire a grace-window epoch a healthy replica still needs."""
+        stack.coordinator.rotate("first")  # 1 -> 2; WAL written, then cleared
+        # The blob the provider copied meanwhile (signing is deterministic).
+        stale = RotationIntent.sign(
+            stack.libseal.signing_key, stack.config.log_id, 1, 2, "first"
+        ).encode()
+        stack.cluster.nodes[0].pin()  # one replica lags behind ...
+        report = stack.coordinator.rotate("second")  # 2 -> 3
+        # ... so epoch 2 correctly stays in the grace window for it.
+        assert report.acks[0] == 2 and report.retired == []
+        assert stack.authority.epoch_state(2) is EpochState.GRACE
+
+        stack.storage.save_intent(stale, "rotation")
+        assert stack.coordinator.resume() is None
+        assert stack.coordinator.resumed == 0
+        assert not stack.coordinator.pending()
+        assert stack.authority.epoch_state(2) is EpochState.GRACE
 
 
 class TestStaleReplica:
@@ -213,7 +226,7 @@ class TestStaleReplica:
         assert not report.log_resealed
         assert stack.libseal.degraded.active
         assert stack.libseal.degraded.reason == "freshness-unverifiable"
-        assert stack.storage.load_rotation() is not None
+        assert stack.coordinator.pending()
         # Stragglers acked their old epoch, so nothing was retired.
         assert {report.acks[i] for i in stuck} == {1}
         assert report.retired == []
@@ -224,7 +237,7 @@ class TestStaleReplica:
         stack.coordinator.rotate("scheduled")
         clone = InMemoryStorage()
         clone._blob = stack.inner._blob
-        clone._intent = stack.inner._intent
+        clone._sidecars = dict(stack.inner._sidecars)
         report = recover_log(
             SealedLogStorage(clone, stack.log_enclave),
             stack.libseal.signing_key,
@@ -376,25 +389,3 @@ class TestPolicyMigration:
         authority.rotate("two")
         with pytest.raises(RetiredEpochError):
             v1.interface.ecall("run", lambda: authority.reseal(v1, blob))
-
-
-class TestRotationIntentWire:
-    def test_roundtrip(self, stack):
-        intent = RotationIntent.sign(
-            stack.libseal.signing_key, "log", 3, 4, "why not"
-        )
-        decoded = RotationIntent.decode(intent.encode())
-        assert decoded == intent
-        decoded.verify(stack.libseal.signing_key.public_key())
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(IntegrityError):
-            RotationIntent.decode(b"NOPE1\x00log\x001\x002\x00aa\x00bb")
-
-    def test_tampered_epoch_fails_verification(self, stack):
-        intent = RotationIntent.sign(
-            stack.libseal.signing_key, "log", 1, 2, "scheduled"
-        )
-        forged = RotationIntent("log", 1, 7, "scheduled", intent.signature)
-        with pytest.raises(IntegrityError):
-            forged.verify(stack.libseal.signing_key.public_key())

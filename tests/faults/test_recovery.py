@@ -87,14 +87,14 @@ class TestRecoveryOutcomes:
                 seal_epochs(log, 1, start=2)
         # Counter advanced to 3, snapshot still holds epoch 2, intent durable.
         storage = LogStorage(path)
-        assert storage.load_intent() is not None
+        assert storage.load_intent("intent") is not None
         report = recover_log(storage, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.IN_FLIGHT_DISCARDED
         assert report.intent_found
         assert report.resealed
         # The closing re-seal caught the counter up and cleared the intent.
         assert report.counter == rote.retrieve("libseal-log")
-        assert storage.load_intent() is None
+        assert storage.load_intent("intent") is None
         assert report.entries == 2  # the unacknowledged pair is discarded
         report.log.verify(key.public_key())
 
@@ -365,10 +365,10 @@ class TestDurabilityRegression:
 
     def test_intent_sidecar_roundtrip(self, tmp_path):
         storage = LogStorage(tmp_path / "log.bin")
-        assert storage.load_intent() is None
-        storage.save_intent(b"intent bytes")
-        assert storage.load_intent() == b"intent bytes"
+        assert storage.load_intent("intent") is None
+        storage.save_intent(b"intent bytes", "intent")
+        assert storage.load_intent("intent") == b"intent bytes"
         # Survives a restart (it is a durable write-ahead marker) ...
-        assert LogStorage(tmp_path / "log.bin").load_intent() == b"intent bytes"
-        storage.clear_intent()
-        assert storage.load_intent() is None
+        assert LogStorage(tmp_path / "log.bin").load_intent("intent") == b"intent bytes"
+        storage.clear_intent("intent")
+        assert storage.load_intent("intent") is None

@@ -13,6 +13,7 @@ import pytest
 from repro.errors import (
     AttestationError,
     FreshnessUnverifiableError,
+    IntegrityError,
     RangeUnavailableError,
 )
 from repro.shard import ShardPlane
@@ -128,6 +129,34 @@ class TestScatterGather:
             for instance in plane.instances.values()
         )
         assert total == per_shard > 0
+
+
+class TestVerifyAll:
+    def _plane_with_an_idle_shard(self):
+        plane = make_plane()
+        workload = MessagingWorkload(
+            plane, channels=1, members=2, fetch_ratio=0.0, seed=3
+        )
+        workload.run(10)  # one channel: every pair lands on one shard
+        (idle,) = [
+            instance
+            for instance in plane.instances.values()
+            if instance.payload_count() == 0
+        ]
+        assert idle.libseal.audit_log.signed_head is None
+        return plane, idle
+
+    def test_shard_that_never_received_a_pair_verifies(self):
+        plane, _ = self._plane_with_an_idle_shard()
+        plane.verify_all()
+
+    def test_headless_log_under_advanced_counter_fails_closed(self):
+        # Counter > 0 means something was sealed once: a log presenting
+        # no head at all is then a deleted log, not a fresh one.
+        plane, idle = self._plane_with_an_idle_shard()
+        idle.cluster.increment(idle.config.log_id)
+        with pytest.raises(IntegrityError, match="no signed head"):
+            plane.verify_all()
 
 
 class TestFailClosedTransfers:

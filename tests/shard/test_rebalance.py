@@ -1,9 +1,9 @@
 """Rebalance crash safety: a crash at *every* checkpoint must replay to
 exactly one owner per range with zero lost or duplicated audit pairs.
 
-This mirrors the rotation WAL's crash-matrix style: inject a crash at
-each ``shard.step`` checkpoint, keep traffic flowing into the half-done
-change (writes to moving ranges block fail-closed), then replay the
+The shared WAL crash matrix (``tests/wal_matrix.py``) injects a crash at
+each ``shard.step`` checkpoint; traffic keeps flowing into the half-done
+change (writes to moving ranges block fail-closed), then we replay the
 membership WAL and assert full convergence — membership records appended
 exactly once, placement and pair accounting spotless, every shard log
 verifying end to end.
@@ -14,10 +14,10 @@ import pytest
 from repro.audit.hashchain import MembershipIntent
 from repro.crypto.ecdsa import EcdsaSignature
 from repro.errors import RangeUnavailableError, SimulationError
-from repro.faults import hooks as _faults
-from repro.faults.plan import FaultEvent, FaultPlan, InjectedCrash
-from repro.shard import SHARD_CHECKPOINTS, ShardPlane
+from repro.shard import ShardPlane
+from repro.shard.rebalance import Rebalancer
 from repro.workloads.messaging_traffic import MessagingWorkload
+from tests.wal_matrix import WalCase, crash_at, crash_matrix
 
 
 def make_stack(shards):
@@ -27,17 +27,6 @@ def make_stack(shards):
     )
     workload.run(60)
     return plane, workload
-
-
-def crash_at(plane, step, change):
-    plan = FaultPlan(
-        [FaultEvent("shard.step", "crash", at=step)],
-        scenario="shard-crash-test",
-    )
-    with _faults.inject(plan):
-        with pytest.raises(InjectedCrash):
-            change()
-    assert plane.rebalancer.pending()
 
 
 def assert_converged(plane, expected_members):
@@ -53,31 +42,67 @@ def assert_converged(plane, expected_members):
     assert sum(1 for c in changes if "[cutover]" in c) == 1
 
 
+def _keep_posting(stack) -> None:
+    # Traffic keeps flowing into the half-done change; pairs aimed at
+    # moving ranges block (never misplace), the rest land normally.
+    _, workload = stack
+    flowed = 0
+    for _ in range(20):
+        try:
+            workload.post_once()
+            flowed += 1
+        except RangeUnavailableError:
+            pass
+    assert flowed > 0
+
+
+def _assert_split_converged(stack, report) -> None:
+    plane, workload = stack
+    assert report.completed
+    workload.run(15)
+    assert_converged(plane, ("shard-0", "shard-1", "shard-2"))
+
+
+def _build_for_merge():
+    plane, workload = make_stack(("shard-0", "shard-1", "shard-2"))
+    assert plane.instances["shard-1"].payload_count() > 0
+    return plane, workload
+
+
+def _assert_merge_converged(stack, report) -> None:
+    plane, workload = stack
+    assert report.completed
+    workload.run(15)
+    assert_converged(plane, ("shard-0", "shard-2"))
+    assert "shard-1" not in plane.instances
+
+
+SPLIT_CASE = WalCase(
+    coordinator_type=Rebalancer,
+    build=lambda: make_stack(("shard-0", "shard-1")),
+    coordinator=lambda stack: stack[0].rebalancer,
+    start=lambda stack: stack[0].rebalancer.split("shard-2"),
+    while_crashed=_keep_posting,
+    assert_converged=_assert_split_converged,
+)
+
+MERGE_CASE = WalCase(
+    coordinator_type=Rebalancer,
+    build=_build_for_merge,
+    coordinator=lambda stack: stack[0].rebalancer,
+    start=lambda stack: stack[0].rebalancer.merge("shard-1"),
+    assert_converged=_assert_merge_converged,
+)
+
+
 class TestSplitCrashMatrix:
-    @pytest.mark.parametrize("step", range(1, SHARD_CHECKPOINTS + 1))
-    def test_crash_then_resume_converges(self, step):
-        plane, workload = make_stack(("shard-0", "shard-1"))
-        crash_at(plane, step, lambda: plane.rebalancer.split("shard-2"))
-        # Traffic keeps flowing into the half-done change; pairs aimed at
-        # moving ranges block (never misplace), the rest land normally.
-        flowed = blocked = 0
-        for _ in range(20):
-            try:
-                workload.post_once()
-                flowed += 1
-            except RangeUnavailableError:
-                blocked += 1
-        assert flowed > 0
-        report = plane.rebalancer.resume()
-        assert report is not None and report.resumed and report.completed
-        workload.run(15)
-        assert_converged(plane, ("shard-0", "shard-1", "shard-2"))
+    test_crash_then_resume_converges = crash_matrix(SPLIT_CASE)
 
     def test_pre_cutover_crash_blocks_moving_ranges(self):
         # Until cutover (checkpoint 5) the moving ranges stay frozen
         # across the crash — the window that guarantees zero lost pairs.
         plane, workload = make_stack(("shard-0", "shard-1"))
-        crash_at(plane, 4, lambda: plane.rebalancer.split("shard-2"))
+        crash_at(plane.rebalancer, 4, lambda: plane.rebalancer.split("shard-2"))
         moving = plane.rebalancer.frozen
         assert moving
         blocked = 0
@@ -93,16 +118,7 @@ class TestSplitCrashMatrix:
 
 
 class TestMergeCrashMatrix:
-    @pytest.mark.parametrize("step", range(1, SHARD_CHECKPOINTS + 1))
-    def test_crash_then_resume_converges(self, step):
-        plane, workload = make_stack(("shard-0", "shard-1", "shard-2"))
-        assert plane.instances["shard-1"].payload_count() > 0
-        crash_at(plane, step, lambda: plane.rebalancer.merge("shard-1"))
-        report = plane.rebalancer.resume()
-        assert report is not None and report.resumed and report.completed
-        workload.run(15)
-        assert_converged(plane, ("shard-0", "shard-2"))
-        assert "shard-1" not in plane.instances
+    test_crash_then_resume_converges = crash_matrix(MERGE_CASE)
 
 
 class TestWalHygiene:
@@ -112,7 +128,7 @@ class TestWalHygiene:
 
     def test_double_resume_is_idempotent(self):
         plane, _ = make_stack(("shard-0", "shard-1"))
-        crash_at(plane, 3, lambda: plane.rebalancer.split("shard-2"))
+        crash_at(plane.rebalancer, 3, lambda: plane.rebalancer.split("shard-2"))
         assert plane.rebalancer.resume() is not None
         assert plane.rebalancer.resume() is None  # WAL cleared
 
@@ -128,9 +144,9 @@ class TestWalHygiene:
             epoch=1,
             signature=EcdsaSignature(1, 1),
         )
-        plane.control_storage.save_membership(forged.encode())
+        plane.control_storage.save_intent(forged.encode(), "membership")
         assert plane.rebalancer.resume() is None
-        assert plane.control_storage.load_membership() is None
+        assert not plane.rebalancer.pending()
         assert plane.router.members == ("shard-0", "shard-1")
 
     def test_foreign_wal_entry_is_discarded(self):
@@ -146,13 +162,41 @@ class TestWalHygiene:
             generation_to=2,
             epoch=1,
         )
-        plane.control_storage.save_membership(foreign.encode())
+        plane.control_storage.save_intent(foreign.encode(), "membership")
         assert plane.rebalancer.resume() is None
-        assert plane.control_storage.load_membership() is None
+        assert not plane.rebalancer.pending()
+
+    def test_stale_wal_replay_is_discarded(self):
+        """A provider replaying a *completed* change's validly signed WAL
+        entry must not re-run it against today's ring (it would collide
+        with the live membership and wedge every later change)."""
+        plane, _ = make_stack(("shard-0", "shard-1"))
+        plane.rebalancer.split("shard-2")  # g1 -> 2; WAL written, then cleared
+        # The blob the provider copied meanwhile (signing is deterministic).
+        stale = MembershipIntent.sign(
+            plane.signing_key,
+            plane_id=plane.plane_id,
+            change_id="split-shard-2-g2",
+            kind="split",
+            shard="shard-2",
+            generation_from=1,
+            generation_to=2,
+            epoch=plane.authority.current_epoch,
+        ).encode()
+        plane.rebalancer.merge("shard-2")  # g2 -> 3: the copy is now stale
+        plane.control_storage.save_intent(stale, "membership")
+        assert plane.rebalancer.resume() is None
+        assert plane.rebalancer.resumed == 0
+        assert not plane.rebalancer.pending()
+        assert plane.rebalancer.frozen == ()
+        # The plane is not wedged: the next change goes through.
+        assert plane.rebalancer.split("shard-3").completed
+        assert plane.router.members == ("shard-0", "shard-1", "shard-3")
+        assert plane.placement_problems() == []
 
     def test_overlapping_change_is_rejected(self):
         plane, _ = make_stack(("shard-0", "shard-1"))
-        crash_at(plane, 2, lambda: plane.rebalancer.split("shard-2"))
+        crash_at(plane.rebalancer, 2, lambda: plane.rebalancer.split("shard-2"))
         with pytest.raises(SimulationError):
             plane.rebalancer.split("shard-3")
         assert plane.rebalancer.resume().completed
