@@ -15,9 +15,8 @@ Commands
 ``fuzz``
     Run the deterministic protocol-fuzzing harness against the TLS
     termination path (``--layer tls|http|service``, ``--cases N``,
-    ``--seed S``, ``--driver direct|eventloop`` to pump connections
-    through the async lthreads scheduler). Exit status 1 if any
-    mutation broke the typed-error contract.
+    ``--seed S``), pumped by the production event loop. Exit status 1 if
+    any mutation broke the typed-error contract.
 ``obs``
     Run a workload through the full TLS + audit pipeline with the
     observability plane installed and print the aggregated span tree and
@@ -133,10 +132,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         seed=args.seed,
         cases_per_layer=args.cases,
         layers=layers,
-        driver=args.driver,
     )
     for report in reports:
-        print(f"driver={args.driver}")
         print(report.describe())
     return 0 if all(r.ok for r in reports) else 1
 
@@ -366,10 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--layer", action="append",
                       choices=["tls", "http", "service"],
                       help="repeatable; default: all three layers")
-    fuzz.add_argument("--driver", default="direct",
-                      choices=["direct", "eventloop"],
-                      help="pump style: externally-pumped supervisor or "
-                           "the lthreads event loop (default direct)")
     fuzz.set_defaults(func=_cmd_fuzz)
 
     obs = subparsers.add_parser(

@@ -4,7 +4,8 @@ LibSEAL interposes on every byte an untrusted client sends (§4.1): the
 TLS record layer, the handshake state machine, the HTTP reassembly in
 the audit logger and the service request parsers are all adversarial
 surface. This harness drives seeded, byte-reproducible mutations through
-*real* :class:`~repro.servers.connection.ServerConnection` objects at
+*real* :class:`~repro.servers.connection.ServerConnection` objects,
+pumped by the production :class:`~repro.servers.eventloop.EventLoop`, at
 three layers:
 
 - **tls** — raw record mutations (truncation, length-field lies, type
@@ -14,7 +15,7 @@ three layers:
   re-injection) against deep-copied established connections;
 - **http** — post-decryption mutations (request splitting, smuggled and
   malformed Content-Length, header bombs, never-terminated heads,
-  pipelining abuse) against a plain-mode supervisor;
+  pipelining abuse) against a plain-mode front end;
 - **service** — hostile service payloads (mutated JSON, broken
   pkt-lines, wrong shapes, deep nesting, binary garbage) inside valid
   HTTP over a full enclave-TLS + LibSEAL deployment, with the audit log
@@ -43,12 +44,7 @@ from repro.faults import hooks as _faults
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.http import HttpRequest, HttpResponse
 from repro.http.parser import HttpLimits
-from repro.servers.connection import (
-    ConnectionLimits,
-    ConnectionSupervisor,
-    FeedResult,
-    SimClock,
-)
+from repro.servers.connection import ConnectionLimits, FeedResult, SimClock
 from repro.servers.eventloop import EventLoop
 from repro.tls import api as native_api
 from repro.tls.bio import BIO
@@ -112,22 +108,6 @@ class FuzzReport:
 
 def _case_rng(layer: str, seed: int, case: int) -> random.Random:
     return random.Random(f"fuzz:{layer}:{seed}:{case}")
-
-
-#: Front-end pump styles the harness can drive. Both present the same
-#: facade (open/feed/close/tick/...); "eventloop" routes every byte
-#: through the lthreads scheduler so the async front-end core faces the
-#: same hostile input as the externally-pumped supervisor.
-FUZZ_DRIVERS = ("direct", "eventloop")
-
-
-def _frontend(driver: str, *args, **kwargs):
-    """Build the requested front end over identical supervisor facades."""
-    if driver == "direct":
-        return ConnectionSupervisor(*args, **kwargs)
-    if driver == "eventloop":
-        return EventLoop(*args, **kwargs)
-    raise ValueError(f"unknown fuzz driver {driver!r}")
 
 
 def _record_outcome(report: FuzzReport, case: int, op: str, result) -> None:
@@ -203,8 +183,7 @@ class _TlsScenario:
     verbatim — and any mutation of them perturbs a real handshake.
     """
 
-    def __init__(self, handler=None, driver: str = "direct"):
-        self.driver = driver
+    def __init__(self, handler=None):
         self.ca = CertificateAuthority("fuzz-root", seed=b"fuzz-ca")
         self.key, self.cert = make_server_identity(
             self.ca, "fuzz.example", seed=b"fuzz-id"
@@ -230,8 +209,7 @@ class _TlsScenario:
         return ctx
 
     def fresh_server(self, clock: SimClock | None = None):
-        sup = _frontend(
-            self.driver,
+        sup = EventLoop(
             self.handler,
             api=native_api,
             ssl_ctx=self._server_ctx(),
@@ -240,13 +218,10 @@ class _TlsScenario:
         return sup, sup.open()
 
     def _establish(self) -> dict:
-        # Always capture over the direct supervisor: the bundle must stay
-        # deepcopy-able (generators aren't), and the handshake bytes are
-        # identical under either pump style.
-        sup = ConnectionSupervisor(
+        loop = EventLoop(
             self.handler, api=native_api, ssl_ctx=self._server_ctx()
         )
-        cid = sup.open()
+        cid = loop.open()
         cctx = native_api.SSL_CTX_new(native_api.TLS_client_method())
         native_api.SSL_CTX_load_verify_locations(cctx, self.ca)
         cctx.drbg_seed = b"fuzz-client"
@@ -259,31 +234,30 @@ class _TlsScenario:
             out = wb.read()
             if out:
                 flights.append(out)
-                result = sup.feed(cid, out)
+                result = loop.feed(cid, out)
                 rb.write(result.output)
             if native_api.SSL_is_init_finished(cssl) and (
-                sup.connection(cid).established
+                loop.connection(cid).established
             ):
                 break
         else:  # pragma: no cover - deterministic handshake
             raise TLSError("fuzz scenario handshake did not complete")
+        # Keep the connection table, not the loop: the bundle must stay
+        # deepcopy-able and a loop's driver generators are not.
         return {
-            "sup": sup, "cid": cid, "cssl": cssl, "rb": rb, "wb": wb,
-            "flights": flights,
+            "sup": loop.supervisor, "cid": cid, "cssl": cssl, "rb": rb,
+            "wb": wb, "flights": flights,
         }
 
     def established_copy(self) -> dict:
-        """An independent established connection (≈0.6 ms, no handshake).
-
-        Under the eventloop driver the deepcopied supervisor is adopted
-        by a fresh :class:`EventLoop`, which re-spawns one driver task
-        per live connection (generators cannot be deepcopied).
-        """
+        """An independent established connection (≈0.6 ms, no handshake):
+        a deep copy of the established table, adopted by a fresh
+        :class:`EventLoop` that re-spawns one driver task per live
+        connection."""
         bundle = copy.deepcopy(
             self._established_bundle, {id(native_api): native_api}
         )
-        if self.driver == "eventloop":
-            bundle["sup"] = EventLoop(supervisor=bundle["sup"])
+        bundle["sup"] = EventLoop(supervisor=bundle["sup"])
         return bundle
 
 
@@ -345,12 +319,10 @@ def _mutate_flights(
     return [bytes(f) for f in mutated]
 
 
-def fuzz_tls_layer(
-    seed: int = 0, cases: int = 200, driver: str = "direct"
-) -> FuzzReport:
+def fuzz_tls_layer(seed: int = 0, cases: int = 200) -> FuzzReport:
     """Mutate raw TLS bytes against live handshakes and sealed sessions."""
     report = FuzzReport(layer="tls", seed=seed, cases=cases)
-    scenario = _TlsScenario(driver=driver)
+    scenario = _TlsScenario()
     post_share = max(1, cases // 3)
     for case in range(cases):
         rng = _case_rng("tls", seed, case)
@@ -417,7 +389,7 @@ def seed_of(rng: random.Random) -> int:
     return rng.randrange(2**31)
 
 
-def _feed_all(sup: ConnectionSupervisor, cid: int, flights) -> FeedResult:
+def _feed_all(sup: EventLoop, cid: int, flights) -> FeedResult:
     total = FeedResult()
     for chunk in flights:
         result = sup.feed(cid, chunk)
@@ -646,14 +618,12 @@ def _http_case_bytes(op: str, rng: random.Random) -> list[bytes]:
     raise AssertionError(op)  # pragma: no cover - op table mismatch
 
 
-def fuzz_http_layer(
-    seed: int = 0, cases: int = 2000, driver: str = "direct"
-) -> FuzzReport:
+def fuzz_http_layer(seed: int = 0, cases: int = 2000) -> FuzzReport:
     """Mutate post-decryption HTTP against a plain-mode front end."""
     report = FuzzReport(layer="http", seed=seed, cases=cases)
     limits = ConnectionLimits(http=_FUZZ_HTTP_LIMITS)
     handler = lambda request: HttpResponse(200, body=b"h-ok")  # noqa: E731
-    sup = _frontend(driver, handler, limits=limits)
+    sup = EventLoop(handler, limits=limits)
     canary = sup.open()
     canary_request = HttpRequest("GET", "/canary").encode()
     for case in range(cases):
@@ -861,7 +831,6 @@ def fuzz_service_layer(
     seed: int = 0,
     cases: int = 400,
     services: list[str] | None = None,
-    driver: str = "direct",
 ) -> FuzzReport:
     """Hostile service payloads through the full LibSEAL deployment.
 
@@ -888,8 +857,8 @@ def fuzz_service_layer(
         api.SSL_CTX_use_PrivateKey(ctx, key)
         libseal = LibSeal(ssm, config=LibSealConfig(flush_each_pair=False))
         libseal.attach(runtime)
-        sup = _frontend(
-            driver, handler, api=api, ssl_ctx=ctx,
+        sup = EventLoop(
+            handler, api=api, ssl_ctx=ctx,
             on_close=libseal.logger.close_connection,
         )
 
@@ -976,7 +945,6 @@ def run_fuzz(
     seed: int = 0,
     cases_per_layer: int = 300,
     layers: list[str] | None = None,
-    driver: str = "direct",
 ) -> list[FuzzReport]:
     """Run every requested layer; returns one report per layer."""
     runners = {
@@ -985,5 +953,5 @@ def run_fuzz(
         "service": fuzz_service_layer,
     }
     selected = layers or sorted(runners)
-    return [runners[name](seed=seed, cases=cases_per_layer, driver=driver)
+    return [runners[name](seed=seed, cases=cases_per_layer)
             for name in selected]

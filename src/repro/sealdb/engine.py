@@ -25,22 +25,16 @@ class Database:
     Thread-unsafe by design: LibSEAL serialises log access inside the
     enclave, and the simulation layer does the same.
 
-    ``use_planner=False`` disables every planner access path (index
-    probes, sorted-range pruning, hash joins, predicate pushdown) and
-    runs the original scan-everything executor — the reference behaviour
-    the parity tests compare against. ``vectorized=False`` keeps the
-    planner but filters row-at-a-time instead of through columnar batch
-    predicates — the scalar reference the vectorization parity tests
-    compare against. Vectorization only ever applies on top of the
-    planner, so ``use_planner=False`` implies the scalar path too.
+    There is one way a statement executes (see
+    :mod:`repro.sealdb.executor`) and nothing on this object changes it;
+    the reference the engine is held to is stdlib ``sqlite3``, in the
+    differential tests.
     """
 
-    def __init__(self, use_planner: bool = True, vectorized: bool = True) -> None:
+    def __init__(self) -> None:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, ast.Select] = {}
         self._view_names: dict[str, str] = {}
-        self.use_planner = use_planner
-        self.vectorized = vectorized
         self._executor = Executor(self)
         self._statement_cache: dict[str, ast.Statement] = {}
 
@@ -119,7 +113,7 @@ class Database:
 
     def clone_schema(self) -> "Database":
         """A new empty database with the same tables and views."""
-        other = Database(use_planner=self.use_planner, vectorized=self.vectorized)
+        other = Database()
         for table in self._tables.values():
             other._tables[table.name.lower()] = Table(
                 table.name, list(table.columns)

@@ -10,9 +10,11 @@ conjuncts are pushed down through joins to the base-table scans they
 constrain, equality predicates probe hash indexes, lower bounds on
 append-sorted columns bisect instead of scanning, and equi-join
 conditions run as build+probe hash joins. Residual predicates — anything
-the planner cannot prove — are evaluated row-at-a-time exactly as the
-unplanned executor would, so ``Database(use_planner=False)`` produces
-identical rows (the parity test suite holds both paths to that).
+the planner cannot prove — go through :meth:`Executor._filter`: as flat
+batch predicates (:mod:`repro.sealdb.vector`) when they bind, through a
+per-row :class:`Scope` when binding declines. That is the only choice
+the executor makes and it makes it from the predicate, never from a
+setting; the differential suite holds the result to stdlib ``sqlite3``.
 
 The executor counts every base-table row it materialises and every join
 pairing it examines in :class:`ScanStats`; each :class:`Result` carries
@@ -325,8 +327,7 @@ class Executor:
         source_ast = select.source
         leftover = select.where
         if (
-            self._db.use_planner
-            and leftover is not None
+            leftover is not None
             and source_ast is not None
             and (
                 (
@@ -348,19 +349,7 @@ class Executor:
             source = self._source_relation(source_ast, params, outer)
 
         if leftover is not None:
-            batch = self._bind_batch(leftover, source.columns, params, outer)
-            if batch is not None:
-                self.stats.rows_vectorized += len(source.rows)
-                kept = [
-                    row for row in source.rows if all(pred(row) for pred in batch)
-                ]
-            else:
-                kept = []
-                for row in source.rows:
-                    scope = Scope(source.columns, row, outer)
-                    if sql_truth(self._eval(leftover, scope, params)) is True:
-                        kept.append(row)
-            source = Relation(source.columns, kept)
+            source = self._apply_pushed(source, [leftover], params, outer)
 
         aggregated = bool(select.group_by) or any(
             _contains_aggregate(item.expr) for item in select.items
@@ -412,9 +401,7 @@ class Executor:
         buckets: dict[tuple, list[list[SqlValue]]] = {}
         for row in source.rows:
             scope = Scope(source.columns, row, outer)
-            key = tuple(
-                _hashable(self._eval(expr, scope, params)) for expr in group_exprs
-            )
+            key = tuple(self._eval(expr, scope, params) for expr in group_exprs)
             buckets.setdefault(key, []).append(row)
         return list(buckets.values())
 
@@ -574,19 +561,53 @@ class Executor:
         predicate = self._conjoin_cached(pushed) if pushed else None
         if predicate is None:
             return relation
-        batch = self._bind_batch(predicate, relation.columns, params, outer)
-        if batch is not None:
-            self.stats.rows_vectorized += len(relation.rows)
-            return Relation(
-                relation.columns,
-                [row for row in relation.rows if all(pred(row) for pred in batch)],
-            )
+        return Relation(
+            relation.columns,
+            self._filter(relation.rows, relation.columns, predicate, params, outer),
+        )
+
+    def _filter(
+        self,
+        rows: list[list[SqlValue]],
+        columns: list[ColumnInfo],
+        predicate: ast.Expr | None,
+        params: tuple[SqlValue, ...],
+        outer: Scope | GroupScope | None,
+        lead: vector.RowPredicate | None = None,
+    ) -> list[list[SqlValue]]:
+        """The rows for which ``predicate`` is True: the executor's one
+        filter loop.
+
+        A predicate that binds as batch predicates runs as a flat
+        ``row -> bool`` list and its input rows count as
+        ``rows_vectorized`` (input, not survivors: the price is per row
+        examined). One that declines — OR, LIKE, subqueries, expression
+        operands, an unresolvable or ambiguous column — is evaluated per
+        row through a :class:`Scope`, which is also where its errors are
+        raised. ``lead`` is an already-bound check applied ahead of the
+        predicate on either path (a table scan's range bound);
+        ``predicate=None`` is pure materialisation, i.e. the batch loop
+        with nothing in it."""
+        preds = (
+            []
+            if predicate is None
+            else self._bind_batch(predicate, columns, params, outer)
+        )
+        if preds is not None:
+            self.stats.rows_vectorized += len(rows)
+            if lead is not None:
+                preds = [lead] + preds
+            if not preds:
+                return rows
+            return [row for row in rows if all(pred(row) for pred in preds)]
         kept = []
-        for row in relation.rows:
-            scope = Scope(relation.columns, row, outer)
+        for row in rows:
+            if lead is not None and not lead(row):
+                continue
+            scope = Scope(columns, row, outer)
             if sql_truth(self._eval(predicate, scope, params)) is True:
                 kept.append(row)
-        return Relation(relation.columns, kept)
+        return kept
 
     def _planned_table_scan(
         self,
@@ -648,60 +669,36 @@ class Executor:
                 self.stats.full_scans += 1
         except SQLExecutionError:
             # A lookup key / bound failed to evaluate ahead of the scan
-            # (e.g. an unresolvable outer reference). Reproduce unplanned
-            # behaviour exactly: evaluate the original predicate per row.
+            # (e.g. an unresolvable outer reference). Scan everything and
+            # evaluate the original predicate per row, so the error is
+            # raised only if a row actually reaches it.
             positions = range(len(rows))
             range_check = None
             residual = full_predicate
             self.stats.full_scans += 1
 
-        batch: list[vector.RowPredicate] | None = None
-        batchable = False
-        if self._db.vectorized:
-            if residual is None:
-                batchable = True  # pure materialisation: the batch loop itself
-            else:
-                batch = self._bind_batch(residual, columns, params, outer)
-                batchable = batch is not None
-        if batchable:
-            if range_check is not None:
-                rc_index = range_check.column_index
-                rc_inclusive = range_check.inclusive
+        range_pred: vector.RowPredicate | None = None
+        if range_check is not None:
 
-                def range_pred(row, _i=rc_index, _b=bound, _inc=rc_inclusive):
-                    comparison = sql_compare(row[_i], _b)
-                    return comparison is not None and (
-                        comparison > 0 or (comparison == 0 and _inc)
-                    )
+            def range_pred(
+                row,
+                _i=range_check.column_index,
+                _b=bound,
+                _inc=range_check.inclusive,
+            ):
+                comparison = sql_compare(row[_i], _b)
+                return comparison is not None and (
+                    comparison > 0 or (comparison == 0 and _inc)
+                )
 
-                batch = [range_pred] + (batch or [])
-            candidates = [rows[i] for i in positions]
-            self.stats.rows_scanned += len(candidates)
-            self.stats.rows_vectorized += len(candidates)
-            if batch:
-                candidates = [
-                    row for row in candidates if all(pred(row) for pred in batch)
-                ]
-            return Relation(columns, candidates)
-
-        selected: list[list[SqlValue]] = []
-        scanned = 0
-        for i in positions:
-            row = rows[i]
-            scanned += 1
-            if range_check is not None:
-                comparison = sql_compare(row[range_check.column_index], bound)
-                if comparison is None or comparison < 0:
-                    continue
-                if comparison == 0 and not range_check.inclusive:
-                    continue
-            if residual is not None:
-                scope = Scope(columns, row, outer)
-                if sql_truth(self._eval(residual, scope, params)) is not True:
-                    continue
-            selected.append(row)
-        self.stats.rows_scanned += scanned
-        return Relation(columns, selected)
+        # Every row the access path yields is priced, whether or not it
+        # then survives the range bound or the residual.
+        candidates = [rows[i] for i in positions]
+        self.stats.rows_scanned += len(candidates)
+        return Relation(
+            columns,
+            self._filter(candidates, columns, residual, params, outer, range_pred),
+        )
 
     def _join(
         self,
@@ -710,13 +707,6 @@ class Executor:
         outer: Scope | GroupScope | None,
         pushed: list[ast.Expr] | None = None,
     ) -> Relation:
-        if not self._db.use_planner:
-            left = self._source_relation(join.left, params, outer)
-            right = self._source_relation(join.right, params, outer)
-            return self._nested_loop_join(
-                join, left, right, join.condition, params, outer
-            )
-
         left_aliases, right_aliases = self._leg_aliases(join)
         on_conjuncts = self._split_cached(join.condition)
         where_conjuncts = pushed or []
@@ -788,11 +778,13 @@ class Executor:
         join: ast.Join,
         left: Relation,
         right: Relation,
+        combined_columns: list[ColumnInfo],
         pair_condition: ast.Expr | None,
         params: tuple[SqlValue, ...],
         outer: Scope | GroupScope | None,
     ) -> Relation:
-        equal_pairs, combined_columns = self._join_shape(join, left, right)
+        """Cross product filtered by ``pair_condition``: the join of last
+        resort, entered only when there is no equality to hash on."""
         rows: list[list[SqlValue]] = []
         right_width = len(right.columns)
         self.stats.rows_scanned += len(left.rows) * len(right.rows)
@@ -800,8 +792,6 @@ class Executor:
         for left_row in left.rows:
             matched = False
             for right_row in right.rows:
-                if not self._pairs_match(equal_pairs, left_row, right_row):
-                    continue
                 combined = list(left_row) + list(right_row)
                 if pair_condition is not None:
                     scope = Scope(combined_columns, combined, outer)
@@ -841,7 +831,9 @@ class Executor:
         residual = self._conjoin_cached(residual_conjuncts)
 
         if not all_pairs:
-            return self._nested_loop_join(join, left, right, residual, params, outer)
+            return self._nested_loop_join(
+                join, left, right, combined_columns, residual, params, outer
+            )
 
         # Build on the right, probe from the left. Build skips NULL keys
         # (SQL `=` never matches NULL) and keeps per-key row order, so
@@ -860,13 +852,16 @@ class Executor:
         right_width = len(right.columns)
         empty: list[list[SqlValue]] = []
         probe_preds: list[vector.RowPredicate] | None = None
-        prefix_preds: list[vector.RowPredicate] | None = None
-        prefix_residual: ast.Expr | None = None
-        if self._db.vectorized and join.kind != "LEFT":
+        # What the general probe loop below batches ahead of Scope
+        # evaluation, and what Scope evaluation still owes a pairing the
+        # prefix accepted. An empty prefix owes the whole residual.
+        prefix_preds: list[vector.RowPredicate] = []
+        rest = residual
+        if join.kind != "LEFT":
             # No NULL padding to track: the probe loop is a key lookup +
             # row concatenation, plus — when the residual binds against
             # the combined layout — a flat batched filter per pairing.
-            # (LEFT joins keep the row path: padding needs match
+            # (LEFT joins keep the general loop: padding needs match
             # tracking interleaved with residual evaluation.)
             if residual is None:
                 probe_preds = []
@@ -877,27 +872,24 @@ class Executor:
                 if probe_preds is None and len(residual_conjuncts) > 1:
                     # Mixed residual: peel the longest batchable
                     # *prefix* of the conjunct list. A prefix-False
-                    # verdict rejects the pairing exactly where the row
-                    # path's AND chain would short-circuit; anything
-                    # else falls through to Scope evaluation (the full
-                    # residual on an unknown prefix verdict, because
-                    # the row path keeps evaluating — with side effects
-                    # such as subquery scans — past a NULL conjunct).
+                    # verdict rejects the pairing exactly where the
+                    # Scope path's AND chain would short-circuit;
+                    # anything else falls through to Scope evaluation
+                    # (the full residual on an unknown prefix verdict,
+                    # because an AND chain keeps evaluating — with side
+                    # effects such as subquery scans — past a NULL
+                    # conjunct).
                     taken = 0
-                    preds: list[vector.RowPredicate] = []
                     for conjunct in residual_conjuncts:
                         bound = self._bind_batch(
                             conjunct, combined_columns, params, outer
                         )
                         if bound is None:
                             break
-                        preds.extend(bound)
+                        prefix_preds.extend(bound)
                         taken += 1
-                    if 0 < taken < len(residual_conjuncts):
-                        prefix_preds = preds
-                        prefix_residual = self._conjoin_cached(
-                            residual_conjuncts[taken:]
-                        )
+                    if taken:
+                        rest = self._conjoin_cached(residual_conjuncts[taken:])
         if probe_preds is not None:
             pairings = 0
             for left_row in left.rows:
@@ -918,42 +910,16 @@ class Executor:
             self.stats.rows_scanned += scanned + pairings
             # Build, probe and pairing rows all ran the flat columnar
             # loop (key extraction, bucket lookup, batched residual) —
-            # the whole join is one vectorized operation. The fallback
-            # branch below counts nothing vectorized, even though its
-            # build side is the same loop: a join is priced columnar
-            # only when every phase of it is.
+            # the whole join is one vectorized operation. The general
+            # loop below counts only what its prefix decides, even
+            # though its build side is the same loop: a join is priced
+            # columnar only when every phase of it is.
             self.stats.rows_vectorized += scanned + pairings
             return Relation(combined_columns, rows)
-        if prefix_preds is not None:
-            # Only pairings the pure prefix fully decides (rejects)
-            # count as vectorized: kept and unknown-verdict rows still
-            # pay the Scope walk for the unbatchable remainder.
-            decided = 0
-            for left_row in left.rows:
-                key = tuple(left_row[i] for i in left_keys)
-                candidates = empty if None in key else buckets.get(key, empty)
-                scanned += len(candidates)
-                for right_row in candidates:
-                    combined = list(left_row) + list(right_row)
-                    verdict: bool | None = True
-                    for pred in prefix_preds:
-                        value = pred(combined)
-                        if value is False:
-                            verdict = False
-                            break
-                        if value is None:
-                            verdict = None
-                    if verdict is False:
-                        decided += 1
-                        continue
-                    scope = Scope(combined_columns, combined, outer)
-                    rest = residual if verdict is None else prefix_residual
-                    if sql_truth(self._eval(rest, scope, params)) is not True:
-                        continue
-                    rows.append(combined)
-            self.stats.rows_scanned += scanned
-            self.stats.rows_vectorized += decided
-            return Relation(combined_columns, rows)
+        # Only pairings the batched prefix fully decides (rejects) count
+        # as vectorized: kept and unknown-verdict pairings still pay the
+        # Scope walk for the unbatchable remainder.
+        decided = 0
         for left_row in left.rows:
             key = tuple(left_row[i] for i in left_keys)
             candidates = empty if None in key else buckets.get(key, empty)
@@ -961,15 +927,28 @@ class Executor:
             matched = False
             for right_row in candidates:
                 combined = list(left_row) + list(right_row)
-                if residual is not None:
+                verdict: bool | None = True
+                for pred in prefix_preds:
+                    value = pred(combined)
+                    if value is False:
+                        verdict = False
+                        break
+                    if value is None:
+                        verdict = None
+                if verdict is False:
+                    decided += 1
+                    continue
+                owed = residual if verdict is None else rest
+                if owed is not None:
                     scope = Scope(combined_columns, combined, outer)
-                    if sql_truth(self._eval(residual, scope, params)) is not True:
+                    if sql_truth(self._eval(owed, scope, params)) is not True:
                         continue
                 rows.append(combined)
                 matched = True
             if join.kind == "LEFT" and not matched:
                 rows.append(list(left_row) + [None] * right_width)
         self.stats.rows_scanned += scanned
+        self.stats.rows_vectorized += decided
         return Relation(combined_columns, rows)
 
     # ------------------------------------------------------------------
@@ -988,18 +967,14 @@ class Executor:
 
     def _bind_batch(
         self,
-        predicate: ast.Expr | None,
+        predicate: ast.Expr,
         columns: list[ColumnInfo],
         params: tuple[SqlValue, ...],
         outer: "Scope | GroupScope | None" = None,
     ) -> list[vector.RowPredicate] | None:
-        """Bound batch predicates for one scan, or None to use the row
-        path. ``outer`` lets correlated references bind as lazy per-scan
-        constants. Vectorization rides on the planner:
-        ``use_planner=False`` stays the untouched row-at-a-time
-        reference that the parity suite compares both against."""
-        if predicate is None or not (self._db.vectorized and self._db.use_planner):
-            return None
+        """Bound batch predicates for one scan, or None when compiling
+        or binding declines. ``outer`` lets correlated references bind
+        as lazy per-scan constants."""
         plan = self._batch_predicate(predicate)
         if plan is None:
             return None
@@ -1067,17 +1042,6 @@ class Executor:
             self._join_aliases.clear()
         self._join_aliases[id(join)] = (join, left, right)
         return left, right
-
-    @staticmethod
-    def _pairs_match(
-        pairs: list[tuple[int, int]],
-        left_row: Sequence[SqlValue],
-        right_row: Sequence[SqlValue],
-    ) -> bool:
-        for left_index, right_index in pairs:
-            if sql_compare(left_row[left_index], right_row[right_index]) != 0:
-                return False
-        return True
 
     # ------------------------------------------------------------------
     # DML
@@ -1563,11 +1527,6 @@ def _expr_text(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Unary):
         return f"{expr.op} {_expr_text(expr.operand)}"
     return type(expr).__name__.lower()
-
-
-def _hashable(value: SqlValue) -> SqlValue | tuple:
-    # int/float cross-hash fine in Python; bytes/str are hashable already.
-    return value
 
 
 def _distinct_rows(

@@ -7,6 +7,7 @@ included — each aggregate applies its own NULL rules).
 
 from __future__ import annotations
 
+from decimal import ROUND_HALF_UP, Context, Decimal
 from typing import Callable, Sequence
 
 from repro.sealdb.errors import SQLExecutionError
@@ -154,12 +155,23 @@ def _scalar_nullif(args: list[SqlValue]) -> SqlValue:
     return None if sql_compare(args[0], args[1]) == 0 else args[0]
 
 
+_ROUND_CONTEXT = Context(prec=64)
+
+
 def _scalar_round(args: list[SqlValue]) -> SqlValue:
-    if args[0] is None:
+    """SQLite's ROUND: halves go away from zero (Python's ``round`` sends
+    them to the even neighbour), decided on the digits the value prints
+    with; the digit count is clamped to 0..30 and a NULL in either
+    argument is NULL."""
+    if None in args:
         return None
-    digits = int(to_number(args[1])) if len(args) > 1 else 0
+    digits = min(max(int(to_number(args[1])), 0), 30) if len(args) > 1 else 0
     value = float(to_number(args[0]))
-    rounded = round(value, digits)
+    if not abs(value) < 2.0**52:
+        return value  # no fractional part left to round (also inf/nan)
+    rounded = Decimal(repr(value)).quantize(
+        Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP, context=_ROUND_CONTEXT
+    )
     return float(rounded)
 
 

@@ -1,7 +1,7 @@
 """Columnar batch predicates for the SealDB executor.
 
-The row-at-a-time executor pays, for every candidate row, a
-:class:`~repro.sealdb.executor.Scope` allocation, a resolution-map walk
+Evaluating a predicate through a :class:`~repro.sealdb.executor.Scope`
+costs, for every candidate row, a scope allocation, a resolution-map walk
 per column reference and a tree of compiled-closure calls. For the
 predicate shapes that dominate invariant checking — comparisons between
 columns, constants and correlated outer references, NULL tests,
@@ -25,20 +25,21 @@ Compilation is two-phase so plans cache well:
 A column key that does not resolve in the local layout binds as a
 *correlated* operand: the outer scope is read once, on the first row
 that needs it, and the value pinned for the rest of the scan — the
-outer row is fixed for a scan's lifetime, so this matches the row
-path's per-row scope-chain walk exactly, including never touching the
-outer scope on an empty scan.
+outer row is fixed for a scan's lifetime, so this equals a per-row
+scope-chain walk, including never touching the outer scope on an empty
+scan.
 
 Either phase *declines* (returns ``None``) on anything it cannot prove
-batchable — ambiguous columns, unresolvable references with no outer
-scope, out-of-range parameters, expression-valued operands — and the
-executor falls back to the row-at-a-time path. Semantics therefore
-never depend on vectorization: a predicate either evaluates exactly
-like the compiled closure (same three-valued logic via
-:func:`sql_compare` / :func:`sql_and`) or is not vectorized at all. The
-parity suite holds ``Database(vectorized=True)`` and
-``vectorized=False`` to identical rows *and* identical ``rows_scanned``
-accounting.
+batchable — OR, LIKE, subqueries, expression-valued operands, ambiguous
+columns, unresolvable references with no outer scope, out-of-range
+parameters — and the executor evaluates that predicate per row through a
+Scope instead (``Executor._filter``). Declining is decided by the
+predicate alone; there is no setting that turns batching off. Semantics
+never depend on which of the two ran: a batch predicate uses the same
+three-valued logic (:func:`sql_compare` / :func:`sql_and`) as the
+compiled closure, and the differential suite holds the executor's rows
+to stdlib ``sqlite3`` and its ``rows_scanned`` / ``rows_vectorized`` to
+golden values (``tests/sealdb/test_vectorized_parity.py``).
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from repro.sealdb.values import sql_and, sql_compare, sql_not, sql_truth
 #: False or None (unknown). A row is kept iff the result is True — both
 #: False and None are falsy, so ``all(pred(row) ...)`` filters
 #: correctly — but exposing the NULL case lets callers that batch only a
-#: *prefix* of a conjunction fall back to the row path when a prefix
-#: verdict is unknown (the row path keeps evaluating later conjuncts on
+#: *prefix* of a conjunction fall back to Scope evaluation when a prefix
+#: verdict is unknown (an AND chain keeps evaluating later conjuncts on
 #: NULL, and those may carry side effects such as subquery scans).
 RowPredicate = Callable[[Sequence[SqlValue]], "bool | None"]
 

@@ -1,13 +1,16 @@
-"""Server machine models, experiment drivers and the front-end supervisor.
+"""Server machine model and the client-facing front end.
 
 :mod:`repro.servers.machine` executes :class:`~repro.sim.costs.RequestProfile`
-request streams on a simulated 4-core server with closed-loop clients;
-:mod:`repro.servers.experiments` wraps it into one driver function per
-figure/table of the paper's evaluation; :mod:`repro.servers.connection`
-supervises real client connections with bounded input paths and
-per-connection fault isolation; :mod:`repro.servers.eventloop` runs every
-supervised connection as a cooperative lthread task on one scheduler
-(the §4.3 async front-end core, 100k+ concurrent connections).
+request streams on a simulated 4-core server with closed-loop clients
+(the per-figure experiment functions over it live in
+:mod:`repro.bench.perf`); :mod:`repro.servers.connection` holds the
+per-connection state machine and the table of live connections, with
+bounded input paths and per-connection fault isolation;
+:mod:`repro.servers.eventloop` is the one pump: it runs every connection
+in the table as a cooperative lthread task on one scheduler (the §4.3
+async front-end core, 100k+ concurrent connections);
+:mod:`repro.servers.attest` wraps a handler with the ``GET /attest``
+monitoring endpoint.
 """
 
 from repro.servers.attest import AttestMonitor

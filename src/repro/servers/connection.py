@@ -19,6 +19,11 @@ or hostile service payloads. This module supervises that boundary:
   the deterministic fuzzing harness (:mod:`repro.faults.fuzz`) can
   mutate, truncate, drop or replay network chunks from a seeded plan.
 
+A connection is a passive state machine (:meth:`ServerConnection.ingress`
+→ :meth:`~ServerConnection.decrypt` → :meth:`~ServerConnection.dispatch`)
+and the supervisor is the table of live ones; the only thing that pumps
+bytes through them is :class:`repro.servers.eventloop.EventLoop`.
+
 The supervisor works identically over the in-enclave TLS API
 (:class:`~repro.enclave_tls.EnclaveTlsRuntime`), the native API
 (:mod:`repro.tls.api`) or no TLS at all (plain mode, for HTTP-layer
@@ -53,10 +58,11 @@ from repro.tls.connection import (
 
 Handler = Callable[[HttpRequest], HttpResponse]
 
-#: The typed families whose members abort exactly one connection. Both
-#: pump styles — the externally-pumped :meth:`ServerConnection.feed` and
-#: the event-loop driver (:mod:`repro.servers.eventloop`) — catch this
-#: tuple and nothing else, so teardown semantics cannot diverge.
+#: The typed families whose members abort exactly one connection: the
+#: event-loop driver (:mod:`repro.servers.eventloop`) catches this tuple
+#: and nothing else. AttestationError is here so an RA-TLS peer whose
+#: evidence failed verification is torn down like any other handshake
+#: violation — alert, abort, isolate — and can never reach the HTTP layer.
 VIOLATION_ERRORS = (TLSError, HTTPError, ProtocolViolation, AttestationError)
 
 __all__ = [
@@ -103,7 +109,7 @@ class ConnectionLimits:
     http: HttpLimits = DEFAULT_LIMITS
     #: Requests one connection may issue over its lifetime.
     max_requests_per_connection: int = 10_000
-    #: Complete requests one ``feed`` call may deliver (pipelining depth).
+    #: Complete requests one delivered chunk may carry (pipelining depth).
     max_pipelined_per_feed: int = 64
     #: Seconds a connection may exist without completing the handshake.
     handshake_timeout_s: float = 5.0
@@ -211,35 +217,6 @@ class ServerConnection:
 
     # -- byte ingress --------------------------------------------------
 
-    def feed(self, data: bytes) -> FeedResult:
-        """Deliver one chunk of raw client bytes; never raises for
-        malformed input — a violation aborts *this* connection and is
-        reported in the :class:`FeedResult`.
-
-        This is the externally-pumped composition of the pure
-        state-machine steps (:meth:`ingress` → :meth:`decrypt` →
-        :meth:`dispatch`); the event loop drives the same steps as
-        separate scheduler slices with identical semantics.
-        """
-        if self.aborted or self.closed:
-            return self.closed_result()
-        data = self.ingress(data)
-        result = FeedResult()
-        try:
-            plaintext = self.decrypt(data)
-            if plaintext or self.api is None:
-                self.dispatch(plaintext, result)
-        except VIOLATION_ERRORS as exc:
-            # AttestationError: an RA-TLS peer whose evidence failed the
-            # verification pipeline is torn down exactly like any other
-            # handshake violation — alert, abort, isolate — and can never
-            # reach the HTTP layer.
-            self.abort(exc)
-            result.aborted = True
-            result.violation = exc
-        result.output += self.drain_output()
-        return result
-
     def closed_result(self) -> FeedResult:
         """The result every feed on a dead connection reports."""
         return FeedResult(
@@ -250,8 +227,7 @@ class ServerConnection:
 
     def ingress(self, data: bytes) -> bytes:
         """Byte-ingress bookkeeping: stamp activity, run the
-        ``conn.feed`` fault site. Shared by both pump styles so fault
-        plans hit the event-loop path exactly like the direct path."""
+        ``conn.feed`` fault site."""
         self.last_activity = self.clock.now()
         return self._apply_network_faults(data)
 
@@ -433,12 +409,14 @@ class SupervisorStats:
 
 
 class ConnectionSupervisor:
-    """Owns every live :class:`ServerConnection`; guarantees isolation.
+    """The table of live :class:`ServerConnection` objects.
 
-    One hostile connection can at worst abort itself: the supervisor
-    routes each violation to the offending connection's teardown and
-    keeps serving the others. ``tick()`` advances deadline enforcement
-    against the shared :class:`SimClock`.
+    One hostile connection can at worst abort itself: ``account()``
+    records each chunk's outcome and retires an aborted connection
+    without touching the others, ``tick()`` enforces deadlines against
+    the shared :class:`SimClock`. The table moves no bytes itself — an
+    :class:`~repro.servers.eventloop.EventLoop` owns or adopts it and
+    drives every connection in it.
     """
 
     def __init__(
@@ -494,15 +472,8 @@ class ConnectionSupervisor:
             raise ConnectionAborted(f"unknown connection {conn_id}")
         return conn
 
-    def feed(self, conn_id: int, data: bytes) -> FeedResult:
-        """Deliver client bytes to one connection, isolated from the rest."""
-        conn = self.connection(conn_id)
-        result = conn.feed(data)
-        self.account(conn, result)
-        return result
-
     def account(self, conn: ServerConnection, result: FeedResult) -> None:
-        """Record one feed's outcome (shared with the event-loop pump)."""
+        """Record one processed chunk's outcome."""
         self.stats.requests_served += result.served
         self.stats.bad_requests += result.bad_requests
         if _obs.ON:

@@ -21,26 +21,23 @@ module is that architecture over the supervised connection layer:
   :class:`~repro.asynccalls.AsyncCallRuntime` is attached — an
   :class:`~repro.asynccalls.OcallRequest` that models the audit-log
   append leaving the enclave through the async slot protocol;
-- teardown semantics are *identical* to the externally-pumped
-  :meth:`~repro.servers.connection.ServerConnection.feed` path: the
-  driver catches exactly
-  :data:`~repro.servers.connection.VIOLATION_ERRORS`, aborts via the
-  same :meth:`~repro.servers.connection.ServerConnection.abort`, and
-  accounting flows through the same
-  :meth:`~repro.servers.connection.ConnectionSupervisor.account` —
-  a parity test class runs the supervisor test scenarios on both paths;
+- a violation tears down exactly one connection: the driver catches
+  exactly :data:`~repro.servers.connection.VIOLATION_ERRORS`, aborts via
+  :meth:`~repro.servers.connection.ServerConnection.abort`, and
+  accounting flows through
+  :meth:`~repro.servers.connection.ConnectionSupervisor.account`;
 - aborting or deadline-expiring a connection whose task is parked
   *reaps the task* through :meth:`~repro.lthreads.LThreadScheduler.cancel`
   (closing the generator, returning the slot), so 100k churned
   connections cannot leak 100k parked tasks.
 
-Two pump styles coexist:
+The loop is the only thing that moves client bytes, and callers reach it
+two ways:
 
-- **closed-loop / supervisor-compatible**: :meth:`EventLoop.feed`
-  delivers one chunk, pumps the scheduler to quiescence and returns the
-  chunk's :class:`~repro.servers.connection.FeedResult` — a drop-in for
-  ``ConnectionSupervisor.feed`` (the fuzzing harness drives both paths
-  with the same plans);
+- **closed-loop**: :meth:`EventLoop.feed` delivers one chunk, pumps the
+  scheduler to quiescence and returns the chunk's
+  :class:`~repro.servers.connection.FeedResult` (tests, the fuzzing
+  harness, the wall-clock benchmark);
 - **open-loop**: :meth:`deliver` only enqueues bytes and wakes the
   parked task; the caller (``ServerMachine.run_frontend``) invokes
   :meth:`step` slice by slice and converts executed slices into
@@ -172,13 +169,13 @@ class EventLoop:
         self._obs_slices_reported = 0
         self._obs_cancels_reported = 0
         # Adopt connections already live on a pre-existing supervisor
-        # (the fuzzing harness deepcopies an *established* supervisor —
+        # (the fuzzing harness deepcopies an *established* table —
         # generators cannot be deepcopied, so drivers are re-spawned here).
         for conn_id in list(self.supervisor.connections):
             self._spawn_driver(conn_id)
 
     # ------------------------------------------------------------------
-    # Supervisor-compatible facade
+    # Connection-table facade
     # ------------------------------------------------------------------
 
     @property
@@ -216,20 +213,12 @@ class EventLoop:
 
     def feed(self, conn_id: int, data: bytes) -> FeedResult:
         """Deliver one chunk and pump until the connection's driver has
-        fully processed it; returns that chunk's result.
-
-        Drop-in for :meth:`ConnectionSupervisor.feed`: same typed
-        teardown, same accounting, same :class:`FeedResult` — the chunk
-        just travels through scheduler slices instead of a direct call.
+        fully processed it; returns that chunk's result. Never raises
+        for malformed input — a violation aborts *this* connection and
+        is reported in the :class:`FeedResult`; feeding a connection
+        already torn down raises ``ConnectionAborted``.
         """
         conn = self.supervisor.connection(conn_id)
-        task = self._tasks.get(conn_id)
-        if task is None or task.generator is None:
-            # Driver already finished (shouldn't happen for a live
-            # connection) — fall back to the direct path for parity.
-            result = conn.feed(data)
-            self.supervisor.account(conn, result)
-            return result
         self.deliver(conn_id, data)
         self._collect.add(conn_id)
         try:
@@ -325,8 +314,7 @@ class EventLoop:
         Slice 2: HTTP parse + handler dispatch (only when plaintext
         surfaced — handshake flights finish in one slice).
         Slice 3 (enclave mode): audit append as an async-ocall.
-        Violations tear down exactly this connection, via the same abort
-        path and accounting the direct pump uses.
+        Violations tear down exactly this connection.
         """
         while not (conn.aborted or conn.closed):
             chunk = yield ReadWait(conn_id)

@@ -72,13 +72,42 @@ WHERE c.seq > (SELECT MAX(j.seq) FROM docupdates j
                   AND x.seq = c.seq)
 """
 
-# Keep only the entries at or after each document's latest client snapshot
-# (§6.5: the log is proportional to the *last session's* activity).
+# Trimming (§6.5: the log is proportional to the *last session's*
+# activity). What may go is decided per kind of row, by what a later
+# honest response could still refer to:
+#
+# - an op (either direction) once no honest response can deliver it
+#   again: its sequence number is at or below both the document's latest
+#   client snapshot (joins replay only what follows the snapshot) and
+#   every member's progress — the highest sequence the member has sent,
+#   been sent, or joined at (syncs replay only what follows that). Ops
+#   are cut by *sequence*, never by time: a delivery logged after the
+#   snapshot may echo an op logged before it, and update soundness needs
+#   both or neither;
+# - a snapshot row older than the document's latest client snapshot;
+# - a join row once the same member has joined again. Each member's
+#   latest join stays: it is the baseline update completeness compares
+#   against, and without it the comparison is against NULL and checks
+#   nothing.
 TRIMMING = [
-    """DELETE FROM docupdates WHERE time < (
+    """DELETE FROM docupdates WHERE kind = 'op'
+  AND seq <= (
+    SELECT c.seq FROM docupdates c
+    WHERE c.doc = docupdates.doc AND c.kind = 'snapshot'
+    AND c.direction = 'c2s' ORDER BY c.time DESC LIMIT 1)
+  AND seq <= (
+    SELECT MIN(p.progress) FROM (
+      SELECT MAX(m.seq) AS progress FROM docupdates m
+      WHERE m.doc = docupdates.doc AND m.kind IN ('op', 'join')
+      GROUP BY m.member) p)""",
+    """DELETE FROM docupdates WHERE kind = 'snapshot' AND time < (
   SELECT MAX(c.time) FROM docupdates c
   WHERE c.doc = docupdates.doc AND c.kind = 'snapshot'
-  AND c.direction = 'c2s')"""
+  AND c.direction = 'c2s')""",
+    """DELETE FROM docupdates WHERE kind = 'join' AND time < (
+  SELECT MAX(j.time) FROM docupdates j
+  WHERE j.doc = docupdates.doc AND j.kind = 'join'
+  AND j.member = docupdates.member)""",
 ]
 
 

@@ -102,6 +102,11 @@ class TestCli:
         assert cli_main(["inventory"]) == 0
         assert "Total" in capsys.readouterr().out
 
+    def test_fuzz_command(self, capsys):
+        assert cli_main(["fuzz", "--layer", "http", "--cases", "20"]) == 0
+        # One report line per layer and nothing else: no pump to name.
+        assert capsys.readouterr().out.startswith("[http] seed=0 cases=20 ")
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["nope"])

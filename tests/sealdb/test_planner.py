@@ -1,13 +1,14 @@
 """Unit tests for the SealDB query planner and its executor access paths.
 
-Each test states the *observable* contract: planned execution must return
-exactly the rows (and row order) the scan-everything executor returns,
-while touching fewer rows (``ScanStats``/``Result.rows_scanned``).
+Each test states the *observable* contract: a planned access path must
+return exactly the rows stdlib ``sqlite3`` returns for the same data
+(``tests/sqlite_oracle.py``), while touching only the rows the path is
+supposed to touch — ``Result.rows_scanned`` is pinned per query, next to
+what scanning everything would have cost on this 40+40-row fixture.
 """
 
 import pytest
 
-from repro.sealdb import Database
 from repro.sealdb.errors import SQLExecutionError
 from repro.sealdb.parser import parse_statement
 from repro.sealdb.planner import (
@@ -16,37 +17,21 @@ from repro.sealdb.planner import (
     plan_scan,
     split_conjuncts,
 )
+from tests.sqlite_oracle import assert_matches_sqlite, audit_engines, execute_both
+
+#: What a scan-everything executor pays on the fixture: one table, and
+#: the cross product of both.
+FULL_SCAN = 40
+CROSS_PRODUCT = 40 * 40 + 40 + 40
 
 
-def make_db(use_planner=True):
-    db = Database(use_planner=use_planner)
-    db.executescript(
-        """
-        CREATE TABLE updates(time INTEGER, repo TEXT, branch TEXT, cid TEXT);
-        CREATE TABLE advertisements(time INTEGER, repo TEXT, branch TEXT, cid TEXT);
-        """
-    )
-    for i in range(40):
-        db.execute(
-            "INSERT INTO updates VALUES (?, ?, ?, ?)",
-            (i, f"repo-{i % 4}", f"b{i % 5}", f"c{i}"),
-        )
-        db.execute(
-            "INSERT INTO advertisements VALUES (?, ?, ?, ?)",
-            (i, f"repo-{i % 4}", f"b{i % 5}", f"c{max(0, i - 4)}"),
-        )
-    return db
+def make_db():
+    return audit_engines(40)[0]
 
 
 def both(sql, params=()):
-    """Execute on planned and unplanned engines; assert identical rows."""
-    planned = make_db(True)
-    reference = make_db(False)
-    a = planned.execute(sql, params)
-    b = reference.execute(sql, params)
-    assert a.rows == b.rows, sql
-    assert a.columns == b.columns
-    return a, b
+    """Rows must equal SQLite's; returns the SealDB result."""
+    return assert_matches_sqlite(*audit_engines(40), sql, params)
 
 
 class TestPlanStructures:
@@ -94,8 +79,8 @@ class TestPlanStructures:
 
 class TestPlannedExecutionParity:
     def test_equality_lookup(self):
-        planned, reference = both("SELECT * FROM updates WHERE repo = 'repo-2'")
-        assert planned.rows_scanned < reference.rows_scanned
+        planned = both("SELECT * FROM updates WHERE repo = 'repo-2'")
+        assert planned.rows_scanned == 10 < FULL_SCAN
 
     def test_composite_equality_lookup(self):
         both("SELECT cid FROM updates WHERE repo = 'repo-1' AND branch = 'b1'")
@@ -104,29 +89,27 @@ class TestPlannedExecutionParity:
         both("SELECT * FROM updates WHERE repo = 'repo-3' AND time > 20")
 
     def test_range_scan_on_sorted_time(self):
-        planned = make_db(True)
-        reference = make_db(False)
+        seal, lite = audit_engines(40)
         # The audit layer marks time sorted; emulate it here.
-        planned.lookup_table("updates").mark_sorted(0)
-        sql = "SELECT cid FROM updates WHERE time > 30"
-        a, b = planned.execute(sql), reference.execute(sql)
-        assert a.rows == b.rows
-        assert a.rows_scanned < b.rows_scanned
+        seal.lookup_table("updates").mark_sorted(0)
+        result = assert_matches_sqlite(
+            seal, lite, "SELECT cid FROM updates WHERE time > 30"
+        )
+        assert result.rows_scanned == 9 < FULL_SCAN
 
     def test_equality_never_matches_null(self):
-        planned = make_db(True)
-        reference = make_db(False)
-        for db in (planned, reference):
-            db.execute("INSERT INTO updates VALUES (NULL, NULL, 'b0', 'x')")
-        sql = "SELECT cid FROM updates WHERE repo = 'repo-0'"
-        assert planned.execute(sql).rows == reference.execute(sql).rows
+        seal, lite = audit_engines(40)
+        execute_both(seal, lite, "INSERT INTO updates VALUES (NULL, NULL, 'b0', 'x')")
+        assert_matches_sqlite(
+            seal, lite, "SELECT cid FROM updates WHERE repo = 'repo-0'"
+        )
 
     def test_hash_equi_join_matches_nested_loop(self):
-        planned, reference = both(
+        planned = both(
             "SELECT u.cid, a.cid FROM updates u JOIN advertisements a "
             "ON u.repo = a.repo AND u.branch = a.branch WHERE u.time < 10"
         )
-        assert planned.rows_scanned < reference.rows_scanned
+        assert planned.rows_scanned == 150 < CROSS_PRODUCT
 
     def test_natural_join_parity(self):
         both("SELECT * FROM updates NATURAL JOIN advertisements")
@@ -138,21 +121,22 @@ class TestPlannedExecutionParity:
         )
 
     def test_left_join_where_on_right_leg_applies_after_padding(self):
-        # A right-leg WHERE predicate must filter padded NULL rows out,
-        # exactly like the unplanned executor does.
+        # A right-leg WHERE predicate must filter padded NULL rows out:
+        # it runs after the join, not pushed beneath the padding.
         both(
             "SELECT u.cid FROM updates u LEFT JOIN advertisements a "
             "ON u.repo = a.repo AND u.time = a.time WHERE a.cid = 'c1'"
         )
 
     def test_correlated_subquery_uses_index(self):
-        planned, reference = both(
+        planned = both(
             "SELECT a.time, a.repo FROM advertisements a WHERE a.cid != ("
             "  SELECT u.cid FROM updates u"
             "  WHERE u.repo = a.repo AND u.branch = a.branch AND u.time < a.time"
             "  ORDER BY u.time DESC LIMIT 1)"
         )
-        assert planned.rows_scanned < reference.rows_scanned
+        # 40 outer rows + one 2-row index probe each, not 40 inner scans.
+        assert planned.rows_scanned == 120 < FULL_SCAN + 40 * FULL_SCAN
 
     def test_group_by_over_planned_scan(self):
         both(
@@ -160,14 +144,14 @@ class TestPlannedExecutionParity:
         )
 
     def test_ambiguous_column_still_errors(self):
-        planned = make_db(True)
+        planned = make_db()
         with pytest.raises(SQLExecutionError):
             planned.execute(
                 "SELECT cid FROM updates u JOIN advertisements a ON u.repo = a.repo"
             )
 
     def test_unknown_column_still_errors(self):
-        planned = make_db(True)
+        planned = make_db()
         with pytest.raises(SQLExecutionError):
             planned.execute("SELECT * FROM updates WHERE nope = 1")
 
@@ -177,45 +161,39 @@ class TestPlannedExecutionParity:
 
 class TestIndexLifecycle:
     def test_update_invalidates_index(self):
-        db = make_db(True)
+        seal, lite = audit_engines(40)
         sql = "SELECT cid FROM updates WHERE repo = 'repo-0'"
-        before = db.execute(sql).rows
-        db.execute("UPDATE updates SET repo = 'repo-0' WHERE repo = 'repo-3'")
-        after = db.execute(sql).rows
-        reference = make_db(False)
-        reference.execute("UPDATE updates SET repo = 'repo-0' WHERE repo = 'repo-3'")
-        assert after == reference.execute(sql).rows
+        before = seal.execute(sql).rows  # builds the index
+        execute_both(
+            seal, lite, "UPDATE updates SET repo = 'repo-0' WHERE repo = 'repo-3'"
+        )
+        after = assert_matches_sqlite(seal, lite, sql).rows
         assert len(after) > len(before)
 
     def test_delete_invalidates_index(self):
-        db = make_db(True)
+        seal, lite = audit_engines(40)
         sql = "SELECT cid FROM updates WHERE branch = 'b1'"
-        db.execute(sql)  # build the index
-        db.execute("DELETE FROM updates WHERE time < 20")
-        reference = make_db(False)
-        reference.execute("DELETE FROM updates WHERE time < 20")
-        assert db.execute(sql).rows == reference.execute(sql).rows
+        seal.execute(sql)  # build the index
+        execute_both(seal, lite, "DELETE FROM updates WHERE time < 20")
+        assert assert_matches_sqlite(seal, lite, sql).rows
 
     def test_insert_maintains_index(self):
-        db = make_db(True)
+        db = make_db()
         sql = "SELECT cid FROM updates WHERE repo = 'fresh'"
         assert db.execute(sql).rows == []
         db.execute("INSERT INTO updates VALUES (99, 'fresh', 'b', 'c99')")
         assert db.execute(sql).rows == [("c99",)]
 
     def test_out_of_order_insert_drops_sorted_hint(self):
-        db = make_db(True)
-        table = db.lookup_table("updates")
+        seal, lite = audit_engines(40)
+        table = seal.lookup_table("updates")
         assert table.mark_sorted(0)
-        db.execute("INSERT INTO updates VALUES (0, 'late', 'b', 'c')")
+        execute_both(seal, lite, "INSERT INTO updates VALUES (0, 'late', 'b', 'c')")
         assert not table.is_sorted(0)
-        reference = make_db(False)
-        reference.execute("INSERT INTO updates VALUES (0, 'late', 'b', 'c')")
-        sql = "SELECT cid FROM updates WHERE time > 35"
-        assert db.execute(sql).rows == reference.execute(sql).rows
+        assert_matches_sqlite(seal, lite, "SELECT cid FROM updates WHERE time > 35")
 
     def test_scan_stats_accumulate(self):
-        db = make_db(True)
+        db = make_db()
         start = db.scan_stats.rows_scanned
         result = db.execute("SELECT * FROM updates")
         assert result.rows_scanned == 40

@@ -1,12 +1,10 @@
 """Second differential-testing batch: SealDB vs sqlite3 on DML, joins,
 views, scalar functions and ordering edge cases."""
 
-import sqlite3
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sealdb import Database
+from tests.sqlite_oracle import fresh_engines, run_both as both
 
 SCHEMA = "CREATE TABLE t(a INTEGER, b INTEGER, s TEXT)"
 
@@ -19,21 +17,7 @@ rows_strategy = st.lists(row_strategy, min_size=0, max_size=20)
 
 
 def fresh(rows):
-    seal = Database()
-    seal.execute(SCHEMA)
-    lite = sqlite3.connect(":memory:")
-    lite.execute(SCHEMA)
-    for row in rows:
-        seal.execute("INSERT INTO t VALUES (?, ?, ?)", row)
-        lite.execute("INSERT INTO t VALUES (?, ?, ?)", row)
-    return seal, lite
-
-
-def both(seal, lite, sql, params=()):
-    return (
-        [tuple(r) for r in seal.execute(sql, params).rows],
-        [tuple(r) for r in lite.execute(sql, params).fetchall()],
-    )
+    return fresh_engines(SCHEMA, rows)
 
 
 @settings(max_examples=50, deadline=None)

@@ -9,7 +9,8 @@ import json
 from repro.http import HttpRequest, HttpResponse
 from repro.http.parser import parse_response
 from repro.servers.attest import AttestMonitor
-from repro.servers.connection import ConnectionLimits, ConnectionSupervisor
+from repro.servers.connection import ConnectionLimits
+from repro.servers.eventloop import EventLoop
 from repro.sgx.ratls import (
     AttestationPlane,
     make_attested_identity,
@@ -108,7 +109,7 @@ class TestAttestReport:
 class TestAttestThroughSupervisor:
     def test_served_through_supervised_connection(self):
         monitor, _ = _attested_monitor()
-        sup = ConnectionSupervisor(monitor)
+        sup = EventLoop(monitor)
         cid = sup.open()
         result = sup.feed(cid, _request("/attest"))
         assert result.served == 1 and not result.aborted
@@ -118,7 +119,7 @@ class TestAttestThroughSupervisor:
     def test_endpoint_counts_against_request_budget(self):
         monitor, _ = _attested_monitor()
         limits = ConnectionLimits(max_requests_per_connection=2)
-        sup = ConnectionSupervisor(monitor, limits=limits)
+        sup = EventLoop(monitor, limits=limits)
         cid = sup.open()
         assert sup.feed(cid, _request("/attest")).served == 1
         assert sup.feed(cid, _request("/attest")).served == 1
@@ -128,7 +129,7 @@ class TestAttestThroughSupervisor:
     def test_pipelined_attest_requests_respect_depth_bound(self):
         monitor, _ = _attested_monitor()
         limits = ConnectionLimits(max_pipelined_per_feed=2)
-        sup = ConnectionSupervisor(monitor, limits=limits)
+        sup = EventLoop(monitor, limits=limits)
         cid = sup.open()
         result = sup.feed(cid, _request() + _request() + _request())
         assert result.aborted

@@ -1,11 +1,11 @@
-"""Async front-end core: parity with the direct supervisor, plus the
-scheduler semantics only the event loop has.
+"""Async front-end core: the connection-lifecycle contract, plus the
+scheduler semantics of the loop that enforces it.
 
-``TestFrontendParity`` runs the supervisor test scenarios on *both*
-paths — the externally-pumped :class:`ConnectionSupervisor` and the
-lthreads :class:`EventLoop` — through one parametrized factory: typed
-teardown, TLS alerts, deadlines, request budgets and audit-handle
-release must be indistinguishable between them.
+``TestFrontendParity`` holds the front end's contract scenarios — typed
+teardown, TLS alerts, deadlines, request budgets, audit-handle release —
+against the one pump there is, :class:`EventLoop`.
+``tests/servers/test_supervisor.py`` runs the same contract over a
+connection table that a loop *adopted* mid-connection.
 """
 
 import pytest
@@ -25,7 +25,6 @@ from repro.servers.connection import (
     BufferBoundViolation,
     ConnectionAborted,
     ConnectionLimits,
-    ConnectionSupervisor,
     SimClock,
 )
 from repro.tls import api as native_api
@@ -57,7 +56,7 @@ def _server_ctx(api, name: str, seed: str):
 
 
 def _tls_connect(ca, frontend):
-    """Handshake a simulated client against either front-end path."""
+    """Handshake a simulated client against the front end."""
     cid = frontend.open()
     cctx = native_api.SSL_CTX_new(native_api.TLS_client_method())
     native_api.SSL_CTX_load_verify_locations(cctx, ca)
@@ -75,19 +74,16 @@ def _tls_connect(ca, frontend):
     return cid, cssl, rb, wb
 
 
-@pytest.fixture(params=["direct", "eventloop"])
-def make_frontend(request):
-    """Factory building either front-end path with identical semantics."""
-    def make(handler, **kwargs):
-        if request.param == "direct":
-            return ConnectionSupervisor(handler, **kwargs)
-        return EventLoop(handler, **kwargs)
-    make.path = request.param
-    return make
+@pytest.fixture(params=["eventloop"])
+def make_frontend():
+    """The front end under test. Still a one-value parameter so these
+    scenarios kept their test ids when their ``direct`` twin — the
+    externally-pumped supervisor — was deleted."""
+    return EventLoop
 
 
 class TestFrontendParity:
-    """The same scenarios, byte-for-byte, on both front-end paths."""
+    """The front end's connection-lifecycle contract."""
 
     def test_serves_wellformed_request(self, make_frontend):
         fe = make_frontend(_echo_handler)
@@ -191,7 +187,7 @@ class TestFrontendParity:
         result = fe.feed(cid, b"\xde\xad\xbe\xef" * 16)
         assert result.aborted
         assert isinstance(result.violation, TLSError)
-        # Best-effort fatal alert drained before teardown, on both paths.
+        # Best-effort fatal alert drained before teardown.
         assert result.output != b""
         assert cid not in fe.live_connections
 
@@ -207,7 +203,7 @@ class TestFrontendParity:
 
     def test_teardown_releases_state_by_ssl_handle(self, make_frontend):
         """``on_close`` receives the SSL handle captured before
-        ``SSL_free`` — identically on both paths, in the same order."""
+        ``SSL_free``, aborted connection first."""
         from repro.enclave_tls import EnclaveTlsRuntime
 
         runtime = EnclaveTlsRuntime()
@@ -323,10 +319,10 @@ class TestEventLoopScheduling:
     def test_adopts_established_supervisor(self):
         """An EventLoop wrapped around a live supervisor re-spawns driver
         tasks for every existing connection (the fuzz deepcopy path)."""
-        sup = ConnectionSupervisor(_echo_handler)
-        cid = sup.open()
-        sup.feed(cid, _request("/before"))
-        loop = EventLoop(supervisor=sup)
+        first = EventLoop(_echo_handler)
+        cid = first.open()
+        first.feed(cid, _request("/before"))
+        loop = EventLoop(supervisor=first.supervisor)
         assert cid in loop._tasks
         result = loop.feed(cid, _request("/after"))
         assert result.served == 1

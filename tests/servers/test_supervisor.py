@@ -1,7 +1,14 @@
-"""Connection lifecycle: isolation, deadlines, bounded teardown.
+"""Connection lifecycle over an *adopted* connection table.
 
 One hostile connection may at worst abort itself; its neighbours and the
-audit log's consistent prefix must be untouched.
+audit log's consistent prefix must be untouched. The table
+(:class:`ConnectionSupervisor`) moves no bytes itself, so every scenario
+here builds the table and opens its connections first and only then
+hands it to an :class:`EventLoop` (``EventLoop(supervisor=...)``) — the
+path the fuzz harness relies on to revive deep-copied established
+connections. The loop must pick each connection up where it stands;
+``tests/servers/test_eventloop.py`` holds the same contract against a
+loop that owned its table from the start.
 """
 
 import pytest
@@ -15,8 +22,10 @@ from repro.servers.connection import (
     ConnectionLimits,
     ConnectionSupervisor,
     DeadlineViolation,
+    ServerConnection,
     SimClock,
 )
+from repro.servers.eventloop import EventLoop
 from repro.tls import api as native_api
 from repro.tls.bio import BIO
 from repro.tls.cert import CertificateAuthority, make_server_identity
@@ -30,11 +39,20 @@ def _request(path: str = "/a", headers: str = "") -> bytes:
     return f"GET {path} HTTP/1.1\r\n{headers}\r\n".encode()
 
 
+def _adopt(table: ConnectionSupervisor) -> EventLoop:
+    """A fresh loop over a table that already has live connections."""
+    return EventLoop(supervisor=table)
+
+
 class TestPlainSupervisor:
+    def test_table_and_connection_have_no_pump_of_their_own(self):
+        assert not hasattr(ConnectionSupervisor, "feed")
+        assert not hasattr(ServerConnection, "feed")
+
     def test_serves_wellformed_request(self):
         sup = ConnectionSupervisor(_echo_handler)
         cid = sup.open()
-        result = sup.feed(cid, _request("/hello"))
+        result = _adopt(sup).feed(cid, _request("/hello"))
         assert result.served == 1 and not result.aborted
         assert parse_response(result.output).body == b"echo:/hello"
         assert sup.stats.requests_served == 1
@@ -44,16 +62,17 @@ class TestPlainSupervisor:
         client's problem, not a framing hazard: answer 400, keep going."""
         sup = ConnectionSupervisor(_echo_handler)
         cid = sup.open()
-        result = sup.feed(cid, b"bogus request line\r\n\r\n")
+        loop = _adopt(sup)
+        result = loop.feed(cid, b"bogus request line\r\n\r\n")
         assert not result.aborted and result.bad_requests == 1
         assert parse_response(result.output).status == 400
         # Connection still serves.
-        assert sup.feed(cid, _request()).served == 1
+        assert loop.feed(cid, _request()).served == 1
 
     def test_framing_violation_aborts_connection(self):
         sup = ConnectionSupervisor(_echo_handler)
         cid = sup.open()
-        result = sup.feed(cid, _request(headers="Content-Length: -1\r\n"))
+        result = _adopt(sup).feed(cid, _request(headers="Content-Length: -1\r\n"))
         assert result.aborted
         assert isinstance(result.violation, HTTPError)
         assert cid not in sup.live_connections
@@ -62,26 +81,29 @@ class TestPlainSupervisor:
     def test_abort_is_isolated_from_neighbours(self):
         sup = ConnectionSupervisor(_echo_handler)
         good, bad = sup.open(), sup.open()
-        sup.feed(good, _request("/one"))
-        assert sup.feed(bad, b"X" * (1 << 17)).aborted  # head-buffer bound
-        result = sup.feed(good, _request("/two"))
+        loop = _adopt(sup)
+        loop.feed(good, _request("/one"))
+        assert loop.feed(bad, b"X" * (1 << 17)).aborted  # head-buffer bound
+        result = loop.feed(good, _request("/two"))
         assert result.served == 1 and not result.aborted
         assert sup.live_connections == [good]
 
     def test_feed_after_abort_reports_closed(self):
         sup = ConnectionSupervisor(_echo_handler)
         cid = sup.open()
-        sup.feed(cid, _request(headers="Content-Length: -1\r\n"))
-        follow_up = sup.connection(cid) if cid in sup.connections else None
-        assert follow_up is None
+        loop = _adopt(sup)
+        loop.feed(cid, _request(headers="Content-Length: -1\r\n"))
+        assert cid not in sup.connections
         with pytest.raises(ConnectionAborted):
-            sup.feed(cid, _request())
+            loop.feed(cid, _request())
 
     def test_pipelining_depth_bound(self):
         limits = ConnectionLimits(max_pipelined_per_feed=2)
         sup = ConnectionSupervisor(_echo_handler, limits=limits)
         cid = sup.open()
-        result = sup.feed(cid, _request("/1") + _request("/2") + _request("/3"))
+        result = _adopt(sup).feed(
+            cid, _request("/1") + _request("/2") + _request("/3")
+        )
         assert result.aborted
         assert isinstance(result.violation, BufferBoundViolation)
 
@@ -89,9 +111,10 @@ class TestPlainSupervisor:
         limits = ConnectionLimits(max_requests_per_connection=2)
         sup = ConnectionSupervisor(_echo_handler, limits=limits)
         cid = sup.open()
-        assert sup.feed(cid, _request("/1")).served == 1
-        assert sup.feed(cid, _request("/2")).served == 1
-        result = sup.feed(cid, _request("/3"))
+        loop = _adopt(sup)
+        assert loop.feed(cid, _request("/1")).served == 1
+        assert loop.feed(cid, _request("/2")).served == 1
+        result = loop.feed(cid, _request("/3"))
         assert result.aborted
         assert isinstance(result.violation, BufferBoundViolation)
 
@@ -102,10 +125,12 @@ class TestDeadlines:
         limits = ConnectionLimits(idle_timeout_s=10.0)
         sup = ConnectionSupervisor(_echo_handler, limits=limits, clock=clock)
         busy, idle = sup.open(), sup.open()
+        loop = _adopt(sup)
         clock.advance(8.0)
-        sup.feed(busy, _request())
+        loop.feed(busy, _request())
         clock.advance(4.0)  # idle is now 12s stale, busy only 4s
-        assert sup.tick() == [idle]
+        assert loop.tick() == [idle]
+        assert loop.loop_stats.reaped_tasks == 1
         assert sup.live_connections == [busy]
         conn_record = sup.stats.violations[-1]
         assert "idle" in conn_record[1]
@@ -123,8 +148,9 @@ class TestDeadlines:
             limits=limits, clock=clock,
         )
         cid = sup.open()  # never completes its handshake
+        loop = _adopt(sup)
         clock.advance(6.0)
-        assert sup.tick() == [cid]
+        assert loop.tick() == [cid]
         record = sup.stats.violations[-1]
         assert "handshake" in record[1]
 
@@ -141,7 +167,11 @@ class TestTlsSupervisor:
         return ca, sup
 
     def _connect(self, ca, sup):
+        """Open on the table, handshake through a throwaway loop: the
+        loop a test then adopts the table with finds the connection
+        already established."""
         cid = sup.open()
+        handshaker = _adopt(sup)
         cctx = native_api.SSL_CTX_new(native_api.TLS_client_method())
         native_api.SSL_CTX_load_verify_locations(cctx, ca)
         cssl = native_api.SSL_new(cctx)
@@ -151,17 +181,18 @@ class TestTlsSupervisor:
             native_api.SSL_connect(cssl)
             out = wb.read()
             if out:
-                rb.write(sup.feed(cid, out).output)
+                rb.write(handshaker.feed(cid, out).output)
             if native_api.SSL_is_init_finished(cssl):
                 break
         assert native_api.SSL_is_init_finished(cssl)
+        assert sup.connection(cid).established
         return cid, cssl, rb, wb
 
     def test_end_to_end_request_over_tls(self, tls_setup):
         ca, sup = tls_setup
         cid, cssl, rb, wb = self._connect(ca, sup)
         native_api.SSL_write(cssl, _request("/tls"))
-        result = sup.feed(cid, wb.read())
+        result = _adopt(sup).feed(cid, wb.read())
         assert result.served == 1
         rb.write(result.output)
         assert parse_response(native_api.SSL_read(cssl)).body == b"echo:/tls"
@@ -169,7 +200,7 @@ class TestTlsSupervisor:
     def test_garbage_bytes_abort_with_typed_error_and_alert(self, tls_setup):
         ca, sup = tls_setup
         cid, _, _, _ = self._connect(ca, sup)
-        result = sup.feed(cid, b"\xde\xad\xbe\xef" * 16)
+        result = _adopt(sup).feed(cid, b"\xde\xad\xbe\xef" * 16)
         assert result.aborted
         assert isinstance(result.violation, TLSError)
         # The peer was alerted before teardown (best effort): the drained
@@ -181,9 +212,10 @@ class TestTlsSupervisor:
         ca, sup = tls_setup
         bad_cid, _, _, _ = self._connect(ca, sup)
         good_cid, good_ssl, good_rb, good_wb = self._connect(ca, sup)
-        assert sup.feed(bad_cid, b"\x00" * 64).aborted
+        loop = _adopt(sup)
+        assert loop.feed(bad_cid, b"\x00" * 64).aborted
         native_api.SSL_write(good_ssl, _request("/still-up"))
-        result = sup.feed(good_cid, good_wb.read())
+        result = loop.feed(good_cid, good_wb.read())
         assert result.served == 1 and not result.aborted
 
 
@@ -210,6 +242,7 @@ class TestAuditHandleRelease:
 
         def connect():
             cid = sup.open()
+            handshaker = _adopt(sup)
             cctx = native_api.SSL_CTX_new(native_api.TLS_client_method())
             native_api.SSL_CTX_load_verify_locations(cctx, ca)
             cssl = native_api.SSL_new(cctx)
@@ -219,7 +252,7 @@ class TestAuditHandleRelease:
                 native_api.SSL_connect(cssl)
                 out = wb.read()
                 if out:
-                    rb.write(sup.feed(cid, out).output)
+                    rb.write(handshaker.feed(cid, out).output)
                 if native_api.SSL_is_init_finished(cssl):
                     break
             assert sup.connection(cid).established
@@ -231,8 +264,9 @@ class TestAuditHandleRelease:
         # Enclave SSL handles come from their own counter, so they overlap
         # conn ids without equalling them — the bug's dangerous regime.
         assert {abort_handle, close_handle} != {abort_cid, close_cid}
-        assert sup.feed(abort_cid, b"\x00" * 64).aborted
-        sup.close(close_cid)
+        loop = _adopt(sup)
+        assert loop.feed(abort_cid, b"\x00" * 64).aborted
+        loop.close(close_cid)
         assert closed == [abort_handle, close_handle]
 
 

@@ -7,7 +7,8 @@ clock *be* the simulator's clock.
 
 import pytest
 
-from repro.servers.connection import ConnectionLimits, ConnectionSupervisor
+from repro.servers.connection import ConnectionLimits
+from repro.servers.eventloop import EventLoop
 from repro.sim import SimClock, SimulatorClock
 from repro.sim.engine import Simulator
 
@@ -63,7 +64,7 @@ class TestSimulatorClock:
         instant — one totally-ordered notion of time."""
         sim = Simulator()
         clock = SimulatorClock(sim)
-        sup = ConnectionSupervisor(
+        sup = EventLoop(
             lambda req: None,
             limits=ConnectionLimits(idle_timeout_s=10.0),
             clock=clock,

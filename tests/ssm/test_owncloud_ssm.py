@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from repro.core import LibSeal, LibSealConfig
 from repro.http import HttpRequest
 from repro.services.owncloud import OwnCloudHttpService, OwnCloudServer
 from repro.ssm import OwnCloudSSM
+from repro.workloads import OwnCloudEditWorkload
 
 from tests.ssm.conftest import drive
 
@@ -167,3 +169,75 @@ class TestDetection:
         outcome = libseal.check_invariants()
         assert not outcome.ok
         assert outcome.violations["snapshot_soundness"]
+
+
+class TestTrimmingNeverFramesAnHonestService:
+    """Periodic check + trim over long honest runs. Trimming by time used
+    to delete a client's op while keeping a later delivery that echoed it
+    (a false ``update_soundness`` row) and every ``join`` baseline (which
+    turned ``update_completeness`` off)."""
+
+    @staticmethod
+    def _deployment(seed=11):
+        libseal = LibSeal(
+            OwnCloudSSM(),
+            LibSealConfig(flush_each_pair=False, check_interval=75, trim_interval=75),
+        )
+        return libseal, OwnCloudEditWorkload(libseal, seed=seed)
+
+    @pytest.mark.parametrize("seed", [3, 5, 7, 11])
+    def test_long_honest_run_raises_no_alarm(self, seed):
+        libseal, workload = self._deployment(seed)
+        workload.run(600, snapshot_every=40)
+        stats = libseal.checker.stats
+        assert stats.checks_run == stats.trims_run == 8
+        assert not stats.violation_history  # none of the periodic checks
+        assert libseal.check_invariants(force_full=True).ok
+        # ... and trimming still trims: about one session is left, not 600
+        # requests' worth of rows (~1770 untrimmed).
+        assert stats.tuples_trimmed > 1000
+        assert libseal.audit_log.row_count("docupdates") < 450
+
+    @pytest.mark.parametrize(
+        "attack,invariant",
+        [
+            ("attack_drop_update", "update_completeness"),
+            ("attack_corrupt_update", "update_soundness"),
+        ],
+    )
+    def test_attack_after_trims_is_still_detected(self, attack, invariant):
+        libseal, workload = self._deployment()
+        workload.run(300, snapshot_every=40)
+        assert libseal.checker.stats.trims_run == 4
+        assert not libseal.checker.stats.violation_history
+        doc = workload.documents[0]
+        server = workload.service.server
+        getattr(server, attack)(doc, server.document(doc).head_seq + 1)
+        for _ in range(12):  # the next edit is the victim; others sync past it
+            workload.edit_once(doc)
+        outcome = libseal.check_invariants()
+        assert outcome.violations[invariant], outcome.violations
+        assert [k for k, rows in outcome.violations.items() if rows] == [invariant]
+
+    def test_late_joiner_is_replayed_ops_the_trim_had_to_keep(self, stack):
+        """Ops every member already holds are still replayed to whoever
+        joins next, as long as they follow the latest snapshot — so they
+        may not be trimmed however widely they were delivered."""
+        _, service, libseal = stack
+        join(service, libseal, "d", "ann")
+        join(service, libseal, "d", "bob")
+        sync(service, libseal, "d", "ann", 0, [op(0, "a")])        # seq 1
+        sync(service, libseal, "d", "bob", 0, [])
+        leave(service, libseal, "d", "ann", "a", 1)                # snapshot @1
+        join(service, libseal, "d", "ann")
+        sync(service, libseal, "d", "ann", 1, [op(1, "b")])        # seq 2
+        sync(service, libseal, "d", "bob", 1, [op(2, "c")])        # seq 3, gets 2
+        sync(service, libseal, "d", "ann", 2, [])                  # gets 3
+        assert libseal.trim() > 0
+        kept = libseal.audit_log.query(
+            "SELECT DISTINCT seq FROM docupdates WHERE kind = 'op' ORDER BY seq"
+        ).rows
+        assert kept == [(2,), (3,)]
+        replayed = join(service, libseal, "d", "carol")
+        assert [o["seq"] for o in replayed["ops"]] == [2, 3]
+        assert libseal.check_invariants(force_full=True).ok

@@ -19,7 +19,7 @@ from repro.errors import (
     TcbRevokedError,
 )
 from repro.http import HttpRequest, HttpResponse
-from repro.servers.connection import ConnectionSupervisor
+from repro.servers.eventloop import EventLoop
 from repro.sgx.ratls import (
     AttestationPlane,
     make_attested_identity,
@@ -278,7 +278,7 @@ class TestSupervisorTeardown:
         native_api.SSL_CTX_set_attestation_verifier(
             ctx, plane.verifier("frontend")
         )
-        return ConnectionSupervisor(_handler, api=native_api, ssl_ctx=ctx)
+        return EventLoop(_handler, api=native_api, ssl_ctx=ctx)
 
     def _drive(self, sup, ca, client_identity):
         cid = sup.open()
