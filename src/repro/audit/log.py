@@ -10,16 +10,21 @@ Composition (§5.1):
   re-verified — payloads against the chain, the chain head against the
   signature, and the claimed counter against the live ROTE quorum.
 
-Trimming runs the service's trimming queries, then rebuilds the chain over
-the surviving tuples and seals a fresh epoch (the paper stores hashes
+The log holds each tuple once: an ordered stream of ``(row_id, table,
+row)`` entries whose ``row`` *is* the list the SealDB table stores, so the
+rows queries see, the rows the chain covers and the rows a snapshot
+carries cannot differ. Removal — SQL trimming and shard range retirement
+alike — deletes rows from the tables and then keeps the stream entries
+whose row object is still in a table (identity, never value), rebuilds the
+chain over them and seals a fresh epoch (the paper stores hashes
 separately so precisely this recomputation is cheap).
 
-Appends also feed the *watermark* machinery used by incremental invariant
-checking: every tuple gets a monotonically increasing row id, each table's
-``time`` column is tracked for append-sortedness (and hinted to SealDB's
-planner), and :meth:`AuditLog.watermark` captures "everything up to here
-has been checked". :meth:`AuditLog.rows_since` replays the appends past a
-watermark; a trim bumps ``trim_generation``, which invalidates every
+The stream also is the *watermark* machinery used by incremental invariant
+checking: row ids increase strictly, each table's ``time`` column is
+tracked for append-sortedness (and hinted to SealDB's planner), and
+:meth:`AuditLog.watermark` captures "everything up to here has been
+checked". :meth:`AuditLog.rows_since` replays the appends past a
+watermark; a removal bumps ``trim_generation``, which invalidates every
 outstanding watermark so the checker conservatively re-scans once.
 Watermark bookkeeping survives ``serialize``/``load`` (and therefore
 sealing epochs and crash recovery).
@@ -30,7 +35,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 from repro.audit.hashchain import HashChain, SealIntent, SignedHead
 from repro.audit.persistence import LogStorage
@@ -42,7 +49,7 @@ from repro.obs import hooks as _obs
 from repro.sim.costs import LOGGING_SEALDB_INSERT_CYCLES, SEAL_EPOCH_CYCLES
 from repro.sealdb import Database
 from repro.sealdb.executor import Result
-from repro.sealdb.table import SqlValue
+from repro.sealdb.table import SqlValue, Table
 
 
 def _encode_value(value: SqlValue) -> object:
@@ -65,6 +72,12 @@ TIME_COLUMN = "time"
 #: the log sees exactly when keys changed hands and code was upgraded.
 EVENTS_TABLE = "libseal_events"
 EVENTS_SCHEMA = f"CREATE TABLE {EVENTS_TABLE} (time INTEGER, kind TEXT, detail TEXT)"
+
+
+@lru_cache(maxsize=64)
+def insert_sql(table: str, arity: int) -> str:
+    """The one ``INSERT`` text a log tuple enters a SealDB table through."""
+    return f"INSERT INTO {table} VALUES ({', '.join('?' * arity)})"
 
 
 @dataclass(frozen=True)
@@ -95,57 +108,59 @@ class AuditLog:
     ):
         self.db = Database()
         self.schema_sql = schema_sql
-        if schema_sql.strip():
-            self.db.executescript(schema_sql)
-        if EVENTS_TABLE not in {name.lower() for name in self.db.table_names()}:
-            self.db.executescript(EVENTS_SCHEMA)
         self._signing_key = signing_key
         self.rote = rote
         self.log_id = log_id
         self.storage = storage
         self.chain = HashChain()
-        self._payloads: list[tuple[str, tuple[SqlValue, ...]]] = []
+        #: The log's tuples, once, in chain order: ``(row_id, table, row)``
+        #: where ``row`` is the very list object the SealDB table holds.
+        self._stream: list[tuple[int, str, list[SqlValue]]] = []
         self.signed_head: SignedHead | None = None
         self.appends = 0
         self.epochs_sealed = 0
         # Watermark bookkeeping (incremental checking):
         self.next_row_id = 0
-        self._payload_ids: list[int] = []
         self.trim_generation = 0
         self.latest_time = 0
         #: False once any append's logical time went backwards; delta
         #: checking then permanently falls back to full re-scans.
         self.time_monotone = True
         self._time_columns: dict[str, int | None] = {}
-        self._install_time_hints()
+        self._install_schema()
 
-    def _install_time_hints(self) -> None:
-        """Locate each table's ``time`` column and hint it append-sorted
-        to the SealDB planner (the audit log only appends in time order)."""
-        for name in self.db.table_names():
-            table = self.db.lookup_table(name)
-            index: int | None = None
-            for i, column in enumerate(table.columns):
-                if column.name.lower() == TIME_COLUMN:
-                    index = i
-                    break
-            self._time_columns[name.lower()] = index
+    def _install_schema(self) -> None:
+        """Create the service's relations and the events table, locate each
+        table's ``time`` column and hint it append-sorted to the SealDB
+        planner (the audit log only appends in time order)."""
+        if self.schema_sql.strip():
+            self.db.executescript(self.schema_sql)
+        if EVENTS_TABLE not in {name.lower() for name in self.db.table_names()}:
+            self.db.executescript(EVENTS_SCHEMA)
+        for table in self._tables():
+            names = [column.name.lower() for column in table.columns]
+            index = names.index(TIME_COLUMN) if TIME_COLUMN in names else None
+            self._time_columns[table.name.lower()] = index
             if index is not None:
                 table.mark_sorted(index)
+
+    def _tables(self) -> list[Table]:
+        return [self.db.lookup_table(name) for name in self.db.table_names()]
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
 
     def append(self, table: str, values: Sequence[SqlValue]) -> None:
-        """Append one tuple: DB insert + hash-chain extension."""
-        placeholders = ", ".join("?" * len(values))
-        self.db.execute(
-            f"INSERT INTO {table} VALUES ({placeholders})", tuple(values)
-        )
-        self.chain.append(table, list(values))
-        self._payloads.append((table, tuple(values)))
-        self._payload_ids.append(self.next_row_id)
+        """Append one tuple: DB insert + hash-chain extension.
+
+        The chain (and everything downstream of it) covers the row as the
+        table stores it — affinity-coerced, the representation queries see.
+        """
+        self.db.execute(insert_sql(table, len(values)), tuple(values))
+        row = self.db.lookup_table(table).rows[-1]
+        self.chain.append(table, row)
+        self._stream.append((self.next_row_id, table, row))
         self.next_row_id += 1
         self.appends += 1
         if _obs.ON:
@@ -157,9 +172,7 @@ class AuditLog:
             _obs.add_cycles(LOGGING_SEALDB_INSERT_CYCLES)
         time_col = self._time_columns.get(table.lower())
         if time_col is not None:
-            # Read the affinity-coerced value back from the table so the
-            # watermark compares the same representation queries see.
-            stored = self.db.lookup_table(table).rows[-1][time_col]
+            stored = row[time_col]
             if isinstance(stored, int) and not isinstance(stored, bool):
                 if stored < self.latest_time:
                     self.time_monotone = False
@@ -185,12 +198,11 @@ class AuditLog:
         Used by the rotation coordinator's WAL replay to keep the
         audited-record step idempotent across crash/resume cycles.
         """
-        return any(
-            table.lower() == EVENTS_TABLE
-            and len(values) == 3
-            and values[1] == kind
-            and values[2] == detail
-            for table, values in self._payloads
+        return bool(
+            self.query(
+                f"SELECT 1 FROM {EVENTS_TABLE} WHERE kind = ? AND detail = ?",
+                (kind, detail),
+            ).rows
         )
 
     # ------------------------------------------------------------------
@@ -201,24 +213,31 @@ class AuditLog:
         """Capture the current append-stream position."""
         return Watermark(self.next_row_id - 1, self.latest_time, self.trim_generation)
 
+    def _since(
+        self, watermark: Watermark
+    ) -> list[tuple[int, str, list[SqlValue]]] | None:
+        """Stream entries appended after ``watermark``; None when it is
+        from an older trim generation (what it refers to may be gone)."""
+        if watermark.generation != self.trim_generation:
+            return None
+        start = bisect_right(self._stream, watermark.row_id, key=itemgetter(0))
+        return self._stream[start:]
+
     def rows_since(
         self, table: str, watermark: Watermark
     ) -> list[tuple[int, tuple[SqlValue, ...]]] | None:
         """``(row_id, values)`` appended to ``table`` after ``watermark``.
 
-        Returns None when the watermark is from an older trim generation
-        (the appends it refers to may no longer exist): the caller must
-        fall back to a full scan and take a fresh watermark.
+        Returns None for a stale watermark: the caller must fall back to
+        a full scan and take a fresh watermark.
         """
-        if watermark.generation != self.trim_generation:
+        entries = self._since(watermark)
+        if entries is None:
             return None
-        start = bisect_right(self._payload_ids, watermark.row_id)
         lowered = table.lower()
         return [
-            (row_id, values)
-            for row_id, (name, values) in zip(
-                self._payload_ids[start:], self._payloads[start:]
-            )
+            (row_id, tuple(row))
+            for row_id, name, row in entries
             if name.lower() == lowered
         ]
 
@@ -227,15 +246,12 @@ class AuditLog:
         table), or None when nothing was appended / times are unusable.
         Lets the checker verify no late tuple slid at-or-under its
         watermark time before trusting a delta evaluation."""
-        if watermark.generation != self.trim_generation:
-            return None
-        start = bisect_right(self._payload_ids, watermark.row_id)
         minimum: int | None = None
-        for name, values in self._payloads[start:]:
+        for _, name, row in self._since(watermark) or ():
             time_col = self._time_columns.get(name.lower())
-            if time_col is None or time_col >= len(values):
+            if time_col is None:
                 continue
-            value = values[time_col]
+            value = row[time_col]
             if not isinstance(value, int) or isinstance(value, bool):
                 return None
             if minimum is None or value < minimum:
@@ -316,19 +332,12 @@ class AuditLog:
     def trim(self, trimming_queries: Sequence[str]) -> int:
         """Run trimming queries, rebuild the chain, seal a fresh epoch.
 
-        Returns the number of tuples removed.
+        Returns the number of tuples removed. Seals (and invalidates
+        watermarks) even when the queries deleted nothing.
         """
         for sql in trimming_queries:
             self.db.execute(sql)
-        surviving = self._surviving_indices()
-        removed = len(self._payloads) - len(surviving)
-        self._payloads = [self._payloads[i] for i in surviving]
-        self._payload_ids = [self._payload_ids[i] for i in surviving]
-        self.chain.rebuild((t, list(v)) for t, v in self._payloads)
-        # Outstanding watermarks may point into the removed region;
-        # bumping the generation forces their holders to full-scan once.
-        self.trim_generation += 1
-        self.seal_epoch()
+        removed = self._retain()
         if _obs.ON:
             metrics = _obs.active().metrics
             metrics.counter("audit_trims_total", "Trim passes completed").inc()
@@ -338,68 +347,55 @@ class AuditLog:
         return removed
 
     def remove_where(self, predicate) -> int:
-        """Remove every payload tuple matched by ``predicate(table, values)``.
+        """Remove every tuple matched by ``predicate(table, values)``.
 
         The shard-rebalance primitive: after an ownership cutover the old
-        owner retires the migrated range by dropping exactly those tuples,
-        rebuilding the chain over the survivors and sealing a fresh epoch
-        (the same shape as :meth:`trim`, but predicate- rather than
+        owner retires the migrated range (predicate- rather than
         SQL-driven, because range membership is a hash of the routing key
         the relational layer cannot express). Idempotent: a replayed call
         matches nothing and seals nothing. Returns the tuples removed.
         """
-        survivors = [
-            (index, table, values)
-            for index, (table, values) in enumerate(self._payloads)
-            if not predicate(table, values)
-        ]
-        removed = len(self._payloads) - len(survivors)
-        if removed == 0:
+        doomed = {
+            id(row) for _, table, row in self._stream if predicate(table, tuple(row))
+        }
+        if not doomed:
             return 0
-        # Rebuild the relational store from the surviving tuples; row ids
-        # keep their original (strictly increasing) values so outstanding
-        # deltas cannot alias, and the generation bump invalidates every
-        # watermark exactly as a trim would.
-        self.db = Database()
-        if self.schema_sql.strip():
-            self.db.executescript(self.schema_sql)
-        if EVENTS_TABLE not in {name.lower() for name in self.db.table_names()}:
-            self.db.executescript(EVENTS_SCHEMA)
-        self._time_columns = {}
-        self._install_time_hints()
-        for _, table, values in survivors:
-            placeholders = ", ".join("?" * len(values))
-            self.db.execute(
-                f"INSERT INTO {table} VALUES ({placeholders})", tuple(values)
-            )
-        self._payload_ids = [self._payload_ids[i] for i, _, _ in survivors]
-        self._payloads = [(table, values) for _, table, values in survivors]
-        self.chain.rebuild((t, list(v)) for t, v in self._payloads)
+        for table in self._tables():
+            table.delete_rows([id(row) not in doomed for row in table.rows])
+        return self._retain()
+
+    def _retain(self) -> int:
+        """The one removal primitive: drop the stream entries whose row has
+        left its table, rebuild the chain over the rest, seal a fresh epoch.
+
+        Survival is decided by row *identity*: ``Table.delete_rows`` keeps
+        the surviving list objects and ``update_row`` writes into them, so
+        a duplicate, a coerced value or a row a trimming ``UPDATE`` rewrote
+        can never be mismatched. Row ids keep their (strictly increasing)
+        values so outstanding deltas cannot alias, and the generation bump
+        sends every watermark holder through one full scan. Returns the
+        number of entries dropped.
+        """
+        alive = {id(row) for table in self._tables() for row in table.rows}
+        kept = [entry for entry in self._stream if id(entry[2]) in alive]
+        if len(kept) != len(alive):
+            raise IntegrityError("tables hold rows the hash chain never covered")
+        removed = len(self._stream) - len(kept)
+        self._stream = kept
+        self.chain.rebuild((table, row) for _, table, row in kept)
         self.trim_generation += 1
         self.seal_epoch()
         return removed
 
-    def _surviving_indices(self) -> list[int]:
-        """Match the DB contents after DELETEs back to payload positions."""
-        remaining: dict[str, dict[tuple, int]] = {}
-        for table_name in self.db.table_names():
-            counts: dict[tuple, int] = {}
-            for row in self.db.lookup_table(table_name).rows:
-                key = tuple(row)
-                counts[key] = counts.get(key, 0) + 1
-            remaining[table_name.lower()] = counts
-        survivors = []
-        for position, (table, values) in enumerate(self._payloads):
-            counts = remaining.get(table.lower(), {})
-            count = counts.get(values, 0)
-            if count > 0:
-                counts[values] = count - 1
-                survivors.append(position)
-        return survivors
-
     # ------------------------------------------------------------------
     # Serialization and verification
     # ------------------------------------------------------------------
+
+    def tuples(self) -> Iterator[tuple[str, tuple[SqlValue, ...]]]:
+        """Every logged ``(table, values)`` in chain order, as copies —
+        the read API for everything outside this module."""
+        for _, table, row in self._stream:
+            yield table, tuple(row)
 
     def serialize(self) -> bytes:
         """Serialize log state for untrusted storage."""
@@ -408,12 +404,12 @@ class AuditLog:
             "log_id": self.log_id,
             "schema": self.schema_sql,
             "payloads": [
-                [table, [_encode_value(v) for v in values]]
-                for table, values in self._payloads
+                [table, [_encode_value(v) for v in row]]
+                for _, table, row in self._stream
             ],
             "watermark_state": {
                 "next_row_id": self.next_row_id,
-                "payload_ids": list(self._payload_ids),
+                "payload_ids": [row_id for row_id, _, _ in self._stream],
                 "trim_generation": self.trim_generation,
                 "latest_time": self.latest_time,
                 "time_monotone": self.time_monotone,
@@ -500,7 +496,7 @@ class AuditLog:
             raise IntegrityError("watermark state malformed")
         ids = state["payload_ids"]
         next_row_id = state["next_row_id"]
-        if len(ids) != len(self._payloads):
+        if len(ids) != len(self._stream):
             raise IntegrityError("watermark ids do not match payloads")
         previous = -1
         for row_id in ids:
@@ -509,15 +505,20 @@ class AuditLog:
             previous = row_id
         if not isinstance(next_row_id, int) or next_row_id <= previous:
             raise IntegrityError("watermark next_row_id behind payload ids")
-        self._payload_ids = list(ids)
+        self._stream = [
+            (row_id, table, row) for row_id, (_, table, row) in zip(ids, self._stream)
+        ]
         self.next_row_id = next_row_id
         self.trim_generation = int(state["trim_generation"])
-        self.latest_time = int(state["latest_time"])
+        # The stored clock is outside the signature: it may only raise the
+        # one recomputed from the chained tuples (a trim can have removed
+        # the latest rows), never rewind it.
+        self.latest_time = max(self.latest_time, int(state["latest_time"]))
         self.time_monotone = bool(state["time_monotone"]) and self.time_monotone
 
     def verify_structure(self, public_key: EcdsaPublicKey) -> None:
         """Verify chain and head signature (no quorum interaction)."""
-        self.chain.verify_payloads((t, list(v)) for t, v in self._payloads)
+        self.chain.verify_payloads((table, row) for _, table, row in self._stream)
         head = self.signed_head
         if head is None:
             raise IntegrityError("audit log has no signed head")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.audit.log import AuditLog
+from repro.audit.log import EVENTS_TABLE, AuditLog, insert_sql
 from repro.crypto.ecdsa import EcdsaPublicKey
 from repro.errors import IntegrityError
 from repro.sealdb import Database
@@ -72,7 +72,11 @@ def merge_logs(
     total = 0
     for log in partials:
         max_time = 0
-        for table, values in log._payloads:
+        for table, values in log.tuples():
+            if table.lower() == EVENTS_TABLE:
+                # Lifecycle events are instance-local history: verified
+                # with the partial's chain above, not a service relation.
+                continue
             if table.lower() not in table_names:
                 raise IntegrityError(
                     f"partial log has unknown relation {table!r}"
@@ -84,10 +88,7 @@ def merge_logs(
                 raise IntegrityError("first log column must be the timestamp")
             max_time = max(max_time, local_time)
             values[0] = local_time + offset
-            placeholders = ", ".join("?" * len(values))
-            merged_db.execute(
-                f"INSERT INTO {table} VALUES ({placeholders})", tuple(values)
-            )
+            merged_db.execute(insert_sql(table, len(values)), tuple(values))
             total += 1
         offset += max_time
     return MergedLog(merged_db, sources=len(partials), tuples=total)

@@ -147,9 +147,7 @@ def fig6_incremental_curves(
     )
     factory = workload_factory or FIG6_WORKLOADS[service]
     workload = factory(libseal)
-    full_checker = InvariantChecker(
-        SSM_FACTORIES[service](), libseal.audit_log, incremental=False
-    )
+    full_checker = InvariantChecker(SSM_FACTORIES[service](), libseal.audit_log)
     invariants = len(SSM_FACTORIES[service]().invariants)
     rows: list[dict] = []
     pairs = 0
@@ -158,7 +156,7 @@ def fig6_incremental_curves(
             workload.run(interval)
             pairs += interval
             outcome = libseal.check_invariants()
-        reference = full_checker.run_checks()
+        reference = full_checker.run_checks(force_full=True)
         if outcome.violations != reference.violations:
             raise AssertionError(
                 f"incremental/full divergence at {pairs} pairs: "

@@ -172,31 +172,19 @@ class _InvariantState:
 class InvariantChecker:
     """Runs the SSM's invariants and trimming queries over an audit log.
 
-    ``incremental=False`` pins every invariant to the full re-scan path —
-    the reference behaviour the parity tests and Figure 6 baselines
-    compare against.
+    ``run_checks(force_full=True)`` is the full re-scan reference the
+    parity tests and Figure 6 baselines compare against.
     """
 
-    def __init__(
-        self,
-        ssm: ServiceSpecificModule,
-        audit_log: AuditLog,
-        incremental: bool = True,
-    ):
+    def __init__(self, ssm: ServiceSpecificModule, audit_log: AuditLog):
         self.ssm = ssm
         self.audit_log = audit_log
-        self.incremental = incremental
         self.stats = CheckerStats()
         self._states: list[_InvariantState] = []
         for name, sql in ssm.invariants.items():
             statement = parse_statement(sql)
             plan = classify_invariant(sql, audit_log.db)
             self._states.append(_InvariantState(name, sql, statement, plan))
-
-    @property
-    def decompositions(self) -> dict[str, Decomposition]:
-        """Classification verdict per invariant name."""
-        return {state.name: state.plan for state in self._states}
 
     def run_checks(self, force_full: bool = False) -> CheckOutcome:
         """Execute every invariant; returns all violating rows.
@@ -279,8 +267,7 @@ class InvariantChecker:
         log = self.audit_log
         watermark = state.watermark
         can_delta = (
-            self.incremental
-            and not force_full
+            not force_full
             and state.plan.decomposable
             and state.plan.delta_select is not None
             and state.accumulated is not None

@@ -59,10 +59,6 @@ class LibSealConfig:
     #: explicit :class:`~repro.errors.AuditBufferFullError`) rather than
     #: audit records being silently dropped.
     max_unsealed_pairs: int = 64
-    #: Evaluate delta-decomposable invariants incrementally past the last
-    #: check's watermark (False = always full re-scan, the paper's
-    #: baseline behaviour).
-    incremental_checks: bool = True
     #: Group sealing (Eleos-style transition batching): seal once per
     #: window of up to this many accepted pairs instead of per pair.
     #: 1 = the paper's per-pair behaviour. In grouped mode a pair's
@@ -121,9 +117,7 @@ class LibSeal:
             log_id=self.config.log_id,
             storage=self.storage,
         )
-        self.checker = InvariantChecker(
-            ssm, self.audit_log, incremental=self.config.incremental_checks
-        )
+        self.checker = InvariantChecker(ssm, self.audit_log)
         self.rate_limiter = RateLimiter(
             self.config.check_rate_capacity, self.config.check_rate_refill
         )
@@ -369,12 +363,11 @@ class LibSeal:
             return None, report
         if report.log is not None:
             instance.audit_log = report.log
-            instance.checker = InvariantChecker(
-                ssm, report.log, incremental=instance.config.incremental_checks
-            )
+            instance.checker = InvariantChecker(ssm, report.log)
             # Logical time must move strictly forward past every recovered
-            # tuple; the entry count is a safe upper bound on pair count.
-            instance.logical_time = report.entries
+            # tuple. The entry count bounds the pair count only on a log
+            # that was never trimmed, so the largest logged time decides.
+            instance.logical_time = max(report.entries, report.log.latest_time)
             instance.pairs_logged = report.entries
         if report.outcome is RecoveryOutcome.FRESHNESS_UNVERIFIABLE or (
             report.error is not None
@@ -407,8 +400,7 @@ class LibSeal:
         """Run all invariants now (enclave-internal, §5.2).
 
         Decomposable invariants evaluate only rows past the previous
-        check's watermark unless ``force_full`` (or the config's
-        ``incremental_checks=False``) demands a full re-scan.
+        check's watermark unless ``force_full`` demands a full re-scan.
         """
         self.last_outcome = self.checker.run_checks(force_full=force_full)
         return self.last_outcome

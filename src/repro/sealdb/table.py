@@ -117,10 +117,6 @@ class Table:
         # Column positions currently known to be append-sorted.
         self._sorted_columns: set[int] = set()
 
-    @property
-    def column_names(self) -> list[str]:
-        return [column.name for column in self.columns]
-
     def column_index(self, name: str) -> int:
         lowered = name.lower()
         for i, column in enumerate(self.columns):

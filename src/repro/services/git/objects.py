@@ -53,12 +53,6 @@ class ObjectStore:
         self._blobs[digest] = content
         return digest
 
-    def get_blob(self, digest: str) -> bytes:
-        blob = self._blobs.get(digest)
-        if blob is None:
-            raise ServiceError(f"unknown blob {digest}")
-        return blob
-
     def create_commit(
         self,
         parent_id: str | None,
@@ -105,7 +99,3 @@ class ObjectStore:
             if recomputed != cid:
                 return False
         return True
-
-    @property
-    def commit_count(self) -> int:
-        return len(self._commits)

@@ -54,10 +54,6 @@ class TransitionStats:
     per_ocall: dict[str, int] = field(default_factory=dict)
 
     @property
-    def total_transitions(self) -> int:
-        return self.ecalls + self.ocalls
-
-    @property
     def total_cycles(self) -> int:
         return self.ecall_cycles + self.ocall_cycles
 
@@ -133,10 +129,6 @@ class EnclaveInterface:
     @property
     def inside_enclave(self) -> bool:
         return self._context.inside
-
-    @property
-    def active_enclave_threads(self) -> int:
-        return self._active_inside
 
     def ecall(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Enter the enclave and run ecall ``name``.

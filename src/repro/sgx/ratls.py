@@ -277,9 +277,6 @@ class AttestationVerifier:
         while len(self._cache) > self.cache_max:
             self._cache.popitem(last=False)
 
-    def cache_size(self) -> int:
-        return len(self._cache)
-
     # -- the pipeline ----------------------------------------------------
 
     def verify_evidence(
@@ -518,7 +515,6 @@ class AttestationPlane:
         self.cache_ttl = cache_ttl
         self.max_retries = max_retries
         self._quoting: dict[str, QuotingEnclave] = {}
-        self._enclaves: dict[str, Enclave] = {}
 
     def platform(self, label: str) -> QuotingEnclave:
         """The (registered) quoting enclave for platform ``label``."""
@@ -528,13 +524,6 @@ class AttestationPlane:
             self.service.register_platform(qe)
             self._quoting[label] = qe
         return qe
-
-    def enroll_enclave(self, label: str, enclave: Enclave) -> None:
-        """Remember the enclave currently running on platform ``label``."""
-        self._enclaves[label] = enclave
-
-    def enclave_for(self, label: str) -> Enclave | None:
-        return self._enclaves.get(label)
 
     def rogue_platform(self, label: str) -> QuotingEnclave:
         """A quoting enclave the service has *never* provisioned.
@@ -558,7 +547,6 @@ class AttestationPlane:
         issued = self.clock.now()
         binding = report_binding(context, payload, epoch, issued)
         quote = self.platform(label).quote(enclave, binding)
-        self.enroll_enclave(label, enclave)
         return AttestationEvidence(quote, epoch, issued)
 
     def policy(

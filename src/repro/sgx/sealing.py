@@ -250,23 +250,6 @@ class SigningAuthority:
             length=32,
         )
 
-    def group_keyring(self, label: bytes):
-        """A verifier keyring: ``epoch -> key`` for usable epochs, else None.
-
-        This is how "fail closed on retired epochs" reaches every MAC
-        check without each call site re-implementing the state machine:
-        verifiers pass the attestation's epoch through the ring and a
-        retired/unknown epoch simply yields no key.
-        """
-
-        def ring(epoch: int) -> bytes | None:
-            state = self.epoch_state(epoch)
-            if state is None or state is EpochState.RETIRED:
-                return None
-            return self.derive_group_key(label, epoch)
-
-        return ring
-
     # ------------------------------------------------------------------
     # Seal / unseal (must run inside the enclave)
     # ------------------------------------------------------------------

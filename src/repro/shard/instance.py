@@ -374,7 +374,7 @@ class ShardInstance:
         """
         return tuple(
             (table, values)
-            for table, values in self.libseal.audit_log._payloads
+            for table, values in self.libseal.audit_log.tuples()
             if self._in_ranges(self.route_point(table, values), ranges)
         )
 
@@ -539,9 +539,11 @@ class ShardInstance:
         self.network.deregister(self.address)
 
     def payload_count(self) -> int:
-        """Service tuples held (lifecycle events excluded)."""
+        """Service tuples held (lifecycle events excluded). Walks and
+        hashes the whole log: an oracle for tests and chaos, not for the
+        per-pair path."""
         return sum(
             1
-            for table, values in self.libseal.audit_log._payloads
+            for table, values in self.libseal.audit_log.tuples()
             if self.route_point(table, values) is not None
         )

@@ -64,7 +64,9 @@ class MembershipLog:
     def changes(self) -> list[str]:
         """Every membership record, in chain order."""
         return [
-            values[2]
-            for table, values in self.control_log._payloads
-            if table.lower() == EVENTS_TABLE and values[1] == MEMBERSHIP_EVENT
+            detail
+            for (detail,) in self.control_log.query(
+                f"SELECT detail FROM {EVENTS_TABLE} WHERE kind = ?",
+                (MEMBERSHIP_EVENT,),
+            )
         ]

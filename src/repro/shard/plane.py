@@ -278,12 +278,15 @@ class ShardPlane:
                 )
         shard_id = self.router.owner_of_point(point)
         instance = self.instances[shard_id]
-        before = instance.payload_count()
+        log = instance.libseal.audit_log
+        # A pair appends service tuples only (every messaging relation is
+        # routed), so the log's append counter is the tuple count.
+        before = log.appends
         instance.libseal.logical_time = self.clock
         try:
             result = instance.libseal.log_pair(request, response, handle)
         finally:
-            self.tuples_routed += instance.payload_count() - before
+            self.tuples_routed += log.appends - before
             self.clock = max(self.clock, instance.libseal.logical_time)
         self.pairs_routed += 1
         if _obs.ON:
@@ -363,13 +366,6 @@ class ShardPlane:
     # Plane-wide audit health
     # ------------------------------------------------------------------
 
-    def try_reseal_all(self) -> bool:
-        healed = True
-        for instance in self.instances.values():
-            if instance.libseal.degraded.active:
-                healed = instance.libseal.try_reseal() and healed
-        return healed
-
     def degraded_shards(self) -> list[str]:
         return sorted(
             shard_id
@@ -416,7 +412,7 @@ class ShardPlane:
         problems = list(self.router.coverage_gaps())
         for shard_id, instance in self.instances.items():
             granted = self.router.ranges_of(shard_id)
-            for table, values in instance.libseal.audit_log._payloads:
+            for table, values in instance.libseal.audit_log.tuples():
                 point = instance.route_point(table, values)
                 if point is None:
                     continue
@@ -439,11 +435,11 @@ class ShardPlane:
         digests: dict[str, list[str]] = {}
         total = 0
         for shard_id, instance in self.instances.items():
-            for table, values in instance.libseal.audit_log._payloads:
+            for table, values in instance.libseal.audit_log.tuples():
                 if instance.route_point(table, values) is None:
                     continue
                 total += 1
-                digest = sha256_hex(repr((table, tuple(values))).encode())
+                digest = sha256_hex(repr((table, values)).encode())
                 digests.setdefault(digest, []).append(shard_id)
         for digest, holders in digests.items():
             if len(holders) > 1:

@@ -87,15 +87,6 @@ class RecordLayer:
         self._recv_seq = 0
         self.bytes_protected = 0
 
-    @property
-    def encrypting(self) -> bool:
-        return self._send_aead is not None
-
-    def enable(self, send_key: bytes, recv_key: bytes) -> None:
-        """Install both directions at once (convenience for tests)."""
-        self.enable_send(send_key)
-        self.enable_recv(recv_key)
-
     def enable_send(self, key: bytes) -> None:
         """Protect outgoing records from now on (sent after our CCS)."""
         self._send_aead = AEAD(AEADKey.derive(key, label=b"record"))

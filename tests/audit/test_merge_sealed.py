@@ -68,8 +68,8 @@ class TestLogMerging:
         log_a.seal_epoch()
         log_b.append("advertisements", (1, "r", "master", "c1"))
         log_b.seal_epoch()
-        # Instance B's payloads are modified after sealing.
-        log_b._payloads[0] = ("advertisements", (1, "r", "master", "cEVIL"))
+        # Instance B's stored row is modified after sealing.
+        log_b.db.lookup_table("advertisements").rows[0][3] = "cEVIL"
         with pytest.raises(IntegrityError):
             merge_logs(
                 [log_a, log_b], [key_a.public_key(), key_b.public_key()], GitSSM()

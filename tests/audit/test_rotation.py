@@ -63,7 +63,7 @@ class Stack:
     def rotation_events(self) -> list[str]:
         return [
             values[2]
-            for table, values in self.libseal.audit_log._payloads
+            for table, values in self.libseal.audit_log.tuples()
             if table.lower() == EVENTS_TABLE and values[1] == "key_rotation"
         ]
 

@@ -7,6 +7,8 @@ watermark; a trim invalidates every outstanding watermark (generation
 bump) so a checker can never silently skip rows it has not seen.
 """
 
+import json
+
 import pytest
 
 from repro.audit import AuditLog, RoteCluster
@@ -15,8 +17,8 @@ from repro.core import LibSeal, LibSealConfig
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ecdsa import EcdsaPrivateKey
 from repro.errors import IntegrityError
-from repro.ssm import GitSSM
-from repro.workloads import GitReplayWorkload
+from repro.ssm import DropboxSSM, GitSSM
+from repro.workloads import DropboxOpsWorkload, GitReplayWorkload
 
 SCHEMA = """
 CREATE TABLE updates(time INTEGER, repo TEXT, branch TEXT, cid TEXT, type TEXT);
@@ -107,9 +109,23 @@ class TestWatermarkPersistence:
         since = loaded.rows_since("updates", wm)
         assert [row_id for row_id, _ in since] == [5, 6]
 
-    def test_load_rejects_inconsistent_watermark_state(self, key, rote):
-        import json
+    def test_stored_clock_cannot_rewind_below_the_chained_times(self, key, rote):
+        storage = InMemoryStorage()
+        log = make_log(key, rote, storage)
+        append_n(log, 6)
+        log.trim(["DELETE FROM updates WHERE time > 3"])
+        doc = json.loads(log.serialize().decode())
+        # A trim removed the latest rows: the stored clock stays ahead.
+        assert doc["watermark_state"]["latest_time"] == 5
+        loaded = AuditLog.load(json.dumps(doc).encode(), key, key.public_key(), rote)
+        assert loaded.latest_time == 5
+        # The field is outside the signature; lowering it must not rewind
+        # the clock below what the chained tuples prove.
+        doc["watermark_state"]["latest_time"] = 0
+        loaded = AuditLog.load(json.dumps(doc).encode(), key, key.public_key(), rote)
+        assert loaded.latest_time == 3
 
+    def test_load_rejects_inconsistent_watermark_state(self, key, rote):
         storage = InMemoryStorage()
         log = make_log(key, rote, storage)
         append_n(log, 3)
@@ -147,6 +163,45 @@ class TestCheckerWatermarkLifecycle:
         follow_up = recovered.check_invariants()
         assert all(s.mode in ("delta", "skip") for s in follow_up.invariant_stats)
 
+    @pytest.mark.parametrize(
+        "ssm_cls, workload_cls, seed",
+        [
+            (GitSSM, GitReplayWorkload, 1),
+            (GitSSM, GitReplayWorkload, 2),
+            (GitSSM, GitReplayWorkload, 3),
+            (DropboxSSM, DropboxOpsWorkload, 2),
+        ],
+    )
+    def test_recover_on_trimmed_log_resumes_clock_past_logged_times(
+        self, ssm_cls, workload_cls, seed
+    ):
+        # A trimmed log holds far fewer entries than pairs were logged:
+        # resuming the clock at the entry count rewinds it, stamps honest
+        # pairs into the past and frames the service.
+        storage = InMemoryStorage()
+        config = LibSealConfig(
+            flush_each_pair=False, check_interval=25, trim_interval=25,
+            log_id=f"wm-clock-{seed}",
+        )
+        libseal = LibSeal(ssm_cls(), config=config, storage=storage)
+        workload = workload_cls(libseal, seed=seed)
+        workload.run(300)
+        libseal.audit_log.seal_epoch()
+        latest = libseal.audit_log.latest_time
+        recovered, report = LibSeal.recover(
+            ssm_cls(),
+            config=config,
+            storage=storage,
+            signing_key=libseal.signing_key,
+            rote=libseal.rote,
+        )
+        assert report.entries < latest  # the trim made the bound false
+        assert recovered.logical_time >= latest
+        workload.libseal = recovered
+        workload.run(100)
+        assert recovered.check_invariants(force_full=True).ok
+        assert recovered.audit_log.time_monotone
+
     def test_trim_forces_one_full_scan_then_deltas_resume(self):
         libseal = LibSeal(GitSSM(), config=LibSealConfig(flush_each_pair=False))
         workload = self.run_workload(libseal)
@@ -171,17 +226,6 @@ class TestCheckerWatermarkLifecycle:
         workload.run(5)
         forced = libseal.check_invariants(force_full=True)
         assert all(s.mode == "full" for s in forced.invariant_stats)
-
-    def test_incremental_checks_config_off(self):
-        libseal = LibSeal(
-            GitSSM(),
-            config=LibSealConfig(flush_each_pair=False, incremental_checks=False),
-        )
-        workload = self.run_workload(libseal)
-        libseal.check_invariants()
-        workload.run(5)
-        outcome = libseal.check_invariants()
-        assert all(s.mode == "full" for s in outcome.invariant_stats)
 
     def test_late_append_under_watermark_forces_full(self, key, rote):
         libseal = LibSeal(GitSSM(), config=LibSealConfig(flush_each_pair=False))

@@ -55,12 +55,10 @@ class TestVectorizedCheckingParity:
 
     def test_full_scan_reference_checker_matches(self):
         libseal = build()
-        reference = InvariantChecker(
-            GitSSM(), libseal.audit_log, incremental=False
-        )
+        reference = InvariantChecker(GitSSM(), libseal.audit_log)
         assert (
             libseal.check_invariants().violations
-            == reference.run_checks().violations
+            == reference.run_checks(force_full=True).violations
         )
 
     def test_incremental_passes_accumulate_vectorized_rows(self):

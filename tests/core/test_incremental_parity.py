@@ -29,14 +29,12 @@ class ParityHarness:
         self.libseal = LibSeal(
             ssm_cls(), config=LibSealConfig(flush_each_pair=False)
         )
-        self.reference = InvariantChecker(
-            ssm_cls(), self.libseal.audit_log, incremental=False
-        )
+        self.reference = InvariantChecker(ssm_cls(), self.libseal.audit_log)
         self.outcomes = []
 
     def checkpoint(self):
         incremental = self.libseal.check_invariants()
-        full = self.reference.run_checks()
+        full = self.reference.run_checks(force_full=True)
         assert incremental.violations == full.violations
         self.outcomes.append(incremental)
         return incremental
