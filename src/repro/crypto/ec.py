@@ -1,19 +1,35 @@
 """NIST P-256 elliptic curve group arithmetic.
 
-Pure-Python short-Weierstrass arithmetic (``y^2 = x^3 + ax + b`` over GF(p))
-in Jacobian coordinates for speed. This backs ECDSA audit-log signatures,
-ECDHE in the TLS handshake, and certificate signatures — the same roles
-LibreSSL's EC code plays inside the LibSEAL enclave.
+Pure-Python short-Weierstrass arithmetic (``y^2 = x^3 + ax + b`` over GF(p)).
+This backs ECDSA audit-log signatures, ECDHE in the TLS handshake, and
+certificate signatures — the same roles LibreSSL's EC code plays inside the
+LibSEAL enclave.
+
+:class:`ECPoint` offers affine ``+`` / unary ``-`` and ``*`` by an integer.
+Multiplication runs in Jacobian coordinates and picks its method from the
+point, never from a setting: the generator is served from a precomputed
+fixed-base table (additions only), every other point by a width-5 NAF
+ladder over its odd multiples, and :func:`double_multiply` folds ECDSA
+verification's ``u1*G + u2*Q`` into one doubling chain with one inversion.
+The affine formulas are the reference the tests hold all three to. None of
+this is constant-time: digits of the scalar index tables and choose
+branches, and Python integers leak operand sizes anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
 class Curve:
-    """Domain parameters of a prime-field short-Weierstrass curve."""
+    """Domain parameters of a prime-field short-Weierstrass curve.
+
+    The group is assumed to have cofactor 1: every finite point has prime
+    order ``n``, so scalars reduce mod ``n`` for any point and no multiple
+    ``d*P`` with ``0 < d < n`` is the point at infinity.
+    """
 
     name: str
     p: int
@@ -23,13 +39,24 @@ class Curve:
     gy: int
     n: int  # order of the base point
 
-    @property
+    @cached_property
     def generator(self) -> "ECPoint":
         return ECPoint(self, self.gx, self.gy)
+
+    @cached_property
+    def _generator_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Fixed-base table, built on first use: row ``i`` holds the affine
+        points ``d * 16**i * G`` for ``d = 1..15``."""
+        return _build_generator_table(self)
 
     @property
     def coordinate_bytes(self) -> int:
         return (self.p.bit_length() + 7) // 8
+
+    def __deepcopy__(self, memo: dict) -> "Curve":
+        # Immutable, and points compare their curves by identity: a deep
+        # copy of anything holding a point keeps this curve (and its table).
+        return self
 
 
 CURVE_P256 = Curve(
@@ -116,13 +143,16 @@ class ECPoint:
         return ECPoint(self.curve, x3, y3)
 
     def __mul__(self, scalar: int) -> "ECPoint":
-        """Scalar multiplication via Jacobian double-and-add."""
-        if scalar < 0:
-            return (-self) * (-scalar)
-        scalar %= self.curve.n
+        """Scalar multiplication (negative scalars reduce mod ``n`` too)."""
+        curve = self.curve
+        scalar %= curve.n
         if scalar == 0 or self.is_infinity:
-            return ECPoint.infinity(self.curve)
-        return _jacobian_multiply(self, scalar)
+            return ECPoint.infinity(curve)
+        if self.x == curve.gx and self.y == curve.gy:
+            jacobian = _generator_multiply(curve, scalar, 0, 1, 0)
+        else:
+            jacobian = _windowed_multiply(self, scalar)
+        return _affine_point(curve, *jacobian)
 
     __rmul__ = __mul__
 
@@ -146,63 +176,150 @@ class ECPoint:
         return cls(curve, x, y)
 
 
-def _jacobian_multiply(point: ECPoint, scalar: int) -> ECPoint:
-    """Left-to-right double-and-add in Jacobian coordinates.
+def double_multiply(u1: int, u2: int, point: ECPoint) -> ECPoint:
+    """``u1*G + u2*point``, the combination ECDSA verification needs.
 
-    Avoids a modular inversion per group operation; a single inversion
-    converts the result back to affine coordinates at the end.
+    The table entries for ``u1`` are accumulated onto the Jacobian result
+    of the ``u2`` ladder, so the pair costs one doubling chain and one
+    inversion instead of two of each plus an affine addition.
     """
     curve = point.curve
-    p = curve.p
-    a = curve.a % p
-    # Jacobian (X, Y, Z) with x = X/Z^2, y = Y/Z^3; Z == 0 encodes infinity.
-    rx, ry, rz = 0, 1, 0
-    qx, qy, qz = point.x, point.y, 1
-    for bit in bin(scalar)[2:]:
-        rx, ry, rz = _jac_double(rx, ry, rz, p, a)
-        if bit == "1":
-            rx, ry, rz = _jac_add(rx, ry, rz, qx, qy, qz, p, a)
-    if rz == 0:
-        return ECPoint.infinity(curve)
-    z_inv = pow(rz, -1, p)
-    z_inv2 = z_inv * z_inv % p
-    return ECPoint(curve, rx * z_inv2 % p, ry * z_inv2 * z_inv % p)
+    x, y, z = _windowed_multiply(point, u2 % curve.n)
+    return _affine_point(curve, *_generator_multiply(curve, u1 % curve.n, x, y, z))
+
+
+# Jacobian coordinates (X, Y, Z) stand for x = X/Z^2, y = Y/Z^3; Z == 0
+# encodes the point at infinity whatever X and Y hold.
 
 
 def _jac_double(x: int, y: int, z: int, p: int, a: int) -> tuple[int, int, int]:
-    if z == 0 or y == 0:
-        return (0, 1, 0)
-    ysq = y * y % p
-    s = 4 * x * ysq % p
-    m = (3 * x * x + a * z * z % p * z % p * z) % p
+    # Doubling infinity, or a point with y == 0, yields Z == 0 unaided.
+    # ``a`` arrives as the curve states it (-3), not reduced mod p: a
+    # small multiplier is cheaper than a 256-bit one.
+    zz = z * z % p
+    yy = y * y % p
+    s = 4 * x * yy % p
+    m = (3 * (x * x) + a * (zz * zz)) % p
     nx = (m * m - 2 * s) % p
-    ny = (m * (s - nx) - 8 * ysq * ysq) % p
-    nz = 2 * y * z % p
-    return (nx, ny, nz)
+    return nx, (m * (s - nx) - 8 * (yy * yy)) % p, 2 * y * z % p
 
 
-def _jac_add(
-    x1: int, y1: int, z1: int, x2: int, y2: int, z2: int, p: int, a: int
+def _jac_add_affine(
+    x1: int, y1: int, z1: int, x2: int, y2: int, p: int, a: int
 ) -> tuple[int, int, int]:
+    """Mixed addition of Jacobian ``(x1, y1, z1)`` and affine ``(x2, y2)``.
+
+    Complete: accumulating table entries onto an unrelated multiple can
+    meet an equal point (doubling) or an opposite one (infinity).
+    """
     if z1 == 0:
-        return (x2, y2, z2)
-    if z2 == 0:
-        return (x1, y1, z1)
-    z1sq = z1 * z1 % p
-    z2sq = z2 * z2 % p
-    u1 = x1 * z2sq % p
-    u2 = x2 * z1sq % p
-    s1 = y1 * z2sq * z2 % p
-    s2 = y2 * z1sq * z1 % p
-    if u1 == u2:
-        if s1 != s2:
-            return (0, 1, 0)
-        return _jac_double(x1, y1, z1, p, a)
-    h = (u2 - u1) % p
-    r = (s2 - s1) % p
-    hsq = h * h % p
-    hcu = hsq * h % p
-    nx = (r * r - hcu - 2 * u1 * hsq) % p
-    ny = (r * (u1 * hsq - nx) - s1 * hcu) % p
-    nz = h * z1 % p * z2 % p
-    return (nx, ny, nz)
+        return x2, y2, 1
+    zz = z1 * z1 % p
+    h = (x2 * zz - x1) % p
+    r = (y2 * zz % p * z1 - y1) % p
+    if h == 0:
+        if r == 0:
+            return _jac_double(x2, y2, 1, p, a)
+        return 0, 1, 0
+    hh = h * h % p
+    hhh = hh * h % p
+    v = x1 * hh % p
+    nx = (r * r - hhh - 2 * v) % p
+    return nx, (r * (v - nx) - y1 * hhh) % p, z1 * h % p
+
+
+def _batch_to_affine(
+    points: list[tuple[int, int, int]], p: int
+) -> list[tuple[int, int]]:
+    """Affine ``(x, y)`` of every Jacobian point for one modular inversion
+    between them (Montgomery's trick). A point at infinity among them
+    makes the product non-invertible and raises ``ValueError``."""
+    prefix = []
+    product = 1
+    for _, _, z in points:
+        prefix.append(product)
+        product = product * z % p
+    inverse = pow(product, -1, p)
+    affine = []
+    for (x, y, z), before in zip(reversed(points), reversed(prefix)):
+        z_inv = inverse * before % p
+        inverse = inverse * z % p
+        zz = z_inv * z_inv % p
+        affine.append((x * zz % p, y * zz % p * z_inv % p))
+    affine.reverse()
+    return affine
+
+
+def _affine_point(curve: Curve, x: int, y: int, z: int) -> ECPoint:
+    if z == 0:
+        return ECPoint.infinity(curve)
+    return ECPoint(curve, *_batch_to_affine([(x, y, z)], curve.p)[0])
+
+
+def _build_generator_table(curve: Curve) -> tuple[tuple[tuple[int, int], ...], ...]:
+    p, a = curve.p, curve.a
+    jacobian = []
+    base_x, base_y = curve.gx, curve.gy
+    for _ in range(0, curve.n.bit_length(), 4):
+        x, y, z = 0, 1, 0
+        for _ in range(15):
+            x, y, z = _jac_add_affine(x, y, z, base_x, base_y, p, a)
+            jacobian.append((x, y, z))
+        sixteenth = _jac_add_affine(x, y, z, base_x, base_y, p, a)
+        ((base_x, base_y),) = _batch_to_affine([sixteenth], p)
+    affine = _batch_to_affine(jacobian, p)
+    return tuple(tuple(affine[i : i + 15]) for i in range(0, len(affine), 15))
+
+
+def _generator_multiply(
+    curve: Curve, scalar: int, x: int, y: int, z: int
+) -> tuple[int, int, int]:
+    """``(x, y, z) + scalar*G`` for ``0 <= scalar < n``: one table entry
+    per non-zero 4-bit digit of the scalar, no doublings."""
+    p, a = curve.p, curve.a
+    for row in curve._generator_table:
+        digit = scalar & 15
+        if digit:
+            tx, ty = row[digit - 1]
+            x, y, z = _jac_add_affine(x, y, z, tx, ty, p, a)
+        scalar >>= 4
+    return x, y, z
+
+
+def _windowed_multiply(point: ECPoint, scalar: int) -> tuple[int, int, int]:
+    """``scalar*point`` in Jacobian coordinates for ``0 <= scalar < n``:
+    left-to-right over the scalar's width-5 NAF, adding one of the
+    point's affine odd multiples ``±1, ±3, .., ±15`` per non-zero digit
+    (about one position in six)."""
+    if scalar == 0 or point.is_infinity:
+        return 0, 1, 0
+    curve = point.curve
+    p, a = curve.p, curve.a
+
+    twice = point._double()
+    multiples = [(point.x, point.y, 1)]
+    for _ in range(7):
+        multiples.append(_jac_add_affine(*multiples[-1], twice.x, twice.y, p, a))
+    table: dict[int, tuple[int, int]] = {}
+    for index, (mx, my) in enumerate(_batch_to_affine(multiples, p)):
+        table[2 * index + 1] = (mx, my)
+        table[-2 * index - 1] = (mx, p - my)
+
+    # (digit, zero positions below it), least significant digit first.
+    naf = []
+    while scalar:
+        zeros = (scalar & -scalar).bit_length() - 1
+        scalar >>= zeros
+        digit = scalar & 31
+        if digit > 16:
+            digit -= 32
+        naf.append((digit, zeros))
+        scalar -= digit
+
+    x, y, z = 0, 1, 0
+    for digit, zeros in reversed(naf):
+        tx, ty = table[digit]
+        x, y, z = _jac_add_affine(x, y, z, tx, ty, p, a)
+        for _ in range(zeros):
+            x, y, z = _jac_double(x, y, z, p, a)
+    return x, y, z

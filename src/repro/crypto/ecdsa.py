@@ -9,9 +9,10 @@ classic nonce-reuse footgun.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.ec import CURVE_P256, Curve, ECPoint
+from repro.crypto.ec import CURVE_P256, Curve, ECPoint, double_multiply
 from repro.crypto.hashing import hmac_sha256, sha256
 
 
@@ -49,11 +50,15 @@ class EcdsaPublicKey:
         r, s = signature.r, signature.s
         if not (1 <= r < n and 1 <= s < n):
             return False
+        if self.point.is_infinity:
+            # u2*Q would vanish and leave r = x(u1*G), which anyone can
+            # satisfy for any message: no signature verifies under it.
+            return False
         e = _hash_to_int(message, n)
         w = pow(s, -1, n)
         u1 = e * w % n
         u2 = r * w % n
-        point = u1 * self.curve.generator + u2 * self.point
+        point = double_multiply(u1, u2, self.point)
         if point.is_infinity:
             return False
         return point.x % n == r
@@ -63,7 +68,10 @@ class EcdsaPublicKey:
 
     @classmethod
     def decode(cls, data: bytes, curve: Curve = CURVE_P256) -> "EcdsaPublicKey":
-        return cls(ECPoint.decode(curve, data))
+        point = ECPoint.decode(curve, data)
+        if point.is_infinity:
+            raise ValueError("public key is the point at infinity")
+        return cls(point)
 
     def fingerprint(self) -> bytes:
         """A stable 32-byte identifier for this key."""
@@ -84,6 +92,10 @@ class EcdsaPrivateKey:
         return cls(d, curve)
 
     def public_key(self) -> EcdsaPublicKey:
+        return self._public_key
+
+    @cached_property
+    def _public_key(self) -> EcdsaPublicKey:
         return EcdsaPublicKey(self.d * self.curve.generator)
 
     def sign(self, message: bytes) -> EcdsaSignature:

@@ -57,38 +57,45 @@ class ColumnInfo:
     hidden: bool = False  # suppressed from bare `*` (NATURAL JOIN duplicates)
 
 
+_AMBIGUOUS = -1
+
+
+class ColumnLayout(list):
+    """The columns of one intermediate relation (a list of
+    :class:`ColumnInfo`) together with their resolution map.
+
+    The map — ``(qualifier, name) -> index``, ``-1`` marking ambiguity —
+    is built on first use and stored on the list it describes, so it is
+    freed with it: a statement's layouts die with the statement. Layouts
+    are not mutated once a row has been resolved against them.
+    """
+
+    __slots__ = ("_resolution",)
+
+    def resolution(self) -> dict[tuple[str | None, str], int]:
+        try:
+            return self._resolution
+        except AttributeError:
+            pass
+        mapping: dict[tuple[str | None, str], int] = {}
+        for i, info in enumerate(self):
+            name_lower = info.name.lower()
+            if info.alias is not None:
+                key = (info.alias.lower(), name_lower)
+                mapping[key] = _AMBIGUOUS if key in mapping else i
+            if not info.hidden:
+                key = (None, name_lower)
+                mapping[key] = _AMBIGUOUS if key in mapping else i
+        self._resolution = mapping
+        return mapping
+
+
 @dataclass
 class Relation:
     """A materialised intermediate result."""
 
-    columns: list[ColumnInfo]
+    columns: ColumnLayout
     rows: list[list[SqlValue]]
-
-
-# Memoised resolution maps per column list: (qualifier, name) -> index,
-# with -1 marking ambiguity. Entries pin the column list itself so a
-# recycled id() can be detected with an identity check.
-_COLUMN_MAPS: dict[int, tuple[list, dict]] = {}
-_AMBIGUOUS = -1
-
-
-def _resolution_map(columns: list) -> dict:
-    entry = _COLUMN_MAPS.get(id(columns))
-    if entry is not None and entry[0] is columns:
-        return entry[1]
-    mapping: dict[tuple[str | None, str], int] = {}
-    for i, info in enumerate(columns):
-        name_lower = info.name.lower()
-        if info.alias is not None:
-            key = (info.alias.lower(), name_lower)
-            mapping[key] = _AMBIGUOUS if key in mapping else i
-        if not info.hidden:
-            key = (None, name_lower)
-            mapping[key] = _AMBIGUOUS if key in mapping else i
-    if len(_COLUMN_MAPS) > 8192:
-        _COLUMN_MAPS.clear()
-    _COLUMN_MAPS[id(columns)] = (columns, mapping)
-    return mapping
 
 
 class Scope:
@@ -98,7 +105,7 @@ class Scope:
 
     def __init__(
         self,
-        columns: list[ColumnInfo],
+        columns: ColumnLayout,
         row: Sequence[SqlValue],
         parent: "Scope | GroupScope | None" = None,
     ):
@@ -112,7 +119,7 @@ class Scope:
         while True:
             if isinstance(scope, GroupScope):
                 scope = scope.representative()
-            index = _resolution_map(scope.columns).get(key)
+            index = scope.columns.resolution().get(key)
             if index is not None:
                 if index == _AMBIGUOUS:
                     raise SQLExecutionError(f"ambiguous column name: {column}")
@@ -140,7 +147,7 @@ class GroupScope:
 
     def __init__(
         self,
-        columns: list[ColumnInfo],
+        columns: ColumnLayout,
         rows: list[Sequence[SqlValue]],
         parent: "Scope | GroupScope | None" = None,
     ):
@@ -382,7 +389,7 @@ class Executor:
             out_rows, order_keys = _distinct_rows(out_rows, order_keys)
 
         relation = Relation(
-            [ColumnInfo(None, name) for name in names], out_rows
+            ColumnLayout(ColumnInfo(None, name) for name in names), out_rows
         )
         return relation, names, order_keys if select.order_by else None
 
@@ -461,7 +468,7 @@ class Executor:
     ) -> None:
         if select.limit is None:
             return
-        empty_scope = Scope([], [], outer)
+        empty_scope = Scope(ColumnLayout(), [], outer)
         limit = self._eval(select.limit, empty_scope, params)
         offset = 0
         if select.offset is not None:
@@ -473,7 +480,7 @@ class Executor:
         relation.rows = rows
 
     def _expand_stars(
-        self, items: tuple[ast.SelectItem, ...], columns: list[ColumnInfo]
+        self, items: tuple[ast.SelectItem, ...], columns: ColumnLayout
     ) -> list[ast.SelectItem]:
         expanded: list[ast.SelectItem] = []
         for item in items:
@@ -515,7 +522,7 @@ class Executor:
         are fully applied by this call — via an access path when the
         subtree is a base table, a per-row filter otherwise."""
         if source is None:
-            return Relation([], [[]])
+            return Relation(ColumnLayout(), [[]])
         if isinstance(source, ast.NamedTable):
             if self._db.lookup_view(source.name) is None and pushed:
                 return self._planned_table_scan(source, pushed, params, outer)
@@ -524,7 +531,7 @@ class Executor:
             )
         if isinstance(source, ast.SubquerySource):
             inner, names = self.run_select(source.select, params, outer)
-            columns = [ColumnInfo(source.alias, name) for name in names]
+            columns = ColumnLayout(ColumnInfo(source.alias, name) for name in names)
             return self._apply_pushed(
                 Relation(columns, inner.rows), pushed, params, outer
             )
@@ -539,10 +546,10 @@ class Executor:
         view = self._db.lookup_view(ref.name)
         if view is not None:
             inner, names = self.run_select(view, params, outer=None)
-            columns = [ColumnInfo(alias, name) for name in names]
+            columns = ColumnLayout(ColumnInfo(alias, name) for name in names)
             return Relation(columns, inner.rows)
         table = self._db.lookup_table(ref.name)
-        columns = [ColumnInfo(alias, c.name) for c in table.columns]
+        columns = ColumnLayout(ColumnInfo(alias, c.name) for c in table.columns)
         self.stats.rows_scanned += len(table.rows)
         self.stats.full_scans += 1
         # Rows are shared, not copied: the executor never mutates row
@@ -569,7 +576,7 @@ class Executor:
     def _filter(
         self,
         rows: list[list[SqlValue]],
-        columns: list[ColumnInfo],
+        columns: ColumnLayout,
         predicate: ast.Expr | None,
         params: tuple[SqlValue, ...],
         outer: Scope | GroupScope | None,
@@ -621,9 +628,9 @@ class Executor:
         table = self._db.lookup_table(ref.name)
         alias = ref.alias or ref.name
         plan, full_predicate = self._scan_plan(ref, table, alias, conjuncts)
-        columns = [ColumnInfo(alias, c.name) for c in table.columns]
+        columns = ColumnLayout(ColumnInfo(alias, c.name) for c in table.columns)
         rows = table.rows
-        empty_scope = Scope([], [], outer)
+        empty_scope = Scope(ColumnLayout(), [], outer)
 
         positions: Sequence[int]
         range_check: planner.RangeStart | None = None
@@ -748,7 +755,7 @@ class Executor:
 
     def _join_shape(
         self, join: ast.Join, left: Relation, right: Relation
-    ) -> tuple[list[tuple[int, int]], list[ColumnInfo]]:
+    ) -> tuple[list[tuple[int, int]], ColumnLayout]:
         """NATURAL/USING key pairs plus the combined column layout."""
         hidden_right: set[int] = set()
         equal_pairs: list[tuple[int, int]] = []
@@ -767,10 +774,11 @@ class Executor:
             right_index = _find_column(right.columns, name)
             equal_pairs.append((left_index, right_index))
             hidden_right.add(right_index)
-        combined_columns = list(left.columns) + [
+        combined_columns = ColumnLayout(left.columns)
+        combined_columns.extend(
             ColumnInfo(c.alias, c.name, hidden=c.hidden or (i in hidden_right))
             for i, c in enumerate(right.columns)
-        ]
+        )
         return equal_pairs, combined_columns
 
     def _nested_loop_join(
@@ -778,7 +786,7 @@ class Executor:
         join: ast.Join,
         left: Relation,
         right: Relation,
-        combined_columns: list[ColumnInfo],
+        combined_columns: ColumnLayout,
         pair_condition: ast.Expr | None,
         params: tuple[SqlValue, ...],
         outer: Scope | GroupScope | None,
@@ -814,8 +822,8 @@ class Executor:
     ) -> Relation:
         equal_pairs, combined_columns = self._join_shape(join, left, right)
 
-        def resolver(columns: list[ColumnInfo]):
-            mapping = _resolution_map(columns)
+        def resolver(columns: ColumnLayout):
+            mapping = columns.resolution()
 
             def resolve(ref: ast.ColumnRef) -> int | None:
                 key = (ref.table.lower() if ref.table else None, ref.column.lower())
@@ -968,7 +976,7 @@ class Executor:
     def _bind_batch(
         self,
         predicate: ast.Expr,
-        columns: list[ColumnInfo],
+        columns: ColumnLayout,
         params: tuple[SqlValue, ...],
         outer: "Scope | GroupScope | None" = None,
     ) -> list[vector.RowPredicate] | None:
@@ -978,7 +986,7 @@ class Executor:
         plan = self._batch_predicate(predicate)
         if plan is None:
             return None
-        return plan.bind(_resolution_map(columns), params, outer)
+        return plan.bind(columns.resolution(), params, outer)
 
     def _split_cached(self, expr: ast.Expr | None) -> list[ast.Expr]:
         if expr is None:
@@ -1071,7 +1079,7 @@ class Executor:
                 table.insert_row(build_full_row(list(row)))
                 inserted += 1
         else:
-            scope = Scope([], [])
+            scope = Scope(ColumnLayout(), [])
             for value_exprs in stmt.rows:
                 values = [self._eval(e, scope, params) for e in value_exprs]
                 table.insert_row(build_full_row(values))
@@ -1080,7 +1088,7 @@ class Executor:
 
     def _execute_delete(self, stmt: ast.Delete, params: tuple[SqlValue, ...]) -> Result:
         table = self._db.lookup_table(stmt.table)
-        columns = [ColumnInfo(stmt.table, c.name) for c in table.columns]
+        columns = ColumnLayout(ColumnInfo(stmt.table, c.name) for c in table.columns)
         if stmt.where is None:
             deleted = len(table.rows)
             table.delete_rows([False] * len(table.rows))
@@ -1097,7 +1105,7 @@ class Executor:
 
     def _execute_update(self, stmt: ast.Update, params: tuple[SqlValue, ...]) -> Result:
         table = self._db.lookup_table(stmt.table)
-        columns = [ColumnInfo(stmt.table, c.name) for c in table.columns]
+        columns = ColumnLayout(ColumnInfo(stmt.table, c.name) for c in table.columns)
         assignments = [
             (table.column_index(name), expr) for name, expr in stmt.assignments
         ]
@@ -1458,7 +1466,7 @@ class Executor:
 # --------------------------------------------------------------------------
 
 
-def _find_column(columns: list[ColumnInfo], name: str) -> int:
+def _find_column(columns: ColumnLayout, name: str) -> int:
     lowered = name.lower()
     matches = [
         i for i, c in enumerate(columns) if not c.hidden and c.name.lower() == lowered

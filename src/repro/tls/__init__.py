@@ -1,7 +1,7 @@
 """A TLS-like secure channel with an OpenSSL/LibreSSL-style API.
 
 LibSEAL terminates TLS on behalf of the service (§4). The reproduction
-implements the full *shape* of TLS 1.2 with real cryptography:
+implements the full *shape* of TLS 1.2 with real cryptographic primitives:
 
 - :mod:`repro.tls.cert` — X.509-style certificates, a certificate
   authority, chain verification;

@@ -84,13 +84,29 @@ class Certificate:
 
 
 class CertificateAuthority:
-    """A root CA that issues leaf certificates."""
+    """A root CA that issues leaf certificates, and the trust anchor that
+    verifies them.
+
+    As an anchor it remembers the fingerprints of certificates whose
+    signature it has verified, so a peer that presents the same
+    certificate again costs a hash, not an ECDSA verification. That is
+    sound because verification is a pure function of this anchor's key
+    and the certificate's bytes — the fingerprint covers subject, issuer,
+    key, serial, evidence and signature — and the model has no expiry or
+    revocation that could turn an accepted certificate stale. Failures
+    are never remembered, and the memory belongs to this object: another
+    authority of the same name starts empty.
+    """
+
+    #: Fingerprints remembered per anchor; the oldest is dropped beyond it.
+    _VERIFIED_CAPACITY = 256
 
     def __init__(self, name: str, seed: bytes | None = None):
         self.name = name
         drbg = HmacDrbg(seed=seed if seed is not None else sha256(b"ca" + name.encode()))
         self._key = EcdsaPrivateKey.generate(drbg)
         self._serial = 0
+        self._verified: dict[bytes, None] = {}  # insertion-ordered set
 
     @property
     def public_key(self) -> EcdsaPublicKey:
@@ -124,8 +140,14 @@ class CertificateAuthority:
             raise TLSError(
                 f"certificate issued by {certificate.issuer!r}, expected {self.name!r}"
             )
+        fingerprint = certificate.fingerprint()
+        if fingerprint in self._verified:
+            return
         if not self.public_key.verify(certificate.tbs_bytes(), certificate.signature):
             raise TLSError("certificate signature invalid")
+        if len(self._verified) >= self._VERIFIED_CAPACITY:
+            del self._verified[next(iter(self._verified))]
+        self._verified[fingerprint] = None
 
 
 def make_server_identity(

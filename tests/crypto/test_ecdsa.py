@@ -84,3 +84,27 @@ def test_fingerprint_is_stable_and_distinct(key):
     assert pub.fingerprint() == pub.fingerprint()
     other = EcdsaPrivateKey.generate(HmacDrbg(seed=b"another")).public_key()
     assert pub.fingerprint() != other.fingerprint()
+
+
+def _forgery_under_infinity(message: bytes, s: int) -> EcdsaSignature:
+    """With Q at infinity ``u2*Q`` vanishes, so ``r = x(e/s * G) mod n``
+    satisfies the verification equation for any message and any ``s``."""
+    from repro.crypto.ecdsa import _hash_to_int
+
+    n = CURVE_P256.n
+    u1 = _hash_to_int(message, n) * pow(s, -1, n) % n
+    return EcdsaSignature((u1 * CURVE_P256.generator).x % n, s)
+
+
+def test_nothing_verifies_under_the_point_at_infinity():
+    from repro.crypto.ec import ECPoint
+
+    infinity_key = EcdsaPublicKey(ECPoint.infinity(CURVE_P256))
+    for message, s in [(b"any message", 1), (b"pay mallory", 0xDEADBEEF)]:
+        forged = _forgery_under_infinity(message, s)
+        assert not infinity_key.verify(message, forged)
+
+
+def test_public_key_decode_rejects_the_point_at_infinity():
+    with pytest.raises(ValueError, match="infinity"):
+        EcdsaPublicKey.decode(b"\x00")

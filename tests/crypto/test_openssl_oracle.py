@@ -1,0 +1,95 @@
+"""P-256 against OpenSSL, through the ``cryptography`` package.
+
+A *test-only* oracle: nothing under ``src/`` may import it (the in-enclave
+arithmetic stays pure stdlib; CI greps for it). It is an implementation we
+did not write, so it can disagree with ours: public keys, ECDH secrets,
+signatures in both directions and — because both sides implement RFC 6979
+— the signature bytes themselves.
+"""
+
+import pytest
+
+pytest.importorskip("cryptography")
+
+from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm  # noqa: E402
+from cryptography.hazmat.primitives import hashes  # noqa: E402
+from cryptography.hazmat.primitives.asymmetric import ec as openssl_ec  # noqa: E402
+from cryptography.hazmat.primitives.asymmetric.utils import (  # noqa: E402
+    decode_dss_signature,
+    encode_dss_signature,
+)
+
+from repro.crypto.drbg import HmacDrbg  # noqa: E402
+from repro.crypto.ec import CURVE_P256, ECPoint  # noqa: E402
+from repro.crypto.ecdh import ecdh_shared_secret  # noqa: E402
+from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey, EcdsaSignature  # noqa: E402
+from repro.crypto.hashing import sha256  # noqa: E402
+
+N = CURVE_P256.n
+SHA256 = openssl_ec.ECDSA(hashes.SHA256())
+
+
+def _scalars(label: bytes, count: int = 50) -> list[int]:
+    drbg = HmacDrbg(seed=b"openssl-oracle/" + label)
+    edges = [1, 2, 15, 16, 17, N - 2, N - 1, 1 << 255, (1 << 252) - 1]
+    return edges + [1 + drbg.randint_below(N - 1) for _ in range(count - len(edges))]
+
+
+def _openssl_key(d: int) -> openssl_ec.EllipticCurvePrivateKey:
+    return openssl_ec.derive_private_key(d, openssl_ec.SECP256R1())
+
+
+def test_public_keys_agree():
+    for d in _scalars(b"public"):
+        numbers = _openssl_key(d).public_key().public_numbers()
+        ours = d * CURVE_P256.generator
+        assert (ours.x, ours.y) == (numbers.x, numbers.y)
+        assert EcdsaPrivateKey(d).public_key().point == ours
+
+
+def test_ecdh_shared_secrets_agree():
+    privates = _scalars(b"ecdh-private")
+    peers = _scalars(b"ecdh-peer")
+    for d, peer_d in zip(privates, peers):
+        peer = _openssl_key(peer_d).public_key()
+        numbers = peer.public_numbers()
+        theirs = _openssl_key(d).exchange(openssl_ec.ECDH(), peer)  # x-coordinate
+        ours = ecdh_shared_secret(d, ECPoint(CURVE_P256, numbers.x, numbers.y))
+        assert ours == sha256(theirs)
+
+
+def test_openssl_accepts_our_signatures():
+    for index, d in enumerate(_scalars(b"ours")):
+        message = b"epoch %d" % index
+        signature = EcdsaPrivateKey(d).sign(message)
+        der = encode_dss_signature(signature.r, signature.s)
+        public = _openssl_key(d).public_key()
+        public.verify(der, message, SHA256)  # raises InvalidSignature on mismatch
+        with pytest.raises(InvalidSignature):
+            public.verify(der, message + b"!", SHA256)
+
+
+def test_we_accept_openssl_signatures_and_reject_a_flipped_message():
+    for index, d in enumerate(_scalars(b"theirs")):
+        message = b"handshake %d" % index
+        key = _openssl_key(d)  # randomised nonce: a signature we never produced
+        r, s = decode_dss_signature(key.sign(message, SHA256))
+        numbers = key.public_key().public_numbers()
+        public = EcdsaPublicKey(ECPoint(CURVE_P256, numbers.x, numbers.y))
+        assert public.verify(message, EcdsaSignature(r, s))
+        flipped = bytes([message[0] ^ 1]) + message[1:]
+        assert not public.verify(flipped, EcdsaSignature(r, s))
+        assert not public.verify(message, EcdsaSignature(r, s ^ 1))
+
+
+def test_deterministic_signatures_are_bit_identical():
+    try:
+        rfc6979 = openssl_ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
+        _openssl_key(1).sign(b"probe", rfc6979)
+    except (TypeError, UnsupportedAlgorithm) as exc:  # cryptography < 43 / OpenSSL < 3.2
+        pytest.skip(f"no deterministic ECDSA in this OpenSSL: {exc}")
+    for index, d in enumerate(_scalars(b"rfc6979")):
+        message = b"sealed head %d" % index
+        r, s = decode_dss_signature(_openssl_key(d).sign(message, rfc6979))
+        assert EcdsaPrivateKey(d).sign(message) == EcdsaSignature(r, s)
+
