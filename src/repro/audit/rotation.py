@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from repro.audit.hashchain import RotationIntent
 from repro.audit.wal import CheckpointedWal
 from repro.obs import hooks as _obs
-from repro.sgx.sealing import EpochState
+from repro.sgx.sealing import EpochState, SealedBlob
 
 
 @dataclass
@@ -80,6 +80,41 @@ class RotationReport:
         if self.retired:
             bits.append(f"retired={self.retired}")
         return " ".join(bits)
+
+
+def retire_grace_epochs(authority) -> list[int]:
+    """Retire every grace-window epoch: replicas still on one fail closed."""
+    retired = []
+    for epoch, entry in sorted(authority.epochs.items()):
+        if entry.state is EpochState.GRACE:
+            authority.retire(epoch)
+            retired.append(epoch)
+    return retired
+
+
+def stranded_blobs(authority, replicas=(), storage=None) -> list[tuple]:
+    """Sealed blobs the current key registry can no longer open.
+
+    Looks at each ROTE replica's sealed counter state and, when given,
+    at the snapshot in ``storage`` — the *raw* store underneath a
+    sealed-at-rest log. Returns ``(holder, epoch)`` pairs, the holder
+    being a replica's node id or ``"log"``; a converged rotation leaves
+    none.
+    """
+    sealed = [
+        (replica.node_id, replica.sealed_state)
+        for replica in replicas
+        if replica.sealed_state is not None
+    ]
+    if storage is not None and storage.exists():
+        sealed.append(("log", storage.load()))
+    usable = (EpochState.ACTIVE, EpochState.GRACE)
+    stranded = []
+    for holder, raw in sealed:
+        epoch = SealedBlob.decode(raw).epoch
+        if authority.epoch_state(epoch) not in usable:
+            stranded.append((holder, epoch))
+    return stranded
 
 
 class KeyRotationCoordinator(CheckpointedWal):
@@ -153,12 +188,7 @@ class KeyRotationCoordinator(CheckpointedWal):
                 epoch < current for epoch in acks.values()
             ):
                 return []
-        retired = []
-        for epoch, entry in sorted(self.authority.epochs.items()):
-            if entry.state is EpochState.GRACE:
-                self.authority.retire(epoch)
-                retired.append(epoch)
-        return retired
+        return retire_grace_epochs(self.authority)
 
     # ------------------------------------------------------------------
     # The idempotent step table

@@ -21,14 +21,18 @@ from __future__ import annotations
 import time
 
 from repro.audit.persistence import InMemoryStorage
-from repro.audit.rotation import ROTATION_CHECKPOINTS, KeyRotationCoordinator
+from repro.audit.rotation import (
+    ROTATION_CHECKPOINTS,
+    KeyRotationCoordinator,
+    stranded_blobs,
+)
 from repro.audit.rote import RoteCluster
 from repro.audit.rote_replica import CounterAttestation, CounterReply
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 from repro.core.libseal import LibSeal, LibSealConfig
 from repro.faults import hooks as _faults
 from repro.faults.plan import FaultEvent, FaultPlan, InjectedCrash
-from repro.sgx import EpochState, SealedBlob
+from repro.sgx import EpochState
 from repro.sim.network import SimNetwork
 from repro.ssm.messaging import MessagingSSM
 
@@ -58,19 +62,10 @@ def _drive(libseal: LibSeal, pairs: int) -> None:
 
 def _unsealable_blobs(libseal: LibSeal) -> int:
     """Blobs on disk that the current key registry can no longer open."""
-    authority = libseal.rote.authority
-    usable = (EpochState.ACTIVE, EpochState.GRACE)
-    stranded = 0
-    for replica in libseal.rote.nodes:
-        if replica.sealed_state is None:
-            continue
-        if authority.epoch_state(SealedBlob.decode(replica.sealed_state).epoch) not in usable:
-            stranded += 1
-    raw = libseal.storage.inner._blob
-    if raw is not None:
-        if authority.epoch_state(SealedBlob.decode(raw).epoch) not in usable:
-            stranded += 1
-    return stranded
+    cluster = libseal.rote
+    return len(
+        stranded_blobs(cluster.authority, cluster.nodes, libseal.storage.inner)
+    )
 
 
 def rotation_lifecycle(

@@ -58,13 +58,9 @@ class AuditLogger:
     decision on the same bytes and tears the connection down there.
     """
 
-    def __init__(
-        self,
-        on_pair: PairCallback,
-        max_pipelined_requests: int = MAX_PIPELINED_REQUESTS,
-    ):
+    def __init__(self, on_pair: PairCallback):
         self._on_pair = on_pair
-        self._max_pipelined = max_pipelined_requests
+        self._max_pipelined = MAX_PIPELINED_REQUESTS
         self._connections: dict[int, _ConnectionState] = {}
         self.pairs_logged = 0
         self.unparsable_messages = 0

@@ -55,6 +55,10 @@ _CLIENT_METHOD = "TLS_client_method"
 # buffers) for EPC accounting.
 SSL_STRUCT_BYTES = 16 * 1024
 
+#: Scratch buffers every new connection takes (from the pool, or from the
+#: host by ocall when the mempool optimisation is off).
+SCRATCH_BUFFERS_PER_CONNECTION = 4
+
 
 @dataclass(frozen=True)
 class LibSealTlsOptions:
@@ -63,7 +67,6 @@ class LibSealTlsOptions:
     use_mempool: bool = True
     use_sdk_locks_rand: bool = True
     ex_data_outside: bool = True
-    scratch_buffers_per_connection: int = 4
 
 
 class _OcallBio:
@@ -281,7 +284,7 @@ class EnclaveTlsRuntime:
         def ecall_ssl_new(ctx_handle: int, rbio_id: int, wbio_id: int) -> int:
             handle = next_handle()
             scratch = []
-            for _ in range(self.options.scratch_buffers_per_connection):
+            for _ in range(SCRATCH_BUFFERS_PER_CONNECTION):
                 if self.options.use_mempool:
                     scratch.append(("pool", self.pool.alloc()))
                 else:

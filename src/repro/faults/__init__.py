@@ -37,13 +37,6 @@ from repro.faults.plan import (
 
 __all__ = [
     "AVAILABILITY_KINDS",
-    "CHAOS_FAMILIES",
-    "ChaosHarness",
-    "ChaosScenario",
-    "ScenarioVerdict",
-    "build_scenario",
-    "run_scenario",
-    "run_soak",
     "CRASH_KINDS",
     "INTEGRITY_KINDS",
     "NETWORK_KINDS",
@@ -57,25 +50,3 @@ __all__ = [
     "inject",
     "record_save",
 ]
-
-# The chaos suite sits *above* the audit stack (it drives a full LibSeal),
-# while this package sits *below* it (audit persistence calls the fault
-# hooks). Loading chaos eagerly here would close that loop, so its names
-# resolve lazily on first attribute access instead.
-_CHAOS_EXPORTS = {
-    "CHAOS_FAMILIES": "FAMILIES",
-    "ChaosHarness": "ChaosHarness",
-    "ChaosScenario": "ChaosScenario",
-    "ScenarioVerdict": "ScenarioVerdict",
-    "build_scenario": "build_scenario",
-    "run_scenario": "run_scenario",
-    "run_soak": "run_soak",
-}
-
-
-def __getattr__(name: str):
-    if name in _CHAOS_EXPORTS:
-        from repro.faults import chaos
-
-        return getattr(chaos, _CHAOS_EXPORTS[name])
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

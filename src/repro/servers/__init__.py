@@ -33,7 +33,6 @@ from repro.servers.eventloop import (
     Reschedule,
 )
 from repro.servers.machine import (
-    FrontendConfig,
     FrontendRunResult,
     MachineConfig,
     RunResult,
@@ -51,7 +50,6 @@ __all__ = [
     "EventLoop",
     "EventLoopStats",
     "FeedResult",
-    "FrontendConfig",
     "FrontendRunResult",
     "MachineConfig",
     "ReadWait",

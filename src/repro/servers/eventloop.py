@@ -110,6 +110,11 @@ class EventLoopStats:
     per_conn_steps: dict[int, int] = field(default_factory=dict)
 
 
+#: Task slots the scheduler starts with per worker; it grows on demand
+#: up to ``max_tasks``.
+INITIAL_TASKS_PER_WORKER = 48
+
+
 class EventLoop:
     """Runs every supervised connection as a cooperative lthread task."""
 
@@ -123,7 +128,6 @@ class EventLoop:
         on_close: Callable[[int], None] | None = None,
         supervisor: ConnectionSupervisor | None = None,
         num_workers: int = 3,
-        initial_tasks: int | None = None,
         max_tasks: int = 2_000_000,
         async_runtime: AsyncCallRuntime | None = None,
         on_result: Callable[[int, FeedResult], None] | None = None,
@@ -142,7 +146,7 @@ class EventLoop:
             )
         self.supervisor = supervisor
         self.scheduler = LThreadScheduler(
-            num_tasks=initial_tasks or num_workers * 48,
+            num_tasks=num_workers * INITIAL_TASKS_PER_WORKER,
             num_workers=num_workers,
             allow_growth=True,
             max_tasks=max_tasks,

@@ -71,35 +71,29 @@ class RunResult:
     check_cycles: float = 0.0
 
 
-@dataclass
-class FrontendConfig:
-    """Cost model for open-loop front-end runs (``run_frontend``).
+# Cost model for open-loop front-end runs (``run_frontend``). The event
+# loop executes *real* work (TLS/HTTP state machines, handler dispatch,
+# audit ocalls); these constants convert each executed scheduler slice
+# into modelled time on the machine's cores, so queueing delay past the
+# capacity knee is emergent from genuine ready-queue backlog rather than
+# a dialled-in curve.
 
-    The event loop executes *real* work (TLS/HTTP state machines,
-    handler dispatch, audit ocalls); this config converts each executed
-    scheduler slice into modelled time on the machine's cores, so
-    queueing delay past the capacity knee is emergent from genuine
-    ready-queue backlog rather than a dialled-in curve.
-    """
-
-    #: Simulated enclave worker slots the one scheduler multiplexes.
-    num_workers: int = 3
-    #: Fixed cycles per scheduler slice (dispatch + state-machine step).
-    slice_base_cycles: float = 25_000.0
-    #: Cycles a completed (or 400-rejected) request costs on top.
-    request_cycles: float = APACHE_REQUEST_CYCLES
-    #: Extra cycles per served request when the audit runtime is attached
-    #: (HTTP parse + SSM + hash chain of the logging pipeline).
-    audit_cycles: float = LOGGING_BASE_CYCLES
-    #: Attach an :class:`AsyncCallRuntime` so every audit append crosses
-    #: the enclave boundary as a metered async-ocall.
-    use_async_audit: bool = True
-    #: Deadlines for open-loop runs (generous: the load, not the
-    #: timeout, should be what ends a connection in a saturation sweep).
-    handshake_timeout_s: float = 60.0
-    idle_timeout_s: float = 120.0
-    #: Deadline-enforcement cadence, in executed slices.
-    tick_every_slices: int = 4096
+#: Simulated enclave worker slots the one scheduler multiplexes.
+FRONTEND_WORKERS = 3
+#: Fixed cycles per scheduler slice (dispatch + state-machine step).
+FRONTEND_SLICE_CYCLES = 25_000.0
+#: Cycles a completed (or 400-rejected) request costs on top: the request
+#: itself plus the logging pipeline (HTTP parse + SSM + hash chain), whose
+#: every audit append crosses the enclave boundary as a metered
+#: async-ocall.
+FRONTEND_REQUEST_CYCLES = APACHE_REQUEST_CYCLES + LOGGING_BASE_CYCLES
+#: Deadlines for open-loop runs (generous: the load, not the timeout,
+#: should be what ends a connection in a saturation sweep).
+FRONTEND_LIMITS = ConnectionLimits(
+    handshake_timeout_s=60.0, idle_timeout_s=120.0
+)
+#: Deadline-enforcement cadence, in executed slices.
+FRONTEND_TICK_SLICES = 4096
 
 
 @dataclass
@@ -379,7 +373,6 @@ class ServerMachine:
         self,
         connections: int,
         window_s: float = 0.5,
-        frontend: FrontendConfig | None = None,
         arrivals: Iterable[Arrival] | None = None,
         handler=None,
     ) -> FrontendRunResult:
@@ -397,22 +390,12 @@ class ServerMachine:
         latency bends — the saturation knee the benchmark sweeps for.
         """
         cfg = self.config
-        fcfg = frontend or FrontendConfig()
         capacity_hz = cfg.cores * cfg.freq_hz
         clock = SimClock()
-        runtime = None
-        if fcfg.use_async_audit:
-            runtime = AsyncCallRuntime(
-                num_app_threads=1,
-                num_sgx_threads=cfg.sgx_threads,
-                tasks_per_thread=cfg.lthread_tasks_per_thread,
-            )
-        per_request_cycles = fcfg.request_cycles + (
-            fcfg.audit_cycles if runtime is not None else 0.0
-        )
-        limits = ConnectionLimits(
-            handshake_timeout_s=fcfg.handshake_timeout_s,
-            idle_timeout_s=fcfg.idle_timeout_s,
+        runtime = AsyncCallRuntime(
+            num_app_threads=1,
+            num_sgx_threads=cfg.sgx_threads,
+            tasks_per_thread=cfg.lthread_tasks_per_thread,
         )
         latencies: list[float] = []
         finished: list[int] = []  # connections to close between slices
@@ -426,9 +409,9 @@ class ServerMachine:
 
         loop = EventLoop(
             handler or _default_frontend_handler,
-            limits=limits,
+            limits=FRONTEND_LIMITS,
             clock=clock,
-            num_workers=fcfg.num_workers,
+            num_workers=FRONTEND_WORKERS,
             max_tasks=connections + 64,
             async_runtime=runtime,
             on_result=on_result,
@@ -444,12 +427,12 @@ class ServerMachine:
             delta_req = stats.requests_served + stats.bad_requests - before
             delta_ocalls = loop.loop_stats.audit_ocalls - before_ocalls
             cycles = (
-                fcfg.slice_base_cycles
-                + delta_req * per_request_cycles
+                FRONTEND_SLICE_CYCLES
+                + delta_req * FRONTEND_REQUEST_CYCLES
                 + delta_ocalls * ASYNC_CALL_CYCLES
             )
             clock.advance(cycles / capacity_hz)
-            if loop.loop_stats.slices % fcfg.tick_every_slices == 0:
+            if loop.loop_stats.slices % FRONTEND_TICK_SLICES == 0:
                 loop.tick()
             return True
 
@@ -498,9 +481,7 @@ class ServerMachine:
 
         stats = loop.stats
         lstats = loop.loop_stats
-        wait_events = lstats.parked_waits
-        if runtime is not None:
-            wait_events += runtime.stats.task_wait_events
+        wait_events = lstats.parked_waits + runtime.stats.task_wait_events
         return FrontendRunResult(
             connections=admitted,
             offered_rps=admitted / window_s if window_s else 0.0,

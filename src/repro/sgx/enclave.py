@@ -38,8 +38,6 @@ class EnclaveConfig:
     code_identity: str  # stands in for the measured code pages
     signer_name: str = "libseal-authority"
     epc_limit_bytes: int = EPC_USABLE_BYTES_DEFAULT
-    num_tcs: int = 4  # thread control structures: max concurrent threads
-    debug: bool = False
 
 
 class EnclaveObject:

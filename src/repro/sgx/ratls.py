@@ -68,6 +68,11 @@ BINDING_ROTE_JOIN = b"rote-join"
 # as stale (a relabeled timestamp), even inside the freshness window.
 FUTURE_SLACK = 1.0
 
+#: Verified identities one verifier keeps (LRU), and the first retry
+#: delay (seconds, doubling) when the attestation service is unreachable.
+VERIFIER_CACHE_MAX = 64
+VERIFIER_BACKOFF_BASE = 0.05
+
 _EPOCH_LEN = 4
 _MS_LEN = 8
 
@@ -229,9 +234,7 @@ class AttestationVerifier:
         clock: LogicalClock | None = None,
         epoch_state: Callable[[int], EpochState | None] | None = None,
         cache_ttl: float | None = None,
-        cache_max: int = 64,
         max_retries: int = 2,
-        backoff_base: float = 0.05,
         name: str = "verifier",
     ):
         self.service = service
@@ -239,9 +242,9 @@ class AttestationVerifier:
         self.clock = clock if clock is not None else LogicalClock()
         self.epoch_state = epoch_state
         self.cache_ttl = cache_ttl
-        self.cache_max = max(1, int(cache_max))
+        self.cache_max = VERIFIER_CACHE_MAX
         self.max_retries = max(0, int(max_retries))
-        self.backoff_base = backoff_base
+        self.backoff_base = VERIFIER_BACKOFF_BASE
         self.name = name
         self._cache: OrderedDict[bytes, _CacheEntry] = OrderedDict()
         # Counters (mirrored as obs metrics when the plane is on).

@@ -19,7 +19,7 @@ from repro.audit.hashchain import RotationIntent
 from repro.audit.log import EVENTS_TABLE
 from repro.audit.persistence import InMemoryStorage
 from repro.audit.recovery import RecoveryOutcome, recover_log
-from repro.audit.rotation import KeyRotationCoordinator
+from repro.audit.rotation import KeyRotationCoordinator, stranded_blobs
 from repro.audit.rote import RoteCluster
 from repro.audit.rote_replica import CounterAttestation, CounterReply
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
@@ -78,16 +78,8 @@ class Stack:
         assert active == [expected_epoch]
         assert authority.current_epoch == expected_epoch
         assert not self.coordinator.pending()
-        usable = (EpochState.ACTIVE, EpochState.GRACE)
-        for replica in self.cluster.nodes:
-            if replica.sealed_state is not None:
-                blob = SealedBlob.decode(replica.sealed_state)
-                assert authority.epoch_state(blob.epoch) in usable, (
-                    f"replica {replica.node_id} blob stranded on {blob.epoch}"
-                )
-        assert self.inner._blob is not None
-        log_blob = SealedBlob.decode(self.inner._blob)
-        assert authority.epoch_state(log_blob.epoch) in usable
+        assert self.inner.exists()
+        assert stranded_blobs(authority, self.cluster.nodes, self.inner) == []
 
 
 @pytest.fixture
@@ -253,6 +245,11 @@ class TestStaleReplica:
         stack.coordinator.rotate("scheduled")
         retired = stack.coordinator.finish(force=True)
         assert retired == [1]
+        # The stragglers' counter blobs and the never-resealed log
+        # snapshot are exactly what the retired epoch strands.
+        assert stranded_blobs(
+            stack.authority, stack.cluster.nodes, stack.inner
+        ) == [(0, 1), (1, 1), ("log", 1)]
         clone = InMemoryStorage()
         clone._blob = stack.inner._blob  # still sealed under epoch 1
         report = recover_log(
