@@ -34,23 +34,38 @@ GENESIS = sha256(b"libseal-audit-genesis")
 
 
 def encode_tuple(table: str, values: Sequence[object]) -> bytes:
-    """Canonical byte encoding of one logged tuple (type-tagged)."""
+    """Canonical byte encoding of one logged tuple (type-tagged).
+
+    ``T`` + table, then per value a tag and body, each ended by a zero
+    byte: ``N`` (NULL), ``B0``/``B1``, ``I`` + decimal, ``F`` + ``repr``,
+    ``Y`` + 4-byte length + bytes, ``S`` + 4-byte length + UTF-8 of
+    ``str(value)`` (text and anything else).
+    """
     parts = [b"T", table.encode(), b"\x00"]
     for value in values:
-        if value is None:
-            parts.append(b"N")
+        # Exact str and int are tested first: they are every value the
+        # logging wall workloads hash, and a restart encodes each stored
+        # tuple twice. Subclasses (bool, enums, a str with its own
+        # __str__) fall through to the isinstance checks below.
+        kind = type(value)
+        if kind is str:
+            encoded = value.encode()
+            parts.append(b"S%b%b\x00" % (len(encoded).to_bytes(4, "big"), encoded))
+        elif kind is int:
+            parts.append(b"I%d\x00" % value)
+        elif value is None:
+            parts.append(b"N\x00")
         elif isinstance(value, bool):
-            parts.append(b"B" + (b"1" if value else b"0"))
+            parts.append(b"B1\x00" if value else b"B0\x00")
         elif isinstance(value, int):
-            parts.append(b"I" + str(value).encode())
+            parts.append(b"I" + str(value).encode() + b"\x00")
         elif isinstance(value, float):
-            parts.append(b"F" + repr(value).encode())
+            parts.append(b"F" + repr(value).encode() + b"\x00")
         elif isinstance(value, bytes):
-            parts.append(b"Y" + len(value).to_bytes(4, "big") + value)
+            parts.append(b"Y" + len(value).to_bytes(4, "big") + value + b"\x00")
         else:
             encoded = str(value).encode()
-            parts.append(b"S" + len(encoded).to_bytes(4, "big") + encoded)
-        parts.append(b"\x00")
+            parts.append(b"S" + len(encoded).to_bytes(4, "big") + encoded + b"\x00")
     return b"".join(parts)
 
 

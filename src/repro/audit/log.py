@@ -7,8 +7,9 @@ Composition (§5.1):
 - every appended tuple extends a hash chain; the head is signed together
   with a fresh ROTE counter value on each epoch seal;
 - the serialized log lands on untrusted storage; on load, everything is
-  re-verified — payloads against the chain, the chain head against the
-  signature, and the claimed counter against the live ROTE quorum.
+  re-verified — the chain recomputed over the payloads against the signed
+  head, and the claimed counter against the live ROTE quorum. The schema
+  and log id are the caller's: storage holds copies nothing signs.
 
 The log holds each tuple once: an ordered stream of ``(row_id, table,
 row)`` entries whose ``row`` *is* the list the SealDB table stores, so the
@@ -35,7 +36,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -64,6 +64,55 @@ def _decode_value(value: object) -> SqlValue:
     return value  # type: ignore[return-value]
 
 
+def _stored_ids(state: object, count: int) -> tuple[Sequence[int], int]:
+    """The row ids a snapshot gives its ``count`` payloads, and its next id.
+
+    The snapshot lives on *untrusted* storage, so the ids are only
+    trusted as far as they cannot skip checking: they must be strictly
+    increasing and below ``next_row_id``. (A tampered id stream cannot
+    launder an unchecked tuple anyway — checker state is enclave-internal,
+    so a restarted checker always begins with a full scan — but validating
+    here keeps the invariant simple.) A pre-watermark snapshot (no state)
+    numbers its payloads 0..n-1.
+    """
+    if state is None:
+        return range(count), count
+    if not isinstance(state, dict):
+        raise IntegrityError("watermark state malformed")
+    ids = state["payload_ids"]
+    next_row_id = state["next_row_id"]
+    if len(ids) != count:
+        raise IntegrityError("watermark ids do not match payloads")
+    previous = -1
+    for row_id in ids:
+        if not isinstance(row_id, int) or row_id <= previous:
+            raise IntegrityError("watermark ids not strictly increasing")
+        previous = row_id
+    if not isinstance(next_row_id, int) or next_row_id <= previous:
+        raise IntegrityError("watermark next_row_id behind payload ids")
+    return ids, next_row_id
+
+
+def _stored_u64(head: dict, field: str) -> int:
+    value = head[field]
+    if type(value) is not int or not 0 <= value < 2**64:
+        raise IntegrityError(f"signed head {field} is not a 64-bit unsigned integer")
+    return value
+
+
+def _decode_head(head: object) -> SignedHead:
+    """The snapshot's signed head, its integer fields range-checked (the
+    signature covers them as 8-byte big-endian words)."""
+    if head is None:
+        raise IntegrityError("audit log snapshot lacks a signed head")
+    return SignedHead(
+        head_hash=bytes.fromhex(head["head_hash"]),
+        counter_value=_stored_u64(head, "counter"),
+        entry_count=_stored_u64(head, "count"),
+        signature=EcdsaSignature.decode(bytes.fromhex(head["signature"])),
+    )
+
+
 TIME_COLUMN = "time"
 
 #: Log-internal audit table: lifecycle events (key rotations, enclave
@@ -72,12 +121,6 @@ TIME_COLUMN = "time"
 #: the log sees exactly when keys changed hands and code was upgraded.
 EVENTS_TABLE = "libseal_events"
 EVENTS_SCHEMA = f"CREATE TABLE {EVENTS_TABLE} (time INTEGER, kind TEXT, detail TEXT)"
-
-
-@lru_cache(maxsize=64)
-def insert_sql(table: str, arity: int) -> str:
-    """The one ``INSERT`` text a log tuple enters a SealDB table through."""
-    return f"INSERT INTO {table} VALUES ({', '.join('?' * arity)})"
 
 
 @dataclass(frozen=True)
@@ -152,16 +195,14 @@ class AuditLog:
     # ------------------------------------------------------------------
 
     def append(self, table: str, values: Sequence[SqlValue]) -> None:
-        """Append one tuple: DB insert + hash-chain extension.
+        """Append one tuple: table insert + hash-chain extension.
 
         The chain (and everything downstream of it) covers the row as the
         table stores it — affinity-coerced, the representation queries see.
         """
-        self.db.execute(insert_sql(table, len(values)), tuple(values))
-        row = self.db.lookup_table(table).rows[-1]
-        self.chain.append(table, row)
-        self._stream.append((self.next_row_id, table, row))
+        row = self._enter(table, values, self.next_row_id)
         self.next_row_id += 1
+        self.chain.append(table, row)
         self.appends += 1
         if _obs.ON:
             _obs.active().metrics.counter(
@@ -170,6 +211,16 @@ class AuditLog:
                 table=table.lower(),
             ).inc()
             _obs.add_cycles(LOGGING_SEALDB_INSERT_CYCLES)
+
+    def _enter(
+        self, table: str, values: Sequence[SqlValue], row_id: int
+    ) -> list[SqlValue]:
+        """The one way a log tuple enters SealDB, for appends and loads
+        alike: :meth:`Table.insert_row` (affinity coercion, PRIMARY KEY,
+        index and sorted-hint upkeep), then the stream entry and the clock.
+        Returns the stored row; chaining it is the caller's."""
+        row = self.db.lookup_table(table).insert_row(values)
+        self._stream.append((row_id, table, row))
         time_col = self._time_columns.get(table.lower())
         if time_col is not None:
             stored = row[time_col]
@@ -180,6 +231,7 @@ class AuditLog:
                     self.latest_time = stored
             else:
                 self.time_monotone = False
+        return row
 
     def append_event(self, kind: str, detail: str, time: int | None = None) -> None:
         """Append an audited lifecycle event (rotation, upgrade) to the log.
@@ -429,13 +481,22 @@ class AuditLog:
     def load(
         cls,
         blob: bytes,
+        schema_sql: str,
         signing_key: EcdsaPrivateKey,
         public_key: EcdsaPublicKey,
         rote: RoteCluster,
+        log_id: str,
         storage: LogStorage | None = None,
         check_freshness: bool = True,
     ) -> "AuditLog":
         """Load and fully verify a serialized log from untrusted storage.
+
+        One pass: each stored row enters its table (:meth:`_enter`), then
+        the chain is computed once over the stored rows and must reproduce
+        the signed head and entry count. The snapshot stores no hashes, so
+        that recomputation *is* the payload check. ``schema_sql`` and
+        ``log_id`` are the service's: the snapshot carries copies that no
+        chain or signature covers, and one that differs is refused.
 
         Raises :class:`IntegrityError` on tampering and
         :class:`RollbackError` if the log is stale w.r.t. the ROTE quorum.
@@ -448,77 +509,40 @@ class AuditLog:
         except (ValueError, UnicodeDecodeError) as exc:
             raise IntegrityError(f"audit log snapshot unparsable: {exc}") from exc
         try:
-            log = cls(
-                schema_sql=doc.get("schema", ""),
-                signing_key=signing_key,
-                rote=rote,
-                log_id=doc["log_id"],
-                storage=storage,
-            )
-            for table, values in doc["payloads"]:
-                log.append(table, [_decode_value(v) for v in values])
-            log.appends = 0  # loading is not appending
-            log._restore_watermark_state(doc.get("watermark_state"))
-            head_doc = doc.get("head")
-            if head_doc is None:
-                raise IntegrityError("audit log snapshot lacks a signed head")
-            log.signed_head = SignedHead(
-                head_hash=bytes.fromhex(head_doc["head_hash"]),
-                counter_value=head_doc["counter"],
-                entry_count=head_doc["count"],
-                signature=EcdsaSignature.decode(bytes.fromhex(head_doc["signature"])),
-            )
+            if doc.get("schema") != schema_sql:
+                raise IntegrityError("snapshot schema differs from the service's")
+            if doc.get("log_id") != log_id:
+                raise IntegrityError("snapshot log id differs from the service's")
+            log = cls(schema_sql, signing_key, rote, log_id=log_id, storage=storage)
+            payloads = doc["payloads"]
+            state = doc.get("watermark_state")
+            ids, log.next_row_id = _stored_ids(state, len(payloads))
+            for row_id, (table, values) in zip(ids, payloads):
+                log._enter(table, [_decode_value(v) for v in values], row_id)
+            if state is not None:
+                log.trim_generation = int(state["trim_generation"])
+                # The stored clock is outside the signature: it may only
+                # raise the one recomputed from the chained tuples (a trim
+                # can have removed the latest rows), never rewind it.
+                log.latest_time = max(log.latest_time, int(state["latest_time"]))
+                log.time_monotone = bool(state["time_monotone"]) and log.time_monotone
+            log.chain.rebuild((table, row) for _, table, row in log._stream)
+            log.signed_head = _decode_head(doc.get("head"))
+            log._verify_head(public_key)
         except IntegrityError:
             raise
-        except Exception as exc:  # malformed fields, bad SQL, wrong shapes
+        except Exception as exc:  # malformed fields, bad rows, wrong shapes
             raise IntegrityError(f"audit log snapshot malformed: {exc}") from exc
-        log.verify_structure(public_key)
         if check_freshness:
             log.verify_freshness()
         return log
 
-    def _restore_watermark_state(self, state: object) -> None:
-        """Adopt serialized watermark bookkeeping (replacing the fresh
-        ids assigned while replaying appends), after sanity-checking it.
-
-        The snapshot lives on *untrusted* storage, so the ids are only
-        trusted as far as they cannot skip checking: they must be
-        strictly increasing and below ``next_row_id``. (A tampered id
-        stream cannot launder an unchecked tuple anyway — checker state
-        is enclave-internal, so a restarted checker always begins with a
-        full scan — but validating here keeps the invariant simple.)
-        """
-        if state is None:
-            # Pre-watermark snapshot: the replayed appends already
-            # assigned ids 0..n-1 in generation 0; recompute time state.
-            return
-        if not isinstance(state, dict):
-            raise IntegrityError("watermark state malformed")
-        ids = state["payload_ids"]
-        next_row_id = state["next_row_id"]
-        if len(ids) != len(self._stream):
-            raise IntegrityError("watermark ids do not match payloads")
-        previous = -1
-        for row_id in ids:
-            if not isinstance(row_id, int) or row_id <= previous:
-                raise IntegrityError("watermark ids not strictly increasing")
-            previous = row_id
-        if not isinstance(next_row_id, int) or next_row_id <= previous:
-            raise IntegrityError("watermark next_row_id behind payload ids")
-        self._stream = [
-            (row_id, table, row) for row_id, (_, table, row) in zip(ids, self._stream)
-        ]
-        self.next_row_id = next_row_id
-        self.trim_generation = int(state["trim_generation"])
-        # The stored clock is outside the signature: it may only raise the
-        # one recomputed from the chained tuples (a trim can have removed
-        # the latest rows), never rewind it.
-        self.latest_time = max(self.latest_time, int(state["latest_time"]))
-        self.time_monotone = bool(state["time_monotone"]) and self.time_monotone
-
     def verify_structure(self, public_key: EcdsaPublicKey) -> None:
         """Verify chain and head signature (no quorum interaction)."""
         self.chain.verify_payloads((table, row) for _, table, row in self._stream)
+        self._verify_head(public_key)
+
+    def _verify_head(self, public_key: EcdsaPublicKey) -> None:
         head = self.signed_head
         if head is None:
             raise IntegrityError("audit log has no signed head")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.audit.log import EVENTS_TABLE, AuditLog, insert_sql
+from repro.audit.log import EVENTS_TABLE, AuditLog
 from repro.crypto.ecdsa import EcdsaPublicKey
 from repro.errors import IntegrityError
 from repro.sealdb import Database
@@ -88,7 +88,7 @@ def merge_logs(
                 raise IntegrityError("first log column must be the timestamp")
             max_time = max(max_time, local_time)
             values[0] = local_time + offset
-            merged_db.execute(insert_sql(table, len(values)), tuple(values))
+            merged_db.lookup_table(table).insert_row(values)
             total += 1
         offset += max_time
     return MergedLog(merged_db, sources=len(partials), tuples=total)

@@ -23,7 +23,8 @@ outcome                     meaning
                             signed seal intent proves the enclave itself was
                             mid-seal: the unacknowledged in-flight pair is
                             discarded and the gap closed by re-sealing
-``TAMPER_DETECTED``         chain/signature/ciphertext verification failed
+``TAMPER_DETECTED``         chain/signature/ciphertext verification failed,
+                            or the stored schema/log id is not the service's
 ``ROLLBACK_DETECTED``       the counter is behind the quorum with no valid
                             intent to explain it — a stale snapshot was served
 ``FRESHNESS_UNVERIFIABLE``  structure verified, but no ROTE quorum answered
@@ -137,6 +138,7 @@ class RecoveryReport:
 
 def recover_log(
     storage: LogStorage,
+    schema_sql: str,
     signing_key: EcdsaPrivateKey,
     public_key: EcdsaPublicKey,
     rote: RoteCluster,
@@ -144,12 +146,18 @@ def recover_log(
 ) -> RecoveryReport:
     """Load, verify and classify the last audit-log snapshot.
 
+    ``schema_sql`` (``ssm.schema_sql``) and ``log_id`` are the service's:
+    the snapshot's copies are not signed, so one that differs is
+    ``TAMPER_DETECTED``, never executed or adopted.
+
     Never raises for faults it can classify: every path returns a
     :class:`RecoveryReport` so the startup code can decide policy
     (resume, degrade, refuse) without exception archaeology.
     """
     with _obs.span("audit.recovery") as obs_span:
-        report = _recover_log(storage, signing_key, public_key, rote, log_id)
+        report = _recover_log(
+            storage, schema_sql, signing_key, public_key, rote, log_id
+        )
         if _obs.ON:
             _obs.active().metrics.counter(
                 "audit_recovery_total",
@@ -164,6 +172,7 @@ def recover_log(
 
 def _recover_log(
     storage: LogStorage,
+    schema_sql: str,
     signing_key: EcdsaPrivateKey,
     public_key: EcdsaPublicKey,
     rote: RoteCluster,
@@ -222,9 +231,11 @@ def _recover_log(
     try:
         log = AuditLog.load(
             blob,
+            schema_sql,
             signing_key,
             public_key,
             rote,
+            log_id,
             storage=storage,
             check_freshness=False,
         )

@@ -47,7 +47,7 @@ def recovery_time_vs_log_size(
                 log.seal_epoch()
             started = time.perf_counter()
             report = recover_log(
-                LogStorage(path), key, key.public_key(), rote
+                LogStorage(path), SCHEMA, key, key.public_key(), rote
             )
             elapsed_ms = (time.perf_counter() - started) * 1000.0
             rows.append(

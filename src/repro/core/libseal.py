@@ -348,6 +348,7 @@ class LibSeal:
                        rote=rote, storage=storage)
         report = recover_log(
             storage,
+            ssm.schema_sql,
             instance.signing_key,
             instance.signing_key.public_key(),
             instance.rote,

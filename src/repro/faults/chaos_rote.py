@@ -368,9 +368,11 @@ class RoteDeployment(ChaosHarness):
         try:
             AuditLog.load(
                 blob,
+                self.libseal.ssm.schema_sql,
                 self.libseal.signing_key,
                 self.libseal.signing_key.public_key(),
                 self.cluster,
+                self.config.log_id,
             )
         except RollbackError:
             self._note("probe_stale", "rejected", counter)
@@ -474,6 +476,7 @@ class RoteDeployment(ChaosHarness):
         )
         report = recover_log(
             storage,
+            self.libseal.ssm.schema_sql,
             self.libseal.signing_key,
             self.libseal.signing_key.public_key(),
             self.cluster,

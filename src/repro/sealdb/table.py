@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.sealdb.errors import SQLExecutionError
 
@@ -124,8 +125,9 @@ class Table:
                 return i
         raise SQLExecutionError(f"table {self.name!r} has no column {name!r}")
 
-    def insert_row(self, values: list[SqlValue]) -> None:
-        """Insert one row, applying affinities and enforcing the PK."""
+    def insert_row(self, values: Sequence[SqlValue]) -> list[SqlValue]:
+        """Insert one row, applying affinities and enforcing the PK;
+        returns the stored (coerced) row."""
         if len(values) != len(self.columns):
             raise SQLExecutionError(
                 f"table {self.name!r} expects {len(self.columns)} values, "
@@ -155,6 +157,7 @@ class Table:
                     position > 0 and self.rows[position - 1][col] > value  # type: ignore[operator]
                 ):
                     self._sorted_columns.discard(col)
+        return row
 
     def delete_rows(self, keep_mask: list[bool]) -> int:
         """Keep rows where mask is True; returns number deleted."""

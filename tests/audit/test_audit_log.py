@@ -44,6 +44,10 @@ def fill(log, n=5):
     log.seal_epoch()
 
 
+def load(blob, key, rote):
+    return AuditLog.load(blob, SCHEMA, key, key.public_key(), rote, "libseal-log")
+
+
 class TestAppendQuery:
     def test_appends_are_queryable(self, log):
         fill(log)
@@ -92,7 +96,7 @@ class TestLoadAndTamper:
     def test_roundtrip_load(self, key, rote, log):
         fill(log)
         blob = log.storage.load()
-        loaded = AuditLog.load(blob, key, key.public_key(), rote)
+        loaded = load(blob, key, rote)
         assert loaded.query("SELECT COUNT(*) FROM updates").scalar() == 5
 
     def test_modified_row_detected(self, key, rote, log):
@@ -100,39 +104,39 @@ class TestLoadAndTamper:
         doc = json.loads(log.storage.load())
         doc["payloads"][0][1][3] = "cFORGED"  # change a commit id
         with pytest.raises(IntegrityError):
-            AuditLog.load(json.dumps(doc).encode(), key, key.public_key(), rote)
+            load(json.dumps(doc).encode(), key, rote)
 
     def test_deleted_row_detected(self, key, rote, log):
         fill(log)
         doc = json.loads(log.storage.load())
         del doc["payloads"][2]
         with pytest.raises(IntegrityError):
-            AuditLog.load(json.dumps(doc).encode(), key, key.public_key(), rote)
+            load(json.dumps(doc).encode(), key, rote)
 
     def test_injected_row_detected(self, key, rote, log):
         fill(log)
         doc = json.loads(log.storage.load())
         doc["payloads"].append(["updates", [99, "r", "b", "c99", "update"]])
         with pytest.raises(IntegrityError):
-            AuditLog.load(json.dumps(doc).encode(), key, key.public_key(), rote)
+            load(json.dumps(doc).encode(), key, rote)
 
     def test_forged_head_detected(self, key, rote, log):
         fill(log)
         doc = json.loads(log.storage.load())
         doc["head"]["counter"] += 1
         with pytest.raises(IntegrityError):
-            AuditLog.load(json.dumps(doc).encode(), key, key.public_key(), rote)
+            load(json.dumps(doc).encode(), key, rote)
 
     def test_garbage_blob_detected(self, key, rote):
         with pytest.raises(IntegrityError):
-            AuditLog.load(b"not json at all", key, key.public_key(), rote)
+            load(b"not json at all", key, rote)
 
     def test_missing_head_detected(self, key, rote, log):
         fill(log)
         doc = json.loads(log.storage.load())
         doc["head"] = None
         with pytest.raises(IntegrityError):
-            AuditLog.load(json.dumps(doc).encode(), key, key.public_key(), rote)
+            load(json.dumps(doc).encode(), key, rote)
 
     def test_rollback_detected(self, key, rote, log):
         # Seal epoch 1, keep the old snapshot, then advance to epoch 2.
@@ -142,13 +146,13 @@ class TestLoadAndTamper:
         log.seal_epoch()
         # Provider presents the stale snapshot: counter 1 < quorum value 2.
         with pytest.raises(RollbackError):
-            AuditLog.load(stale_blob, key, key.public_key(), rote)
+            load(stale_blob, key, rote)
 
     def test_current_snapshot_still_loads_after_rollback_attempt(self, key, rote, log):
         fill(log)
         log.append("updates", (10, "repo", "master", "c10", "update"))
         log.seal_epoch()
-        loaded = AuditLog.load(log.storage.load(), key, key.public_key(), rote)
+        loaded = load(log.storage.load(), key, rote)
         assert loaded.query("SELECT COUNT(*) FROM updates").scalar() == 6
 
 
@@ -175,7 +179,7 @@ class TestTrimming:
     def test_trimmed_log_roundtrips(self, key, rote, log):
         fill(log)
         log.trim(TRIM)
-        loaded = AuditLog.load(log.storage.load(), key, key.public_key(), rote)
+        loaded = load(log.storage.load(), key, rote)
         assert loaded.row_count("updates") == 1
 
     def test_appends_after_trim_keep_verifying(self, key, log):
@@ -202,7 +206,7 @@ class TestFileStorage:
         fill(log)
         assert storage.exists()
         assert storage.size_bytes() > 0
-        loaded = AuditLog.load(storage.load(), key, key.public_key(), rote)
+        loaded = load(storage.load(), key, rote)
         assert loaded.row_count("updates") == 5
 
     def test_on_disk_tampering_detected(self, key, rote, tmp_path):
@@ -212,4 +216,4 @@ class TestFileStorage:
         raw = storage.load().replace(b"master", b"hacked")
         (tmp_path / "audit.log").write_bytes(raw)
         with pytest.raises(IntegrityError):
-            AuditLog.load(storage.load(), key, key.public_key(), rote)
+            load(storage.load(), key, rote)

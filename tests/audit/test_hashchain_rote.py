@@ -1,6 +1,7 @@
 """Tests for the hash chain and the ROTE counter protocol."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.audit.hashchain import GENESIS, HashChain, SignedHead, encode_tuple
 from repro.audit.rote import RoteCluster
@@ -29,6 +30,57 @@ class TestEncodeTuple:
 
     def test_bytes_values(self):
         assert encode_tuple("t", [b"\x00\x01"]) != encode_tuple("t", ["\x00\x01"])
+
+    def test_golden_encoding(self):
+        # Every chained hash and signed head depends on these bytes.
+        class Count(int):
+            def __str__(self):
+                return "seven"
+
+        class Name(str):
+            def __str__(self):
+                return "shown"
+
+        values = [None, True, False, -12, 2.5, 1.0, b"\x00\xff", "répo",
+                  Count(7), Name("raw"), 2**70]
+        assert encode_tuple("updates", values) == (
+            b"Tupdates\x00N\x00B1\x00B0\x00I-12\x00F2.5\x00F1.0\x00"
+            b"Y\x00\x00\x00\x02\x00\xff\x00S\x00\x00\x00\x05r\xc3\xa9po\x00"
+            b"Iseven\x00S\x00\x00\x00\x05shown\x00I1180591620717411303424\x00"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=st.text(max_size=8),
+        values=st.lists(
+            st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                      st.text(), st.binary()),
+            max_size=6,
+        ),
+    )
+    def test_matches_the_type_ladder(self, table, values):
+        assert encode_tuple(table, values) == _ladder(table, values)
+
+
+def _ladder(table, values):
+    """The encoding as specified: one isinstance ladder per value."""
+    out = b"T" + table.encode() + b"\x00"
+    for value in values:
+        if value is None:
+            out += b"N"
+        elif isinstance(value, bool):
+            out += b"B1" if value else b"B0"
+        elif isinstance(value, int):
+            out += b"I" + str(value).encode()
+        elif isinstance(value, float):
+            out += b"F" + repr(value).encode()
+        elif isinstance(value, bytes):
+            out += b"Y" + len(value).to_bytes(4, "big") + value
+        else:
+            encoded = str(value).encode()
+            out += b"S" + len(encoded).to_bytes(4, "big") + encoded
+        out += b"\x00"
+    return out
 
 
 class TestHashChain:

@@ -60,7 +60,13 @@ def ids_of(log):
 
 def reload(log):
     return AuditLog.load(
-        log.serialize(), KEY, KEY.public_key(), log.rote, storage=log.storage
+        log.serialize(),
+        log.schema_sql,
+        KEY,
+        KEY.public_key(),
+        log.rote,
+        log.log_id,
+        storage=log.storage,
     )
 
 
@@ -75,6 +81,21 @@ def assert_consistent(log):
     assert loaded.trim_generation == log.trim_generation
     assert loaded.next_row_id == log.next_row_id
     assert loaded.chain.head == log.chain.head
+    assert (loaded.latest_time, loaded.time_monotone) == (
+        log.latest_time,
+        log.time_monotone,
+    )
+    for name in log.db.table_names():
+        live, fresh = log.db.lookup_table(name), loaded.db.lookup_table(name)
+        column = live.column_index("time")
+        times = [row[column] for row in fresh.rows]
+        in_order = all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in times
+        ) and all(a <= b for a, b in zip(times, times[1:]))
+        # A reload hints exactly the columns that are in order; the live
+        # log (which never re-adds a dropped hint) hints no column that is not.
+        assert fresh.is_sorted(column) == in_order
+        assert in_order or not live.is_sorted(column)
 
 
 class TestTrimMatchesByIdentity:
@@ -172,9 +193,10 @@ class TestTrimMatchesByIdentity:
         chain = HashChain()
         chain.append("t", [1, "a", "5"])
         head = SignedHead.sign(KEY, chain.head, rote.increment("libseal-log"), 1)
+        schema = "CREATE TABLE t (time INTEGER, k TEXT, v INTEGER)"
         doc = {
             "log_id": "libseal-log",
-            "schema": "CREATE TABLE t (time INTEGER, k TEXT, v INTEGER)",
+            "schema": schema,
             "payloads": [["t", [1, "a", "5"]]],
             "head": {
                 "head_hash": head.head_hash.hex(),
@@ -184,7 +206,10 @@ class TestTrimMatchesByIdentity:
             },
         }
         with pytest.raises(IntegrityError, match="signed head does not match"):
-            AuditLog.load(json.dumps(doc).encode(), KEY, KEY.public_key(), rote)
+            AuditLog.load(
+                json.dumps(doc).encode(), schema, KEY, KEY.public_key(), rote,
+                "libseal-log",
+            )
 
 
 # ----------------------------------------------------------------------

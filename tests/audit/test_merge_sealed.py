@@ -122,7 +122,10 @@ class TestSealedStorage:
         log = AuditLog(GitSSM().schema_sql, key, rote, storage=storage)
         log.append("updates", (1, "r", "m", "c1", "create"))
         log.seal_epoch()
-        loaded = AuditLog.load(storage.load(), key, key.public_key(), rote)
+        loaded = AuditLog.load(
+            storage.load(), GitSSM().schema_sql, key, key.public_key(), rote,
+            log.log_id,
+        )
         assert loaded.row_count("updates") == 1
 
     def test_provider_sees_only_ciphertext(self, authority, tmp_path):

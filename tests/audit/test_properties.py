@@ -123,7 +123,9 @@ class TestAuditLogProperties:
         for row in rows:
             log.append("updates", row)
         log.seal_epoch()
-        loaded = AuditLog.load(log.storage.load(), key, key.public_key(), rote)
+        loaded = AuditLog.load(
+            log.storage.load(), schema, key, key.public_key(), rote, log.log_id
+        )
         original = sorted(map(repr, log.db.lookup_table("updates").rows))
         reloaded = sorted(map(repr, loaded.db.lookup_table("updates").rows))
         assert original == reloaded
@@ -144,9 +146,11 @@ class TestAuditLogProperties:
             snapshots.append(log.storage.load())
         # Every snapshot except the newest must be rejected as a rollback.
         with pytest.raises(RollbackError):
-            AuditLog.load(snapshots[stale_at], key, key.public_key(), rote)
+            AuditLog.load(
+                snapshots[stale_at], schema, key, key.public_key(), rote, log.log_id
+            )
         # The newest one loads.
-        AuditLog.load(snapshots[-1], key, key.public_key(), rote)
+        AuditLog.load(snapshots[-1], schema, key, key.public_key(), rote, log.log_id)
 
 
 class TestRoteProperties:

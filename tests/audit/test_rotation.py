@@ -232,6 +232,7 @@ class TestStaleReplica:
         clone._sidecars = dict(stack.inner._sidecars)
         report = recover_log(
             SealedLogStorage(clone, stack.log_enclave),
+            stack.libseal.ssm.schema_sql,
             stack.libseal.signing_key,
             stack.libseal.signing_key.public_key(),
             stack.cluster,
@@ -254,6 +255,7 @@ class TestStaleReplica:
         clone._blob = stack.inner._blob  # still sealed under epoch 1
         report = recover_log(
             SealedLogStorage(clone, stack.log_enclave),
+            stack.libseal.ssm.schema_sql,
             stack.libseal.signing_key,
             stack.libseal.signing_key.public_key(),
             stack.cluster,

@@ -1,0 +1,335 @@
+"""Snapshot tamper matrix: every edit a storage provider can make fails closed.
+
+An audit-log snapshot on untrusted storage is adversary-controlled JSON.
+This matrix edits each field of a sealed snapshot — identity (log id,
+schema), each payload's table, arity, value types and order, the
+watermark bookkeeping, every signed-head field, and the encoding itself —
+and asserts that :func:`recover_log` *classifies* the result as a
+detection (never raises, never resumes) and that :meth:`LibSeal.recover`
+refuses to hand back a running instance.
+
+Not every byte is meaningful. Two kinds of edit are harmless and are
+pinned as such at the bottom: a value the column affinity coerces back to
+the sealed row, and watermark bookkeeping that cannot launder a tuple (a
+restarted checker always begins with a full scan).
+"""
+
+import copy
+import json
+
+import pytest
+
+from repro.audit.persistence import InMemoryStorage
+from repro.audit.recovery import RecoveryOutcome, recover_log
+from repro.core import LibSeal
+from repro.http import HttpRequest, HttpResponse
+from repro.ssm import GitSSM
+from repro.ssm.base import ServiceSpecificModule
+from repro.workloads import GitReplayWorkload
+
+TAMPER = RecoveryOutcome.TAMPER_DETECTED
+ROLLBACK = RecoveryOutcome.ROLLBACK_DETECTED
+
+
+class BodySSM(ServiceSpecificModule):
+    """One tuple per pair: an INTEGER clock, a TEXT path, an untyped body."""
+
+    name = "bodies"
+    schema_sql = "CREATE TABLE pairs(time INTEGER, path TEXT, body)"
+    invariants = {}
+    trimming_queries = []
+
+    def log(self, request, response, emit, time):
+        emit("pairs", (time, request.path, request.body or None))
+
+
+def drive(libseal, start, count):
+    for index in range(start, start + count):
+        body = bytes([index, 0xFF]) if index % 2 else b""
+        request = HttpRequest("POST", f"/p/{index}", body=body)
+        libseal.log_pair(request, HttpResponse(200))
+
+
+@pytest.fixture(scope="module")
+def sealed():
+    """A six-pair log sealed per pair, plus its snapshot after pair three."""
+    libseal = LibSeal(BodySSM(), storage=InMemoryStorage())
+    drive(libseal, 0, 3)
+    older = libseal.storage.load()
+    drive(libseal, 3, 3)
+    return libseal, older, libseal.storage.load()
+
+
+def restart(libseal, blob):
+    """Serve ``blob`` to both recovery entry points; return the report."""
+    storage = InMemoryStorage()
+    storage.save(blob)
+    report = recover_log(
+        storage,
+        libseal.ssm.schema_sql,
+        libseal.signing_key,
+        libseal.signing_key.public_key(),
+        libseal.rote,
+        log_id=libseal.config.log_id,
+    )
+    recovered, again = LibSeal.recover(
+        BodySSM(), storage, signing_key=libseal.signing_key, rote=libseal.rote
+    )
+    assert again.outcome is report.outcome
+    return recovered, report
+
+
+def edited(blob, edit):
+    doc = json.loads(blob)
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def payload(doc, index):
+    return doc["payloads"][index]
+
+
+def holder(doc, path):
+    """The list or dict that holds ``path[-1]``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def at(path, change):
+    """An edit that replaces the value at ``path`` with ``change(value)``."""
+
+    def edit(doc):
+        container = holder(doc, path)
+        container[path[-1]] = change(container[path[-1]])
+
+    return edit
+
+
+def setitem(path, value):
+    return at(path, lambda _: value)
+
+
+def shift(path, delta):
+    return at(path, lambda number: number + delta)
+
+
+def flip_hex(path):
+    return at(path, lambda text: ("1" if text[0] == "0" else "0") + text[1:])
+
+
+def delete(path):
+    return lambda doc: holder(doc, path).pop(path[-1])
+
+
+def swap_first_two(doc):
+    doc["payloads"][:2] = doc["payloads"][1::-1]
+
+
+def extra_payload(doc):
+    doc["payloads"].append(copy.deepcopy(doc["payloads"][-1]))
+
+
+def extra_payload_with_id(doc):
+    extra_payload(doc)
+    state = doc["watermark_state"]
+    state["payload_ids"].append(state["next_row_id"])
+    state["next_row_id"] += 1
+
+
+def missing_payload(doc):
+    del doc["payloads"][2]
+
+
+def missing_payload_and_id(doc):
+    missing_payload(doc)
+    del doc["watermark_state"]["payload_ids"][2]
+
+
+def rename_column(doc):
+    doc["schema"] = doc["schema"].replace("path TEXT", "route TEXT")
+
+
+# payloads[0] is (1, "/p/0", NULL), payloads[1] is (2, "/p/1", {"__bytes__": "01ff"}).
+CASES = {
+    "log_id": setitem(["log_id"], "another-log"),
+    "log_id-type": setitem(["log_id"], 7),
+    "schema-column-renamed": rename_column,
+    "schema-missing": delete(["schema"]),
+    "table-unknown": setitem(["payloads", 1, 0], "nope"),
+    "table-other-relation": setitem(["payloads", 1, 0], "libseal_events"),
+    "table-not-text": setitem(["payloads", 1, 0], 5),
+    "arity-short": lambda doc: payload(doc, 1)[1].pop(),
+    "arity-long": lambda doc: payload(doc, 1)[1].append(None),
+    "value-int-to-float": setitem(["payloads", 1, 1, 0], 1.5),
+    "value-text-to-int": setitem(["payloads", 1, 1, 1], 1),
+    "value-bytes-to-text": setitem(["payloads", 1, 1, 2], "01ff"),
+    "value-null-to-text": setitem(["payloads", 0, 1, 2], ""),
+    "value-list": setitem(["payloads", 1, 1, 1], ["/p/1"]),
+    "bytes-hex-changed": flip_hex(["payloads", 1, 1, 2, "__bytes__"]),
+    "bytes-hex-invalid": setitem(["payloads", 1, 1, 2, "__bytes__"], "zz"),
+    "payload-shape": setitem(["payloads", 1], ["pairs"]),
+    "payloads-not-a-list": setitem(["payloads"], {"pairs": []}),
+    "order-swapped": swap_first_two,
+    "payload-extra": extra_payload,
+    "payload-extra-with-id": extra_payload_with_id,
+    "payload-missing": missing_payload,
+    "payload-missing-with-id": missing_payload_and_id,
+    "watermark-not-a-dict": setitem(["watermark_state"], [0]),
+    "watermark-next_row_id-missing": delete(["watermark_state", "next_row_id"]),
+    "watermark-next_row_id-behind": setitem(["watermark_state", "next_row_id"], 2),
+    "watermark-payload_ids-missing": delete(["watermark_state", "payload_ids"]),
+    "watermark-payload_ids-repeated": setitem(
+        ["watermark_state", "payload_ids"], [0, 1, 1, 3, 4, 5]
+    ),
+    "watermark-payload_ids-short": setitem(["watermark_state", "payload_ids"], [0]),
+    "watermark-trim_generation-missing": delete(["watermark_state", "trim_generation"]),
+    "watermark-trim_generation-text": setitem(
+        ["watermark_state", "trim_generation"], "x"
+    ),
+    "watermark-latest_time-missing": delete(["watermark_state", "latest_time"]),
+    "watermark-latest_time-null": setitem(["watermark_state", "latest_time"], None),
+    "watermark-time_monotone-missing": delete(["watermark_state", "time_monotone"]),
+    "head-missing": setitem(["head"], None),
+    "head-not-a-dict": setitem(["head"], [1, 2]),
+    "head_hash-changed": flip_hex(["head", "head_hash"]),
+    "head_hash-invalid": setitem(["head", "head_hash"], "not hex"),
+    "counter-raised": shift(["head", "counter"], 1),
+    "counter-lowered-in-place": shift(["head", "counter"], -1),
+    "count-raised": shift(["head", "count"], 1),
+    "count-lowered": shift(["head", "count"], -1),
+    "signature-changed": flip_hex(["head", "signature"]),
+    "signature-truncated": lambda doc: doc["head"].update(
+        signature=doc["head"]["signature"][:-8]
+    ),
+    "signature-invalid": setitem(["head", "signature"], "zz"),
+}
+
+
+class TestTamperMatrix:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_field_edit_is_detected(self, sealed, name):
+        libseal, _, current = sealed
+        recovered, report = restart(libseal, edited(current, CASES[name]))
+        assert report.outcome is TAMPER, report.describe()
+        assert recovered is None and report.log is None
+
+    @pytest.mark.parametrize(
+        "blob",
+        [b"not json at all", b"\xff\xfe", b"[]", b"null", b"{}"],
+        ids=["non-json", "non-utf8", "json-list", "json-null", "json-empty"],
+    )
+    def test_undecodable_snapshot_is_detected(self, sealed, blob):
+        libseal, _, _ = sealed
+        recovered, report = restart(libseal, blob)
+        assert report.outcome is TAMPER
+        assert recovered is None
+
+    @pytest.mark.parametrize("keep", [0.5, 0.99])
+    def test_truncated_snapshot_is_detected(self, sealed, keep):
+        libseal, _, current = sealed
+        recovered, report = restart(libseal, current[: int(len(current) * keep)])
+        assert report.outcome is TAMPER
+        assert recovered is None
+
+    def test_older_signed_snapshot_is_a_rollback(self, sealed):
+        # The counter lowered the only way storage can lower it: by serving
+        # an earlier, validly signed snapshot.
+        libseal, older, _ = sealed
+        recovered, report = restart(libseal, older)
+        assert report.outcome is ROLLBACK
+        assert recovered is None
+
+    def test_older_head_on_current_payloads_is_detected(self, sealed):
+        libseal, older, current = sealed
+        head = json.loads(older)["head"]
+        recovered, report = restart(libseal, edited(current, setitem(["head"], head)))
+        assert report.outcome is TAMPER
+        assert recovered is None
+
+    def test_untouched_snapshot_resumes(self, sealed):
+        libseal, _, current = sealed
+        recovered, report = restart(libseal, current)
+        assert report.outcome is RecoveryOutcome.CLEAN_RESUME
+        assert list(recovered.audit_log.tuples()) == list(libseal.audit_log.tuples())
+
+
+class TestSignedHeadFields:
+    """The head's integers are signed as 8-byte words; a value that is no
+    such word is malformed input, classified — not an exception."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("counter", "7"), ("counter", -1), ("counter", 2**70),
+         ("count", 1.5), ("count", None)],
+    )
+    def test_malformed_field_is_classified(self, sealed, field, value):
+        libseal, _, current = sealed
+        recovered, report = restart(
+            libseal, edited(current, setitem(["head", field], value))
+        )
+        assert report.outcome is TAMPER
+        assert "64-bit" in report.detail
+        assert recovered is None
+
+    def test_boolean_counter_is_not_an_integer(self, sealed):
+        libseal, _, current = sealed
+        blob = edited(current, setitem(["head", "counter"], True))
+        report = restart(libseal, blob)[1]
+        assert report.outcome is TAMPER
+
+
+class TestStoredSchemaIsNotExecuted:
+    """Recovery runs the service's schema, never the copy in storage."""
+
+    def test_rewritten_view_cannot_hide_a_violation(self):
+        libseal = LibSeal(GitSSM(), storage=InMemoryStorage())
+        workload = GitReplayWorkload(libseal, seed=7)
+        workload.run(30)
+        repo = workload.service.server.repository(workload.repo_names[0])
+        repo.attack_delete_reference(repo.advertise_refs()[0][0])
+        workload.fetch_once()
+        assert libseal.check_invariants(force_full=True).header_value() == (
+            "VIOLATIONS completeness=1"
+        )
+        # The provider neuters the branchcnt view the completeness
+        # invariant reads, leaving payloads and signed head untouched.
+        doc = json.loads(libseal.storage.load())
+        assert "WHERE u.type != 'delete'" in doc["schema"]
+        doc["schema"] = doc["schema"].replace(
+            "WHERE u.type != 'delete'", "WHERE 0 AND u.type != 'delete'"
+        )
+        libseal.storage.save(json.dumps(doc).encode())
+        recovered, report = LibSeal.recover(
+            GitSSM(),
+            libseal.storage,
+            signing_key=libseal.signing_key,
+            rote=libseal.rote,
+        )
+        assert recovered is None
+        assert report.outcome is TAMPER
+        assert report.detail == "snapshot schema differs from the service's"
+
+
+class TestHarmlessEdits:
+    def test_value_the_affinity_coerces_back_loads_the_same_log(self, sealed):
+        # Numeric text in an INTEGER column is stored as the integer: the
+        # row, the chain and every query see exactly what was sealed.
+        libseal, _, current = sealed
+
+        def time_as_text(doc):
+            values = payload(doc, 1)[1]
+            values[0] = str(values[0])
+
+        recovered, report = restart(libseal, edited(current, time_as_text))
+        assert report.outcome is RecoveryOutcome.CLEAN_RESUME
+        assert list(recovered.audit_log.tuples()) == list(libseal.audit_log.tuples())
+
+    def test_watermark_bookkeeping_cannot_rewind_the_clock(self, sealed):
+        libseal, _, current = sealed
+        recovered, report = restart(
+            libseal,
+            edited(current, setitem(["watermark_state", "latest_time"], -5)),
+        )
+        assert report.outcome is RecoveryOutcome.CLEAN_RESUME
+        assert recovered.audit_log.latest_time == libseal.audit_log.latest_time

@@ -102,7 +102,9 @@ class TestWatermarkPersistence:
         append_n(log, 2, start=5)
         log.seal_epoch()
         blob = log.serialize()
-        loaded = AuditLog.load(blob, key, key.public_key(), rote, storage=storage)
+        loaded = AuditLog.load(
+            blob, SCHEMA, key, key.public_key(), rote, log.log_id, storage=storage
+        )
         assert loaded.next_row_id == log.next_row_id
         assert loaded.trim_generation == log.trim_generation
         assert loaded.time_monotone
@@ -117,12 +119,16 @@ class TestWatermarkPersistence:
         doc = json.loads(log.serialize().decode())
         # A trim removed the latest rows: the stored clock stays ahead.
         assert doc["watermark_state"]["latest_time"] == 5
-        loaded = AuditLog.load(json.dumps(doc).encode(), key, key.public_key(), rote)
+        loaded = AuditLog.load(
+            json.dumps(doc).encode(), SCHEMA, key, key.public_key(), rote, log.log_id
+        )
         assert loaded.latest_time == 5
         # The field is outside the signature; lowering it must not rewind
         # the clock below what the chained tuples prove.
         doc["watermark_state"]["latest_time"] = 0
-        loaded = AuditLog.load(json.dumps(doc).encode(), key, key.public_key(), rote)
+        loaded = AuditLog.load(
+            json.dumps(doc).encode(), SCHEMA, key, key.public_key(), rote, log.log_id
+        )
         assert loaded.latest_time == 3
 
     def test_load_rejects_inconsistent_watermark_state(self, key, rote):
@@ -134,7 +140,9 @@ class TestWatermarkPersistence:
         doc["watermark_state"]["payload_ids"] = [0, 0, 1]  # not increasing
         blob = json.dumps(doc).encode()
         with pytest.raises(IntegrityError):
-            AuditLog.load(blob, key, key.public_key(), rote, storage=storage)
+            AuditLog.load(
+                blob, SCHEMA, key, key.public_key(), rote, log.log_id, storage=storage
+            )
 
 
 class TestCheckerWatermarkLifecycle:

@@ -43,7 +43,7 @@ def seal_epochs(log, count, start=0):
 class TestRecoveryOutcomes:
     def test_no_snapshot(self, tmp_path, key):
         storage = LogStorage(tmp_path / "log.bin")
-        report = recover_log(storage, key, key.public_key(), RoteCluster(f=1))
+        report = recover_log(storage, SCHEMA, key, key.public_key(), RoteCluster(f=1))
         assert report.outcome is RecoveryOutcome.NO_SNAPSHOT
         assert report.recovered and not report.detected
         assert report.log is None
@@ -52,7 +52,7 @@ class TestRecoveryOutcomes:
         rote = RoteCluster(f=1)
         seal_epochs(make_log(LogStorage(tmp_path / "log.bin"), key, rote), 3)
         storage = LogStorage(tmp_path / "log.bin")
-        report = recover_log(storage, key, key.public_key(), rote)
+        report = recover_log(storage, SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.CLEAN_RESUME
         assert report.entries == 3
         assert report.counter == report.live_counter == 3
@@ -68,7 +68,7 @@ class TestRecoveryOutcomes:
         # A crash mid-write left a partial tmp behind the good snapshot.
         path.with_suffix(".bin.tmp").write_bytes(b"torn tail bytes")
         storage = LogStorage(path)
-        report = recover_log(storage, key, key.public_key(), rote)
+        report = recover_log(storage, SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.TORN_TAIL_TRUNCATED
         assert report.torn_tmp_found
         assert report.recovered
@@ -88,7 +88,7 @@ class TestRecoveryOutcomes:
         # Counter advanced to 3, snapshot still holds epoch 2, intent durable.
         storage = LogStorage(path)
         assert storage.load_intent("intent") is not None
-        report = recover_log(storage, key, key.public_key(), rote)
+        report = recover_log(storage, SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.IN_FLIGHT_DISCARDED
         assert report.intent_found
         assert report.resealed
@@ -114,7 +114,7 @@ class TestRecoveryOutcomes:
         with faults.inject(
             FaultPlan([FaultEvent("storage.save", "io_error", at=1)])
         ):
-            report = recover_log(storage, key, key.public_key(), rote)
+            report = recover_log(storage, SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.IN_FLIGHT_DISCARDED
         assert not report.resealed
         assert isinstance(report.error, StorageError)
@@ -130,7 +130,7 @@ class TestRecoveryOutcomes:
         with faults.inject(plan):
             seal_epochs(log, 3)
             storage = LogStorage(path)  # restart; provider serves epoch 2
-            report = recover_log(storage, key, key.public_key(), rote)
+            report = recover_log(storage, SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.ROLLBACK_DETECTED
         assert report.detected
         assert report.log is None
@@ -150,7 +150,7 @@ class TestRecoveryOutcomes:
         # into a silent resume: without the exculpatory evidence the
         # conservative classification is rollback.
         path.with_suffix(".bin.intent").unlink()
-        report = recover_log(LogStorage(path), key, key.public_key(), rote)
+        report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.ROLLBACK_DETECTED
 
     def test_forged_intent_buys_the_adversary_nothing(self, tmp_path, key):
@@ -164,7 +164,7 @@ class TestRecoveryOutcomes:
             ):
                 seal_epochs(log, 1, start=1)
         path.with_suffix(".bin.intent").write_bytes(b"INTENT1\x00forged")
-        report = recover_log(LogStorage(path), key, key.public_key(), rote)
+        report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.ROLLBACK_DETECTED
 
     def test_tamper_detected_on_corrupt_read(self, tmp_path, key):
@@ -174,7 +174,7 @@ class TestRecoveryOutcomes:
         with faults.inject(
             FaultPlan([FaultEvent("storage.load", "corrupt_read", at=1)])
         ):
-            report = recover_log(LogStorage(path), key, key.public_key(), rote)
+            report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.TAMPER_DETECTED
         assert report.detected
         assert report.log is None
@@ -193,7 +193,7 @@ class TestRecoveryOutcomes:
         with faults.inject(
             FaultPlan([FaultEvent("sealed.load", "seal_corrupt", at=1)])
         ):
-            report = recover_log(restarted, key, key.public_key(), rote)
+            report = recover_log(restarted, SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.TAMPER_DETECTED
 
     def test_freshness_unverifiable_then_heal(self, tmp_path, key):
@@ -202,7 +202,7 @@ class TestRecoveryOutcomes:
         seal_epochs(make_log(LogStorage(path), key, rote), 2)
         for node_id in range(rote.f + 1):
             rote.crash(node_id)
-        report = recover_log(LogStorage(path), key, key.public_key(), rote)
+        report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.FRESHNESS_UNVERIFIABLE
         assert not report.detected and not report.recovered
         # Structure verified: the log is handed back for degraded serving.
@@ -211,7 +211,7 @@ class TestRecoveryOutcomes:
         # Once the quorum heals, the same snapshot certifies clean.
         for node_id in range(rote.f + 1):
             rote.recover(node_id)
-        healed = recover_log(LogStorage(path), key, key.public_key(), rote)
+        healed = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
         assert healed.outcome is RecoveryOutcome.CLEAN_RESUME
 
     def test_storage_unavailable(self, tmp_path, key):
@@ -221,7 +221,7 @@ class TestRecoveryOutcomes:
         with faults.inject(
             FaultPlan([FaultEvent("storage.load", "io_error", at=1)])
         ):
-            report = recover_log(LogStorage(path), key, key.public_key(), rote)
+            report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.STORAGE_UNAVAILABLE
         assert not report.detected and not report.recovered
         assert isinstance(report.error, StorageError)
