@@ -87,7 +87,7 @@ class AuditLogger:
         if state.poisoned:
             return
         state.request_buffer.extend(data)
-        while True:
+        while state.request_buffer:
             try:
                 message = extract_message(state.request_buffer)
             except HTTPError:
@@ -121,7 +121,7 @@ class AuditLogger:
         # rewritten (bytes already returned cannot be recalled).
         rewritten: list[bytes] = []
         modified = False
-        while True:
+        while state.response_buffer:
             try:
                 message = extract_message(state.response_buffer)
             except HTTPError:

@@ -44,8 +44,9 @@ from repro.faults import hooks as _faults
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.http import HttpRequest, HttpResponse
 from repro.http.parser import HttpLimits
-from repro.servers.connection import ConnectionLimits, FeedResult, SimClock
+from repro.servers.connection import ConnectionLimits, FeedResult
 from repro.servers.eventloop import EventLoop
+from repro.sim.clock import SimClock
 from repro.tls import api as native_api
 from repro.tls.bio import BIO
 from repro.tls.cert import CertificateAuthority, make_server_identity
@@ -242,23 +243,15 @@ class _TlsScenario:
                 break
         else:  # pragma: no cover - deterministic handshake
             raise TLSError("fuzz scenario handshake did not complete")
-        # Keep the connection table, not the loop: the bundle must stay
-        # deepcopy-able and a loop's driver generators are not.
         return {
-            "sup": loop.supervisor, "cid": cid, "cssl": cssl, "rb": rb,
+            "sup": loop, "cid": cid, "cssl": cssl, "rb": rb,
             "wb": wb, "flights": flights,
         }
 
     def established_copy(self) -> dict:
         """An independent established connection (≈0.6 ms, no handshake):
-        a deep copy of the established table, adopted by a fresh
-        :class:`EventLoop` that re-spawns one driver task per live
-        connection."""
-        bundle = copy.deepcopy(
-            self._established_bundle, {id(native_api): native_api}
-        )
-        bundle["sup"] = EventLoop(supervisor=bundle["sup"])
-        return bundle
+        a deep copy of the established loop and its client end."""
+        return copy.deepcopy(self._established_bundle)
 
 
 def _mutate_flights(
@@ -404,7 +397,7 @@ def _feed_all(sup: EventLoop, cid: int, flights) -> FeedResult:
 
 
 def _canary_check(scenario, sup, report, case, rng) -> None:
-    """Sampled cross-connection isolation probe on the same supervisor."""
+    """Sampled cross-connection isolation probe after a mutation case."""
     if rng.randrange(32) != 0:
         return
     bundle = scenario.established_copy()

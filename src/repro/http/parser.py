@@ -4,9 +4,9 @@ All entry points take an optional :class:`HttpLimits` so the front end can
 bound what an untrusted peer may make us buffer or parse. Violations raise
 :class:`~repro.errors.HTTPError` — never silent truncation: a negative,
 non-numeric, oversized or self-contradicting ``Content-Length`` is rejected
-identically by :func:`parse_request`, :func:`message_complete` and
-:func:`extract_message`, so the framing decision and the body-length
-decision can never disagree (the classic request-smuggling vector).
+identically by :func:`parse_request` and :func:`extract_message`, so the
+framing decision and the body-length decision can never disagree (the
+classic request-smuggling vector).
 """
 
 from __future__ import annotations
@@ -168,14 +168,20 @@ def _head_content_length(head: str, limits: HttpLimits) -> int:
     return _declared_length(values, limits) or 0
 
 
-def message_complete(data: bytes, limits: HttpLimits = DEFAULT_LIMITS) -> bool:
-    """Whether ``data`` contains at least one full message (head + body).
+def extract_message(
+    data: bytearray, limits: HttpLimits = DEFAULT_LIMITS
+) -> bytes | None:
+    """Pop one complete message's bytes (head + body) from ``data``, or
+    return ``None`` while it is still arriving.
 
     Raises :class:`HTTPError` when the head is present but its framing is
     unusable (bad Content-Length, over-bound body) — such a stream can
     never be delimited, so waiting for more bytes would hang forever —
     or when ``data`` exceeds the pre-terminator buffering bound without
-    containing a header terminator.
+    containing a header terminator. Framing decisions are made by the
+    same :func:`_declared_length` logic as :func:`parse_request`, so a
+    message this function delimits can never be re-interpreted with a
+    different body length downstream.
     """
     separator = data.find(b"\r\n\r\n")
     if separator == -1:
@@ -184,27 +190,11 @@ def message_complete(data: bytes, limits: HttpLimits = DEFAULT_LIMITS) -> bool:
                 f"{len(data)} buffered bytes without a header terminator "
                 f"exceed bound {limits.max_buffered_head_bytes}"
             )
-        return False
-    head = data[:separator].decode("latin-1", errors="replace")
-    length = _head_content_length(head, limits)
-    return len(data) >= separator + 4 + length
-
-
-def extract_message(
-    data: bytearray, limits: HttpLimits = DEFAULT_LIMITS
-) -> bytes | None:
-    """Pop one complete message's bytes from ``data`` (or ``None``).
-
-    Framing decisions are made by the same :func:`_declared_length` logic
-    as :func:`parse_request`, so a message this function delimits can never
-    be re-interpreted with a different body length downstream.
-    """
-    if not message_complete(bytes(data), limits):
         return None
-    separator = bytes(data).find(b"\r\n\r\n")
-    head = bytes(data[:separator]).decode("latin-1", errors="replace")
-    length = _head_content_length(head, limits)
-    total = separator + 4 + length
+    head = data[:separator].decode("latin-1", errors="replace")
+    total = separator + 4 + _head_content_length(head, limits)
+    if len(data) < total:
+        return None
     message = bytes(data[:total])
     del data[:total]
     return message

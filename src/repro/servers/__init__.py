@@ -4,11 +4,12 @@
 request streams on a simulated 4-core server with closed-loop clients
 (the per-figure experiment functions over it live in
 :mod:`repro.bench.perf`); :mod:`repro.servers.connection` holds the
-per-connection state machine and the table of live connections, with
-bounded input paths and per-connection fault isolation;
-:mod:`repro.servers.eventloop` is the one pump: it runs every connection
-in the table as a cooperative lthread task on one scheduler (the §4.3
-async front-end core, 100k+ concurrent connections);
+per-connection state machine, with bounded input paths and
+per-connection fault isolation; :mod:`repro.servers.eventloop` owns the
+table of live connections and is the one pump: it runs every connection
+as a cooperative lthread task on one scheduler (the §4.3 async front-end
+core, 100k+ concurrent connections). A deep copy of a loop stands in for
+handing a live table to a second loop;
 :mod:`repro.servers.attest` wraps a handler with the ``GET /attest``
 monitoring endpoint.
 """
@@ -18,12 +19,9 @@ from repro.servers.connection import (
     BufferBoundViolation,
     ConnectionAborted,
     ConnectionLimits,
-    ConnectionSupervisor,
     DeadlineViolation,
     FeedResult,
     ServerConnection,
-    SimClock,
-    SupervisorStats,
 )
 from repro.servers.eventloop import (
     AUDIT_FLUSH_OCALL,
@@ -45,7 +43,6 @@ __all__ = [
     "BufferBoundViolation",
     "ConnectionAborted",
     "ConnectionLimits",
-    "ConnectionSupervisor",
     "DeadlineViolation",
     "EventLoop",
     "EventLoopStats",
@@ -56,7 +53,5 @@ __all__ = [
     "Reschedule",
     "RunResult",
     "ServerConnection",
-    "SimClock",
-    "SupervisorStats",
     "ServerMachine",
 ]

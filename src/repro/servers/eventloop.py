@@ -1,13 +1,14 @@
-"""The async front-end core: one scheduler, 100k+ supervised connections.
+"""The async front-end core: one scheduler, 100k+ live connections.
 
 LibSEAL's front end (§4.3) keeps user-level lthreads resident inside the
 enclave and multiplexes every client connection over them: a connection
 never owns an OS thread, it owns a *task* whose TLS handshake, HTTP parse,
 handler dispatch and audit append are cooperative scheduler slices. This
-module is that architecture over the supervised connection layer:
+module is that architecture over the per-connection state machine
+(:mod:`repro.servers.connection`):
 
-- :class:`EventLoop` wraps (or adopts) a
-  :class:`~repro.servers.connection.ConnectionSupervisor` and runs one
+- :class:`EventLoop` is the one owner of the table of live connections:
+  it opens, accounts, closes and deadline-expires them, and runs one
   generator-based :class:`~repro.lthreads.LThreadTask` per live
   connection on a single :class:`~repro.lthreads.LThreadScheduler`
   (``allow_growth`` lets the task pool stretch to the connection count;
@@ -23,9 +24,11 @@ module is that architecture over the supervised connection layer:
   append leaving the enclave through the async slot protocol;
 - a violation tears down exactly one connection: the driver catches
   exactly :data:`~repro.servers.connection.VIOLATION_ERRORS`, aborts via
-  :meth:`~repro.servers.connection.ServerConnection.abort`, and
-  accounting flows through
-  :meth:`~repro.servers.connection.ConnectionSupervisor.account`;
+  :meth:`~repro.servers.connection.ServerConnection.abort`, and the loop
+  retires it from the table and counts it in :class:`EventLoopStats`;
+- a deep copy of a loop is an independent loop over copies of its
+  connections (a fresh driver per live one): the fuzzing harness revives
+  an established TLS connection that way instead of handshaking again;
 - aborting or deadline-expiring a connection whose task is parked
   *reaps the task* through :meth:`~repro.lthreads.LThreadScheduler.cancel`
   (closing the generator, returning the slot), so 100k churned
@@ -47,6 +50,7 @@ two ways:
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator
@@ -57,14 +61,13 @@ from repro.lthreads import LThreadScheduler, LThreadTask, TaskState
 from repro.obs import hooks as _obs
 from repro.servers.connection import (
     VIOLATION_ERRORS,
+    ConnectionAborted,
     ConnectionLimits,
-    ConnectionSupervisor,
     FeedResult,
     Handler,
     ServerConnection,
-    SimClock,
-    SupervisorStats,
 )
+from repro.sim.clock import SimClock
 
 #: Name of the async-ocall the driver issues after serving requests: the
 #: audit-log append crossing the enclave boundary. Auto-registered on the
@@ -97,8 +100,15 @@ class Reschedule:
 
 @dataclass
 class EventLoopStats:
-    """Scheduler-level counters (supervisor stats live on the supervisor)."""
+    """Everything the loop counts: the connection table's accounting and
+    the scheduler's."""
 
+    opened: int = 0
+    closed: int = 0  # graceful closes
+    aborted: int = 0  # teardowns for a violation (framing, TLS, deadline)
+    requests_served: int = 0
+    bad_requests: int = 0
+    violations: list[tuple[int, str]] = field(default_factory=list)
     slices: int = 0  # scheduler slices executed
     feeds: int = 0  # chunks fully processed by drivers
     parked_waits: int = 0  # times a driver parked on an empty inbox
@@ -116,35 +126,33 @@ INITIAL_TASKS_PER_WORKER = 48
 
 
 class EventLoop:
-    """Runs every supervised connection as a cooperative lthread task."""
+    """The table of live connections, each run as a cooperative lthread
+    task. One hostile connection can at worst abort itself."""
 
     def __init__(
         self,
-        handler: Handler | None = None,
+        handler: Handler,
         api: Any = None,
         ssl_ctx: Any = None,
         limits: ConnectionLimits | None = None,
         clock: SimClock | None = None,
         on_close: Callable[[int], None] | None = None,
-        supervisor: ConnectionSupervisor | None = None,
         num_workers: int = 3,
         max_tasks: int = 2_000_000,
         async_runtime: AsyncCallRuntime | None = None,
         on_result: Callable[[int, FeedResult], None] | None = None,
         audit_flush: Callable[[], Any] | None = None,
     ):
-        if supervisor is None:
-            if handler is None:
-                raise ValueError("EventLoop needs a handler or a supervisor")
-            supervisor = ConnectionSupervisor(
-                handler,
-                api=api,
-                ssl_ctx=ssl_ctx,
-                limits=limits,
-                clock=clock,
-                on_close=on_close,
-            )
-        self.supervisor = supervisor
+        if (api is None) != (ssl_ctx is None):
+            raise ValueError("TLS mode needs both api and ssl_ctx (or neither)")
+        self.handler = handler
+        self.api = api
+        self.ssl_ctx = ssl_ctx
+        self.limits = limits or ConnectionLimits()
+        self.clock = clock or SimClock()
+        self.on_close = on_close
+        self.connections: dict[int, ServerConnection] = {}
+        self._next_id = 1
         self.scheduler = LThreadScheduler(
             num_tasks=num_workers * INITIAL_TASKS_PER_WORKER,
             num_workers=num_workers,
@@ -165,54 +173,82 @@ class EventLoop:
         # ``libseal.flush_pending`` here) so staged pairs never wait on
         # further traffic for their acknowledging seal.
         self.audit_flush = audit_flush
-        self.loop_stats = EventLoopStats()
+        self.stats = EventLoopStats()
         self._tasks: dict[int, LThreadTask] = {}
         self._inboxes: dict[int, deque[bytes]] = {}
         self._pending_results: dict[int, list[FeedResult]] = {}
         self._collect: set[int] = set()
         self._obs_slices_reported = 0
         self._obs_cancels_reported = 0
-        # Adopt connections already live on a pre-existing supervisor
-        # (the fuzzing harness deepcopies an *established* table —
-        # generators cannot be deepcopied, so drivers are re-spawned here).
-        for conn_id in list(self.supervisor.connections):
-            self._spawn_driver(conn_id)
+
+    def __deepcopy__(self, memo: dict) -> "EventLoop":
+        """An independent loop over deep copies of this loop's clock, SSL
+        context, connections and stats; handler, TLS API, callbacks and
+        async runtime are shared. Driver generators cannot be copied, so
+        every live connection gets a fresh driver that parks for bytes
+        exactly as the original's did (the fuzzing harness revives an
+        established TLS connection this way, without a handshake)."""
+        for shared in (self.handler, self.api, self.on_close, self.on_result,
+                       self.audit_flush, self.async_runtime):
+            memo.setdefault(id(shared), shared)
+        clone = EventLoop(
+            self.handler,
+            api=self.api,
+            ssl_ctx=copy.deepcopy(self.ssl_ctx, memo),
+            limits=self.limits,
+            clock=copy.deepcopy(self.clock, memo),
+            on_close=self.on_close,
+            num_workers=self.scheduler.num_workers,
+            max_tasks=self.scheduler.max_tasks,
+            async_runtime=self.async_runtime,
+            on_result=self.on_result,
+            audit_flush=self.audit_flush,
+        )
+        memo[id(self)] = clone
+        clone.connections = copy.deepcopy(self.connections, memo)
+        clone.stats = copy.deepcopy(self.stats, memo)
+        clone._next_id = self._next_id
+        for conn in clone.connections.values():
+            clone._spawn_driver(conn)
+        return clone
 
     # ------------------------------------------------------------------
-    # Connection-table facade
+    # The connection table
     # ------------------------------------------------------------------
-
-    @property
-    def stats(self) -> SupervisorStats:
-        return self.supervisor.stats
-
-    @property
-    def clock(self) -> SimClock:
-        return self.supervisor.clock
-
-    @property
-    def limits(self) -> ConnectionLimits:
-        return self.supervisor.limits
-
-    @property
-    def connections(self) -> dict[int, ServerConnection]:
-        return self.supervisor.connections
 
     @property
     def live_connections(self) -> list[int]:
-        return self.supervisor.live_connections
+        return sorted(self.connections)
 
     def connection(self, conn_id: int) -> ServerConnection:
-        return self.supervisor.connection(conn_id)
+        conn = self.connections.get(conn_id)
+        if conn is None:
+            raise ConnectionAborted(f"unknown connection {conn_id}")
+        return conn
 
-    def open(self, ssl_ctx: Any = None) -> int:
+    def open(self) -> int:
         """Accept a connection and spawn its driver task (READY, not yet
         run — its first slice parks it on :class:`ReadWait`)."""
-        conn_id = self.supervisor.open(ssl_ctx)
-        self._spawn_driver(conn_id)
-        live = len(self.supervisor.connections)
-        if live > self.loop_stats.peak_concurrent:
-            self.loop_stats.peak_concurrent = live
+        conn_id = self._next_id
+        self._next_id += 1
+        conn = self.connections[conn_id] = ServerConnection(
+            conn_id,
+            self.handler,
+            self.limits,
+            self.clock,
+            api=self.api,
+            ssl_ctx=self.ssl_ctx,
+            on_close=self.on_close,
+        )
+        self.stats.opened += 1
+        if _obs.ON:
+            _obs.active().metrics.counter(
+                "frontend_connections_total", "Connections accepted"
+            ).inc()
+        self._spawn_driver(conn)
+        live = len(self.connections)
+        if live > self.stats.peak_concurrent:
+            self.stats.peak_concurrent = live
         return conn_id
 
     def feed(self, conn_id: int, data: bytes) -> FeedResult:
@@ -222,7 +258,7 @@ class EventLoop:
         is reported in the :class:`FeedResult`; feeding a connection
         already torn down raises ``ConnectionAborted``.
         """
-        conn = self.supervisor.connection(conn_id)
+        conn = self.connection(conn_id)
         self.deliver(conn_id, data)
         self._collect.add(conn_id)
         try:
@@ -243,15 +279,39 @@ class EventLoop:
 
     def close(self, conn_id: int) -> None:
         """Graceful close; reaps the connection's parked task."""
-        self.supervisor.close(conn_id)
+        conn = self.connections.pop(conn_id, None)
+        if conn is not None:
+            conn.close()
+            self.stats.closed += 1
         self._reap(conn_id)
 
     def tick(self) -> list[int]:
-        """Enforce deadlines; every expired connection's task is reaped."""
-        expired = self.supervisor.tick()
-        for conn_id in expired:
-            self._reap(conn_id)
+        """Enforce deadlines against the clock now; every expired
+        connection is aborted and its task reaped. Returns their ids."""
+        now = self.clock.now()
+        expired: list[int] = []
+        for conn in list(self.connections.values()):
+            violation = conn.deadline_violation(now)
+            if violation is not None:
+                conn.abort(violation)
+                self._note_abort(conn)
+                self._reap(conn.conn_id)
+                expired.append(conn.conn_id)
         return expired
+
+    def _note_abort(self, conn: ServerConnection) -> None:
+        """Retire an aborted connection, once: it is still in the table
+        exactly when its abort has not been noted yet."""
+        if self.connections.pop(conn.conn_id, None) is None:
+            return
+        self.stats.aborted += 1
+        self.stats.violations.append((conn.conn_id, repr(conn.violation)))
+        if _obs.ON:
+            _obs.active().metrics.counter(
+                "frontend_connections_aborted_total",
+                "Connections torn down for protocol violations",
+                reason=type(conn.violation).__name__,
+            ).inc()
 
     # ------------------------------------------------------------------
     # Open-loop interface (ServerMachine.run_frontend)
@@ -265,7 +325,7 @@ class EventLoop:
         sit in the inbox and the task sits in the ready queue, which is
         where saturation-knee queueing delay comes from.
         """
-        self.supervisor.connection(conn_id)  # raises if torn down
+        self.connection(conn_id)  # raises if torn down
         task = self._tasks.get(conn_id)
         if task is None:  # pragma: no cover - defensive
             raise SimulationError(f"connection {conn_id} has no driver task")
@@ -301,8 +361,8 @@ class EventLoop:
     # Driver machinery
     # ------------------------------------------------------------------
 
-    def _spawn_driver(self, conn_id: int) -> None:
-        conn = self.supervisor.connection(conn_id)
+    def _spawn_driver(self, conn: ServerConnection) -> None:
+        conn_id = conn.conn_id
         task = self.scheduler.spawn(self._driver(conn_id, conn))
         task.context["conn_id"] = conn_id
         task.context["steps_base"] = task.steps_executed
@@ -337,7 +397,7 @@ class EventLoop:
                 if self.async_runtime is not None and (
                     result.served or result.bad_requests
                 ):
-                    self.loop_stats.audit_ocalls += 1
+                    self.stats.audit_ocalls += 1
                     yield OcallRequest(
                         AUDIT_FLUSH_OCALL, (conn_id, result.served)
                     )
@@ -354,10 +414,10 @@ class EventLoop:
             inbox = self._inboxes.get(request.conn_id)
             if inbox:
                 task.pending_yield = None
-                self.loop_stats.resumed_reads += 1
+                self.stats.resumed_reads += 1
                 self.scheduler.resume(task, inbox.popleft())
             else:
-                self.loop_stats.parked_waits += 1  # stays WAITING
+                self.stats.parked_waits += 1  # stays WAITING
         elif isinstance(request, Reschedule):
             task.pending_yield = None
             self.scheduler.resume(task, True)
@@ -377,10 +437,10 @@ class EventLoop:
             )
 
     def _after_slice(self) -> None:
-        self.loop_stats.slices += 1
+        self.stats.slices += 1
         depth = self.scheduler.ready_depth()
-        if depth > self.loop_stats.peak_ready_depth:
-            self.loop_stats.peak_ready_depth = depth
+        if depth > self.stats.peak_ready_depth:
+            self.stats.peak_ready_depth = depth
         task = self.scheduler.last_ran
         if task is not None and task.state is TaskState.WAITING:
             self._service(task)
@@ -388,8 +448,21 @@ class EventLoop:
     def _finish_feed(
         self, conn_id: int, conn: ServerConnection, result: FeedResult
     ) -> None:
-        self.loop_stats.feeds += 1
-        self.supervisor.account(conn, result)
+        self.stats.feeds += 1
+        self.stats.requests_served += result.served
+        self.stats.bad_requests += result.bad_requests
+        if _obs.ON:
+            metrics = _obs.active().metrics
+            if result.served:
+                metrics.counter(
+                    "frontend_requests_served_total", "Requests served"
+                ).inc(result.served)
+            if result.bad_requests:
+                metrics.counter(
+                    "frontend_bad_requests_total", "Malformed requests rejected"
+                ).inc(result.bad_requests)
+        if result.aborted and conn.violation is result.violation:
+            self._note_abort(conn)
         if conn_id in self._collect:
             self._pending_results.setdefault(conn_id, []).append(result)
         if self.on_result is not None:
@@ -413,11 +486,11 @@ class EventLoop:
             self._record_steps(conn_id, task)
             if task.generator is not None:
                 self.scheduler.cancel(task)
-                self.loop_stats.reaped_tasks += 1
+                self.stats.reaped_tasks += 1
 
     def _record_steps(self, conn_id: int, task: LThreadTask) -> None:
         steps = task.steps_executed - task.context.get("steps_base", 0)
-        self.loop_stats.per_conn_steps[conn_id] = steps
+        self.stats.per_conn_steps[conn_id] = steps
         if _obs.ON:
             _obs.active().metrics.histogram(
                 "frontend_connection_steps",
@@ -446,7 +519,7 @@ class EventLoop:
         ).set(self.scheduler.ready_depth())
         metrics.gauge(
             "lthread_ready_depth_peak", "Run-queue depth high-water mark"
-        ).set(self.loop_stats.peak_ready_depth)
+        ).set(self.stats.peak_ready_depth)
         metrics.gauge(
             "lthread_worker_slots", "Simulated enclave worker slots"
         ).set(self.scheduler.num_workers)
@@ -459,11 +532,11 @@ class EventLoop:
         ).set(self.scheduler.waiting_count())
         metrics.gauge(
             "frontend_live_connections", "Connections currently supervised"
-        ).set(len(self.supervisor.connections))
+        ).set(len(self.connections))
         metrics.counter(
             "lthread_slices_total", "Scheduler slices executed"
-        ).inc(self.loop_stats.slices - self._obs_slices_reported)
-        self._obs_slices_reported = self.loop_stats.slices
+        ).inc(self.stats.slices - self._obs_slices_reported)
+        self._obs_slices_reported = self.stats.slices
         metrics.counter(
             "lthread_cancellations_total", "Tasks reaped by cancellation"
         ).inc(self.scheduler.cancellations - self._obs_cancels_reported)

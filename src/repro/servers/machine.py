@@ -421,18 +421,18 @@ class ServerMachine:
             """One scheduler slice; advance the clock by its cost."""
             stats = loop.stats
             before = stats.requests_served + stats.bad_requests
-            before_ocalls = loop.loop_stats.audit_ocalls
+            before_ocalls = stats.audit_ocalls
             if not loop.step():
                 return False
             delta_req = stats.requests_served + stats.bad_requests - before
-            delta_ocalls = loop.loop_stats.audit_ocalls - before_ocalls
+            delta_ocalls = stats.audit_ocalls - before_ocalls
             cycles = (
                 FRONTEND_SLICE_CYCLES
                 + delta_req * FRONTEND_REQUEST_CYCLES
                 + delta_ocalls * ASYNC_CALL_CYCLES
             )
             clock.advance(cycles / capacity_hz)
-            if loop.loop_stats.slices % FRONTEND_TICK_SLICES == 0:
+            if stats.slices % FRONTEND_TICK_SLICES == 0:
                 loop.tick()
             return True
 
@@ -480,8 +480,7 @@ class ServerMachine:
             return ordered[index]
 
         stats = loop.stats
-        lstats = loop.loop_stats
-        wait_events = lstats.parked_waits + runtime.stats.task_wait_events
+        wait_events = stats.parked_waits + runtime.stats.task_wait_events
         return FrontendRunResult(
             connections=admitted,
             offered_rps=admitted / window_s if window_s else 0.0,
@@ -493,12 +492,12 @@ class ServerMachine:
             p95_latency_s=pct(95),
             p99_latency_s=pct(99),
             makespan_s=makespan,
-            peak_concurrent=lstats.peak_concurrent,
-            peak_ready_depth=lstats.peak_ready_depth,
-            slices=lstats.slices,
+            peak_concurrent=stats.peak_concurrent,
+            peak_ready_depth=stats.peak_ready_depth,
+            slices=stats.slices,
             task_wait_events=wait_events,
-            audit_ocalls=lstats.audit_ocalls,
-            reaped_tasks=lstats.reaped_tasks,
+            audit_ocalls=stats.audit_ocalls,
+            reaped_tasks=stats.reaped_tasks,
         )
 
     # ------------------------------------------------------------------

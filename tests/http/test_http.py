@@ -11,7 +11,7 @@ from repro.http import (
     parse_response,
 )
 from repro.http.messages import Headers
-from repro.http.parser import extract_message, message_complete
+from repro.http.parser import extract_message
 
 
 class TestHeaders:
@@ -120,8 +120,8 @@ class TestResponse:
 class TestStreaming:
     def test_message_complete(self):
         full = b"POST / HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody"
-        assert not message_complete(full[:-1])
-        assert message_complete(full)
+        assert extract_message(bytearray(full[:-1])) is None
+        assert extract_message(bytearray(full)) == full
 
     def test_extract_message_pops_one(self):
         buffer = bytearray(

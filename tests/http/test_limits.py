@@ -11,7 +11,6 @@ from repro.http.messages import Headers
 from repro.http.parser import (
     HttpLimits,
     extract_message,
-    message_complete,
     parse_request,
 )
 
@@ -33,8 +32,6 @@ class TestContentLength:
         with pytest.raises(HTTPError, match="negative Content-Length"):
             parse_request(data)
         with pytest.raises(HTTPError):
-            message_complete(data)
-        with pytest.raises(HTTPError):
             extract_message(bytearray(data))
 
     def test_non_numeric_rejected(self):
@@ -42,7 +39,7 @@ class TestContentLength:
         with pytest.raises(HTTPError, match="bad Content-Length"):
             parse_request(data)
         with pytest.raises(HTTPError):
-            message_complete(data)
+            extract_message(bytearray(data))
 
     def test_conflicting_duplicates_rejected(self):
         """Two disagreeing Content-Lengths is the classic smuggling
@@ -51,19 +48,17 @@ class TestContentLength:
         with pytest.raises(HTTPError, match="conflicting Content-Length"):
             parse_request(data)
         with pytest.raises(HTTPError):
-            message_complete(data)
-        with pytest.raises(HTTPError):
             extract_message(bytearray(data))
 
     def test_identical_duplicates_accepted(self):
         data = _req("Content-Length: 5\r\nContent-Length: 5", b"hello")
         assert parse_request(data).body == b"hello"
-        assert message_complete(data)
+        assert extract_message(bytearray(data)) == data
 
     def test_over_bound_rejected_even_if_body_absent(self):
         data = _req(f"Content-Length: {TIGHT.max_body_bytes + 1}")
         with pytest.raises(HTTPError, match="exceeds bound"):
-            message_complete(data, TIGHT)
+            extract_message(bytearray(data), TIGHT)
         with pytest.raises(HTTPError):
             parse_request(data + b"x", TIGHT)
 
@@ -110,10 +105,10 @@ class TestHeaderBounds:
     def test_buffered_head_bound_without_terminator(self):
         trickle = b"GET / HTTP/1.1\r\nX-Drip: " + b"a" * 2000
         with pytest.raises(HTTPError, match="without a header terminator"):
-            message_complete(trickle, TIGHT)
+            extract_message(bytearray(trickle), TIGHT)
 
     def test_incomplete_head_within_bound_waits(self):
-        assert message_complete(b"GET / HTTP/1.1\r\nX: y", TIGHT) is False
+        assert extract_message(bytearray(b"GET / HTTP/1.1\r\nX: y"), TIGHT) is None
         assert extract_message(bytearray(b"GET / HT"), TIGHT) is None
 
 

@@ -3,10 +3,11 @@ scheduler semantics of the loop that enforces it.
 
 ``TestFrontendParity`` holds the front end's contract scenarios — typed
 teardown, TLS alerts, deadlines, request budgets, audit-handle release —
-against the one pump there is, :class:`EventLoop`.
-``tests/servers/test_supervisor.py`` runs the same contract over a
-connection table that a loop *adopted* mid-connection.
+against :class:`EventLoop`, the one owner of the connection table and
+the one pump there is.
 """
+
+import copy
 
 import pytest
 
@@ -25,8 +26,9 @@ from repro.servers.connection import (
     BufferBoundViolation,
     ConnectionAborted,
     ConnectionLimits,
-    SimClock,
+    ServerConnection,
 )
+from repro.sim.clock import SimClock
 from repro.tls import api as native_api
 from repro.tls.bio import BIO
 from repro.tls.cert import CertificateAuthority, make_server_identity
@@ -74,35 +76,30 @@ def _tls_connect(ca, frontend):
     return cid, cssl, rb, wb
 
 
-@pytest.fixture(params=["eventloop"])
-def make_frontend():
-    """The front end under test. Still a one-value parameter so these
-    scenarios kept their test ids when their ``direct`` twin — the
-    externally-pumped supervisor — was deleted."""
-    return EventLoop
-
-
 class TestFrontendParity:
     """The front end's connection-lifecycle contract."""
 
-    def test_serves_wellformed_request(self, make_frontend):
-        fe = make_frontend(_echo_handler)
+    def test_connection_has_no_pump_of_its_own(self):
+        assert not hasattr(ServerConnection, "feed")
+
+    def test_serves_wellformed_request(self):
+        fe = EventLoop(_echo_handler)
         cid = fe.open()
         result = fe.feed(cid, _request("/hello"))
         assert result.served == 1 and not result.aborted
         assert parse_response(result.output).body == b"echo:/hello"
         assert fe.stats.requests_served == 1
 
-    def test_delimitable_bad_request_gets_400_and_lives(self, make_frontend):
-        fe = make_frontend(_echo_handler)
+    def test_delimitable_bad_request_gets_400_and_lives(self):
+        fe = EventLoop(_echo_handler)
         cid = fe.open()
         result = fe.feed(cid, b"bogus request line\r\n\r\n")
         assert not result.aborted and result.bad_requests == 1
         assert parse_response(result.output).status == 400
         assert fe.feed(cid, _request()).served == 1
 
-    def test_framing_violation_aborts_connection(self, make_frontend):
-        fe = make_frontend(_echo_handler)
+    def test_framing_violation_aborts_connection(self):
+        fe = EventLoop(_echo_handler)
         cid = fe.open()
         result = fe.feed(cid, _request(headers="Content-Length: -1\r\n"))
         assert result.aborted
@@ -110,8 +107,8 @@ class TestFrontendParity:
         assert cid not in fe.live_connections
         assert fe.stats.aborted == 1
 
-    def test_abort_is_isolated_from_neighbours(self, make_frontend):
-        fe = make_frontend(_echo_handler)
+    def test_abort_is_isolated_from_neighbours(self):
+        fe = EventLoop(_echo_handler)
         good, bad = fe.open(), fe.open()
         fe.feed(good, _request("/one"))
         assert fe.feed(bad, b"X" * (1 << 17)).aborted
@@ -119,25 +116,25 @@ class TestFrontendParity:
         assert result.served == 1 and not result.aborted
         assert fe.live_connections == [good]
 
-    def test_feed_after_abort_reports_closed(self, make_frontend):
-        fe = make_frontend(_echo_handler)
+    def test_feed_after_abort_reports_closed(self):
+        fe = EventLoop(_echo_handler)
         cid = fe.open()
         fe.feed(cid, _request(headers="Content-Length: -1\r\n"))
         assert cid not in fe.connections
         with pytest.raises(ConnectionAborted):
             fe.feed(cid, _request())
 
-    def test_pipelining_depth_bound(self, make_frontend):
+    def test_pipelining_depth_bound(self):
         limits = ConnectionLimits(max_pipelined_per_feed=2)
-        fe = make_frontend(_echo_handler, limits=limits)
+        fe = EventLoop(_echo_handler, limits=limits)
         cid = fe.open()
         result = fe.feed(cid, _request("/1") + _request("/2") + _request("/3"))
         assert result.aborted
         assert isinstance(result.violation, BufferBoundViolation)
 
-    def test_lifetime_request_budget(self, make_frontend):
+    def test_lifetime_request_budget(self):
         limits = ConnectionLimits(max_requests_per_connection=2)
-        fe = make_frontend(_echo_handler, limits=limits)
+        fe = EventLoop(_echo_handler, limits=limits)
         cid = fe.open()
         assert fe.feed(cid, _request("/1")).served == 1
         assert fe.feed(cid, _request("/2")).served == 1
@@ -145,32 +142,33 @@ class TestFrontendParity:
         assert result.aborted
         assert isinstance(result.violation, BufferBoundViolation)
 
-    def test_idle_timeout_enforced_by_tick(self, make_frontend):
+    def test_idle_timeout_enforced_by_tick(self):
         clock = SimClock()
         limits = ConnectionLimits(idle_timeout_s=10.0)
-        fe = make_frontend(_echo_handler, limits=limits, clock=clock)
+        fe = EventLoop(_echo_handler, limits=limits, clock=clock)
         busy, idle = fe.open(), fe.open()
         clock.advance(8.0)
         fe.feed(busy, _request())
         clock.advance(4.0)
         assert fe.tick() == [idle]
         assert fe.live_connections == [busy]
+        assert fe.stats.violations[-1][1].startswith("DeadlineViolation(")
         assert "idle" in fe.stats.violations[-1][1]
 
-    def test_handshake_deadline_enforced_by_tick(self, make_frontend):
+    def test_handshake_deadline_enforced_by_tick(self):
         _, ctx = _server_ctx(native_api, "elp", "elp")
         clock = SimClock()
         limits = ConnectionLimits(handshake_timeout_s=5.0)
-        fe = make_frontend(_echo_handler, api=native_api, ssl_ctx=ctx,
-                           limits=limits, clock=clock)
+        fe = EventLoop(_echo_handler, api=native_api, ssl_ctx=ctx,
+                       limits=limits, clock=clock)
         cid = fe.open()  # never completes its handshake
         clock.advance(6.0)
         assert fe.tick() == [cid]
         assert "handshake" in fe.stats.violations[-1][1]
 
-    def test_end_to_end_request_over_tls(self, make_frontend):
+    def test_end_to_end_request_over_tls(self):
         ca, ctx = _server_ctx(native_api, "eltls", "eltls")
-        fe = make_frontend(_echo_handler, api=native_api, ssl_ctx=ctx)
+        fe = EventLoop(_echo_handler, api=native_api, ssl_ctx=ctx)
         cid, cssl, rb, wb = _tls_connect(ca, fe)
         native_api.SSL_write(cssl, _request("/tls"))
         result = fe.feed(cid, wb.read())
@@ -179,10 +177,10 @@ class TestFrontendParity:
         assert parse_response(native_api.SSL_read(cssl)).body == b"echo:/tls"
 
     def test_garbage_bytes_abort_with_typed_error_and_alert(
-        self, make_frontend
+        self
     ):
         ca, ctx = _server_ctx(native_api, "elg", "elg")
-        fe = make_frontend(_echo_handler, api=native_api, ssl_ctx=ctx)
+        fe = EventLoop(_echo_handler, api=native_api, ssl_ctx=ctx)
         cid, _, _, _ = _tls_connect(ca, fe)
         result = fe.feed(cid, b"\xde\xad\xbe\xef" * 16)
         assert result.aborted
@@ -191,9 +189,9 @@ class TestFrontendParity:
         assert result.output != b""
         assert cid not in fe.live_connections
 
-    def test_tls_abort_leaves_neighbour_serving(self, make_frontend):
+    def test_tls_abort_leaves_neighbour_serving(self):
         ca, ctx = _server_ctx(native_api, "eln", "eln")
-        fe = make_frontend(_echo_handler, api=native_api, ssl_ctx=ctx)
+        fe = EventLoop(_echo_handler, api=native_api, ssl_ctx=ctx)
         bad_cid, _, _, _ = _tls_connect(ca, fe)
         good_cid, good_ssl, good_rb, good_wb = _tls_connect(ca, fe)
         assert fe.feed(bad_cid, b"\x00" * 64).aborted
@@ -201,7 +199,7 @@ class TestFrontendParity:
         result = fe.feed(good_cid, good_wb.read())
         assert result.served == 1 and not result.aborted
 
-    def test_teardown_releases_state_by_ssl_handle(self, make_frontend):
+    def test_teardown_releases_state_by_ssl_handle(self):
         """``on_close`` receives the SSL handle captured before
         ``SSL_free``, aborted connection first."""
         from repro.enclave_tls import EnclaveTlsRuntime
@@ -210,8 +208,8 @@ class TestFrontendParity:
         api = runtime.api
         ca, ctx = _server_ctx(api, "elh", "elh")
         closed: list[int] = []
-        fe = make_frontend(_echo_handler, api=api, ssl_ctx=ctx,
-                           on_close=closed.append)
+        fe = EventLoop(_echo_handler, api=api, ssl_ctx=ctx,
+                       on_close=closed.append)
         abort_cid = _tls_connect(ca, fe)[0]
         close_cid = _tls_connect(ca, fe)[0]
         abort_handle = fe.connection(abort_cid).audit_handle
@@ -231,7 +229,7 @@ class TestEventLoopScheduling:
         task = loop._tasks[cid]
         assert task.state is TaskState.WAITING
         assert isinstance(task.pending_yield, ReadWait)
-        assert loop.loop_stats.parked_waits >= 1
+        assert loop.stats.parked_waits >= 1
 
     def test_request_spans_multiple_slices(self):
         """TLS/ingress and HTTP dispatch are separate scheduler turns —
@@ -239,11 +237,11 @@ class TestEventLoopScheduling:
         loop = EventLoop(_echo_handler)
         cid = loop.open()
         loop.pump()
-        before = loop.loop_stats.slices
+        before = loop.stats.slices
         result = loop.feed(cid, _request("/multi"))
         assert result.served == 1
         # ingress slice + dispatch slice at minimum.
-        assert loop.loop_stats.slices - before >= 2
+        assert loop.stats.slices - before >= 2
 
     def test_open_loop_deliver_defers_work_until_step(self):
         loop = EventLoop(_echo_handler)
@@ -262,9 +260,9 @@ class TestEventLoopScheduling:
         busy_before = loop.scheduler.busy_count()
         loop.close(cid)
         assert loop.scheduler.cancellations == 1
-        assert loop.loop_stats.reaped_tasks == 1
+        assert loop.stats.reaped_tasks == 1
         assert loop.scheduler.busy_count() == busy_before - 1
-        assert cid in loop.loop_stats.per_conn_steps
+        assert cid in loop.stats.per_conn_steps
 
     def test_tick_reaps_expired_connection_tasks(self):
         clock = SimClock()
@@ -274,7 +272,7 @@ class TestEventLoopScheduling:
         loop.pump()
         clock.advance(10.0)
         assert sorted(loop.tick()) == sorted(cids)
-        assert loop.loop_stats.reaped_tasks == 3
+        assert loop.stats.reaped_tasks == 3
         assert loop.scheduler.waiting_count() == 0
 
     def test_abort_mid_dispatch_reaps_via_driver_exit(self):
@@ -291,7 +289,7 @@ class TestEventLoopScheduling:
         loop = EventLoop(_echo_handler, async_runtime=runtime)
         cid = loop.open()
         assert loop.feed(cid, _request("/audited")).served == 1
-        assert loop.loop_stats.audit_ocalls == 1
+        assert loop.stats.audit_ocalls == 1
         assert runtime.stats.per_ocall[AUDIT_FLUSH_OCALL] == 1
         assert sum(runtime.stats.per_task_ocalls.values()) == 1
 
@@ -316,17 +314,34 @@ class TestEventLoopScheduling:
         assert loop.feed(cid, _request("/a")).served == 1
         assert flushes == []  # no async runtime -> no flush ocalls
 
-    def test_adopts_established_supervisor(self):
-        """An EventLoop wrapped around a live supervisor re-spawns driver
-        tasks for every existing connection (the fuzz deepcopy path)."""
-        first = EventLoop(_echo_handler)
-        cid = first.open()
-        first.feed(cid, _request("/before"))
-        loop = EventLoop(supervisor=first.supervisor)
-        assert cid in loop._tasks
-        result = loop.feed(cid, _request("/after"))
-        assert result.served == 1
-        assert loop.stats.requests_served == 2
+    def test_deepcopy_serves_without_handshake(self):
+        """A deep copy of a loop holding an established TLS connection is
+        an independent front end: it serves the next request with no new
+        handshake, and the original's connection, stats and output are
+        untouched (the fuzzing harness's established-connection path)."""
+        ca, ctx = _server_ctx(native_api, "elcopy", "elcopy")
+        original = EventLoop(_echo_handler, api=native_api, ssl_ctx=ctx)
+        cid, cssl, rb, wb = _tls_connect(ca, original)
+        sessions = ctx.sessions_created
+        stats_before = copy.deepcopy(original.stats)
+        original_conn = original.connection(cid)
+        native_api.SSL_write(cssl, _request("/copied"))
+        request_bytes = wb.read()
+
+        clone = copy.deepcopy(original)
+        assert clone.connection(cid) is not original_conn
+        assert clone.connection(cid).established
+        result = clone.feed(cid, request_bytes)
+        assert result.served == 1 and not result.aborted
+        assert clone.stats.requests_served == stats_before.requests_served + 1
+        assert clone.ssl_ctx.sessions_created == sessions  # no handshake
+
+        assert original.stats == stats_before
+        assert original.connection(cid) is original_conn
+        assert original_conn.requests_served == 0
+        assert original_conn.from_server.read() == b""
+        # The original, still parked, serves the same bytes on its own.
+        assert original.feed(cid, request_bytes).output == result.output
 
     def test_peak_concurrent_tracks_highwater(self):
         loop = EventLoop(_echo_handler)
@@ -335,7 +350,7 @@ class TestEventLoopScheduling:
             assert loop.feed(cid, _request(f"/{cid}")).served == 1
         for cid in cids[:30]:
             loop.close(cid)
-        assert loop.loop_stats.peak_concurrent == 50
+        assert loop.stats.peak_concurrent == 50
         assert len(loop.live_connections) == 20
 
     def test_worker_occupancy_saturates_at_one(self):

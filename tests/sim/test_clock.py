@@ -1,7 +1,7 @@
 """One time source: SimClock and its Simulator-backed view.
 
 The front end's deadlines and the discrete-event simulator must never
-disagree about "now" — :class:`SimulatorClock` makes the supervisor's
+disagree about "now" — :class:`SimulatorClock` makes the event loop's
 clock *be* the simulator's clock.
 """
 
@@ -24,11 +24,6 @@ class TestSimClock:
     def test_rejects_negative_advance(self):
         with pytest.raises(ValueError):
             SimClock().advance(-0.1)
-
-    def test_reexported_from_servers_connection(self):
-        from repro.servers.connection import SimClock as LegacyName
-
-        assert LegacyName is SimClock
 
 
 class TestSimulatorClock:
