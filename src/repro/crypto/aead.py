@@ -3,13 +3,23 @@
 The TLS record layer and the SGX sealing facility both need an AEAD. We
 build one from primitives available in the standard library: a keystream
 cipher derived from HMAC-SHA256 in counter mode (CTR construction over a
-PRF), with an HMAC-SHA256 tag over ``nonce || associated_data || ciphertext``
-under an independent key. Structurally this mirrors AES-CTR + HMAC
-(encrypt-then-MAC), which is a standard, provably sound composition.
+PRF), with an HMAC-SHA256 tag over ``nonce || len(associated_data) ||
+associated_data || ciphertext`` under an independent key. Structurally this
+mirrors AES-CTR + HMAC (encrypt-then-MAC), a standard, provably sound
+composition.
+
+Keystream block ``i`` is ``HMAC(enc_key, nonce || INT_64_BE(i))``. RFC 8018
+§5.2 with iteration count 1 defines PBKDF2 block ``T_i = HMAC(P, S ||
+INT_32_BE(i))`` for ``i ≥ 1``, so with ``P = enc_key`` and ``S = nonce ||
+0x00000000`` PBKDF2's output is exactly blocks 1 … 2**32 - 1: one stdlib C
+call after one HMAC for block 0. Longer inputs, where the identity ends, are
+refused before any work is done.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 from dataclasses import dataclass
 
 from repro.crypto.hashing import HASH_LEN, constant_time_equal, hkdf, hmac_sha256
@@ -66,7 +76,9 @@ class AEAD:
 
     def _tag(self, nonce: bytes, associated_data: bytes, ciphertext: bytes) -> bytes:
         ad_len = len(associated_data).to_bytes(8, "big")
-        return hmac_sha256(self._key.mac_key, nonce + ad_len + associated_data + ciphertext)
+        mac = hmac.new(self._key.mac_key, nonce + ad_len + associated_data, "sha256")
+        mac.update(ciphertext)
+        return mac.digest()
 
     @staticmethod
     def _check_nonce(nonce: bytes) -> None:
@@ -76,14 +88,11 @@ class AEAD:
 
 def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """XOR ``data`` with an HMAC-CTR keystream bound to ``nonce``."""
-    output = bytearray(len(data))
-    offset = 0
-    counter = 0
-    while offset < len(data):
-        block = hmac_sha256(key, nonce + counter.to_bytes(8, "big"))
-        take = min(len(block), len(data) - offset)
-        for i in range(take):
-            output[offset + i] = data[offset + i] ^ block[i]
-        offset += take
-        counter += 1
-    return bytes(output)
+    length = len(data)
+    if length > (1 << 32) * HASH_LEN:
+        raise ValueError(f"keystream limited to 2**32 blocks, got {length} bytes")
+    stream = hmac_sha256(key, nonce + bytes(8))[:length]
+    if length > HASH_LEN:  # pbkdf2_hmac refuses dklen=0
+        stream += hashlib.pbkdf2_hmac("sha256", key, nonce + bytes(4), 1, length - HASH_LEN)
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(length, "big")

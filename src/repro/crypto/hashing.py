@@ -25,7 +25,7 @@ def sha256_hex(data: bytes) -> str:
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
     """Return HMAC-SHA256 of ``data`` under ``key``."""
-    return _hmac.new(key, data, hashlib.sha256).digest()
+    return _hmac.digest(key, data, "sha256")
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

@@ -1,24 +1,33 @@
-"""P-256 against OpenSSL, through the ``cryptography`` package.
+"""P-256 and the AEAD against OpenSSL, through the ``cryptography`` package.
 
 A *test-only* oracle: nothing under ``src/`` may import it (the in-enclave
 arithmetic stays pure stdlib; CI greps for it). It is an implementation we
 did not write, so it can disagree with ours: public keys, ECDH secrets,
 signatures in both directions and — because both sides implement RFC 6979
-— the signature bytes themselves.
+— the signature bytes themselves. The AEAD is checked against a textbook
+encrypt-then-MAC written here over OpenSSL's HMAC: one HMAC per 32-byte
+keystream block, no PBKDF2 identity. Tier-1 runs a bounded number of
+examples; the nightly raises ``REPRO_AEAD_EXAMPLES``.
 """
 
+import hashlib
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 pytest.importorskip("cryptography")
 
 from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm  # noqa: E402
-from cryptography.hazmat.primitives import hashes  # noqa: E402
+from cryptography.hazmat.primitives import hashes, hmac  # noqa: E402
 from cryptography.hazmat.primitives.asymmetric import ec as openssl_ec  # noqa: E402
 from cryptography.hazmat.primitives.asymmetric.utils import (  # noqa: E402
     decode_dss_signature,
     encode_dss_signature,
 )
 
+from repro.crypto.aead import AEAD, AEADKey, NONCE_LEN  # noqa: E402
 from repro.crypto.drbg import HmacDrbg  # noqa: E402
 from repro.crypto.ec import CURVE_P256, ECPoint  # noqa: E402
 from repro.crypto.ecdh import ecdh_shared_secret  # noqa: E402
@@ -93,3 +102,56 @@ def test_deterministic_signatures_are_bit_identical():
         r, s = decode_dss_signature(_openssl_key(d).sign(message, rfc6979))
         assert EcdsaPrivateKey(d).sign(message) == EcdsaSignature(r, s)
 
+
+# ---------------------------------------------------------------------------
+# AEAD vs a textbook HMAC-CTR + HMAC tag
+# ---------------------------------------------------------------------------
+
+MAX_AEAD_LENGTH = 70_000
+
+
+def _openssl_hmac(key: bytes, *parts: bytes) -> bytes:
+    mac = hmac.HMAC(key, hashes.SHA256())
+    for part in parts:
+        mac.update(part)
+    return mac.finalize()
+
+
+def _textbook_seal(key: AEADKey, nonce: bytes, data: bytes, ad: bytes) -> bytes:
+    blocks = (len(data) + 31) // 32
+    stream = b"".join(
+        _openssl_hmac(key.enc_key, nonce, i.to_bytes(8, "big")) for i in range(blocks)
+    )
+    ciphertext = bytes(x ^ y for x, y in zip(data, stream))
+    tag = _openssl_hmac(key.mac_key, nonce, len(ad).to_bytes(8, "big"), ad, ciphertext)
+    return ciphertext + tag
+
+
+#: Lengths on and beside a keystream block edge, and anywhere in range.
+_lengths = st.one_of(
+    st.builds(
+        lambda blocks, delta: min(MAX_AEAD_LENGTH, max(0, 32 * blocks + delta)),
+        st.integers(0, MAX_AEAD_LENGTH // 32),
+        st.integers(-1, 1),
+    ),
+    st.integers(0, MAX_AEAD_LENGTH),
+)
+
+
+@settings(
+    max_examples=int(os.environ.get("REPRO_AEAD_EXAMPLES", "40")), deadline=None
+)
+@given(
+    enc_key=st.binary(min_size=1, max_size=80),
+    mac_key=st.binary(min_size=1, max_size=80),
+    nonce=st.binary(min_size=NONCE_LEN, max_size=NONCE_LEN),
+    ad=st.binary(max_size=64),
+    length=_lengths,
+    fill=st.binary(min_size=1, max_size=8),
+)
+def test_aead_matches_textbook_construction(enc_key, mac_key, nonce, ad, length, fill):
+    key = AEADKey(enc_key=enc_key, mac_key=mac_key)
+    data = hashlib.shake_256(fill).digest(length)
+    sealed = AEAD(key).seal(nonce, data, ad)
+    assert sealed == _textbook_seal(key, nonce, data, ad)
+    assert AEAD(key).open(nonce, sealed, ad) == data
