@@ -11,6 +11,15 @@ point, never from a setting: the generator is served from a precomputed
 fixed-base table (additions only), every other point by a width-5 NAF
 ladder over its odd multiples, and :func:`double_multiply` folds ECDSA
 verification's ``u1*G + u2*Q`` into one doubling chain with one inversion.
+
+The generator's table is a signed 8-bit comb: ``n.bit_length() // 8 + 1``
+rows (33 for P-256), row ``i`` holding the affine points ``d * 256**i * G``
+for ``d = 1..128``. A scalar is recoded into base-256 digits in
+``[-127, 128]`` (a byte above 128 becomes ``byte - 256`` and carries one
+into the next row), and a negative digit adds the entry ``(x, p - y)``.
+So ``k*G`` costs at most 33 mixed additions and no doublings. The table
+is built on first use, row by row, and holds 4,224 points (about 0.8 MB).
+
 The affine formulas are the reference the tests hold all three to. None of
 this is constant-time: digits of the scalar index tables and choose
 branches, and Python integers leak operand sizes anyway.
@@ -46,7 +55,7 @@ class Curve:
     @cached_property
     def _generator_table(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Fixed-base table, built on first use: row ``i`` holds the affine
-        points ``d * 16**i * G`` for ``d = 1..15``."""
+        points ``d * 256**i * G`` for ``d = 1..128``."""
         return _build_generator_table(self)
 
     @property
@@ -257,32 +266,44 @@ def _affine_point(curve: Curve, x: int, y: int, z: int) -> ECPoint:
 
 
 def _build_generator_table(curve: Curve) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Row by row, one inversion each: the Jacobian points of a row (and
+    # 256 times its base, the next row's base) are transient, so the
+    # build never holds much more than the finished table.
     p, a = curve.p, curve.a
-    jacobian = []
+    rows = []
     base_x, base_y = curve.gx, curve.gy
-    for _ in range(0, curve.n.bit_length(), 4):
+    for _ in range(curve.n.bit_length() // 8 + 1):
         x, y, z = 0, 1, 0
-        for _ in range(15):
+        jacobian = []
+        for _ in range(128):
             x, y, z = _jac_add_affine(x, y, z, base_x, base_y, p, a)
             jacobian.append((x, y, z))
-        sixteenth = _jac_add_affine(x, y, z, base_x, base_y, p, a)
-        ((base_x, base_y),) = _batch_to_affine([sixteenth], p)
-    affine = _batch_to_affine(jacobian, p)
-    return tuple(tuple(affine[i : i + 15]) for i in range(0, len(affine), 15))
+        jacobian.append(_jac_double(x, y, z, p, a))
+        *row, (base_x, base_y) = _batch_to_affine(jacobian, p)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _generator_multiply(
     curve: Curve, scalar: int, x: int, y: int, z: int
 ) -> tuple[int, int, int]:
     """``(x, y, z) + scalar*G`` for ``0 <= scalar < n``: one table entry
-    per non-zero 4-bit digit of the scalar, no doublings."""
+    per non-zero signed base-256 digit of the scalar, no doublings. A
+    digit above 128 is taken as ``digit - 256`` (the entry negated) and
+    carries one into the next row."""
     p, a = curve.p, curve.a
     for row in curve._generator_table:
-        digit = scalar & 15
-        if digit:
+        digit = scalar & 255
+        scalar >>= 8
+        if digit > 128:
+            scalar += 1
+            tx, ty = row[255 - digit]
+            x, y, z = _jac_add_affine(x, y, z, tx, p - ty, p, a)
+        elif digit:
             tx, ty = row[digit - 1]
             x, y, z = _jac_add_affine(x, y, z, tx, ty, p, a)
-        scalar >>= 4
+    if scalar:
+        raise AssertionError("scalar outlasts the fixed-base table")
     return x, y, z
 
 

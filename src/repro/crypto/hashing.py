@@ -46,11 +46,9 @@ def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
         raise ValueError("HKDF output length too large")
     blocks = []
     previous = b""
-    counter = 1
-    while sum(len(b) for b in blocks) < length:
+    for counter in range(1, -(-length // HASH_LEN) + 1):
         previous = hmac_sha256(prk, previous + info + bytes([counter]))
         blocks.append(previous)
-        counter += 1
     return b"".join(blocks)[:length]
 
 

@@ -122,6 +122,16 @@ class SigningAuthority:
     and nonce stream is derived for a specific epoch, :meth:`rotate`
     opens a new one, and :meth:`retire` (or the bounded ``grace_window``)
     closes old ones for good.
+
+    Sealing and group keys are derived once per epoch: the first HKDF
+    (and, for a sealing key, the ``AEADKey.derive`` after it) of a usable
+    epoch is kept in a memo keyed by epoch, and an epoch's entries are
+    dropped the moment :meth:`rotate` or :meth:`retire` retires it. The
+    memo therefore holds at most ``grace_window + 1`` epochs of keys, and
+    never a retired one; a key asked for under a retired or unknown epoch
+    is derived afresh and not kept. Callers still check the epoch's state
+    themselves. Nonce streams are not part of the memo: a stream dropped
+    and re-seeded would replay its nonces.
     """
 
     def __init__(self, name: str, seed: bytes | None = None, grace_window: int = 1):
@@ -139,6 +149,8 @@ class SigningAuthority:
         #: the same key already consumed, because the stream is seeded
         #: from the same scope as the key itself.
         self._nonce_streams: dict[tuple[int, bytes], HmacDrbg] = {}
+        #: The key memo: epoch -> {(domain, key_id or label): key}.
+        self._epoch_keys: dict[int, dict[tuple[bytes, bytes], object]] = {}
         self.rotations = 0
         self.retired_rejections = 0
 
@@ -171,6 +183,7 @@ class SigningAuthority:
         for entry in self._epochs.values():
             if entry.epoch < new - self.grace_window:
                 entry.state = EpochState.RETIRED
+                self._epoch_keys.pop(entry.epoch, None)
         self.rotations += 1
         if _obs.ON:
             metrics = _obs.active().metrics
@@ -190,6 +203,7 @@ class SigningAuthority:
         if epoch == self.current_epoch:
             raise SealingError("cannot retire the active key epoch")
         entry.state = EpochState.RETIRED
+        self._epoch_keys.pop(epoch, None)
 
     def _require_usable_epoch(self, epoch: int, action: str) -> None:
         state = self.epoch_state(epoch)
@@ -211,12 +225,25 @@ class SigningAuthority:
     # ------------------------------------------------------------------
 
     def _sealing_key(self, key_id: bytes, epoch: int) -> AEADKey:
-        material = hkdf(
+        return self._epoch_key(b"sgx-seal", epoch, key_id, AEADKey.derive)
+
+    def _epoch_key(self, domain: bytes, epoch: int, scope: bytes, finish=None):
+        """HKDF of the root secret for ``domain``/``epoch``/``scope`` (then
+        ``finish``), memoised while ``epoch`` is ACTIVE or GRACE."""
+        keys = self._epoch_keys.get(epoch)
+        key = keys.get((domain, scope)) if keys else None
+        if key is not None:
+            return key
+        key = hkdf(
             self._root_secret,
-            info=b"sgx-seal" + epoch.to_bytes(EPOCH_TAG_LEN, "big") + key_id,
+            info=domain + epoch.to_bytes(EPOCH_TAG_LEN, "big") + scope,
             length=32,
         )
-        return AEADKey.derive(material)
+        if finish is not None:
+            key = finish(key)
+        if self.epoch_state(epoch) in (EpochState.ACTIVE, EpochState.GRACE):
+            self._epoch_keys.setdefault(epoch, {})[domain, scope] = key
+        return key
 
     def _next_nonce(self, epoch: int, key_id: bytes) -> bytes:
         stream = self._nonce_streams.get((epoch, key_id))
@@ -244,11 +271,7 @@ class SigningAuthority:
         — an HMAC under a retired epoch's key proves nothing anymore.
         """
         scope = epoch if epoch is not None else self.current_epoch
-        return hkdf(
-            self._root_secret,
-            info=b"sgx-group-key" + scope.to_bytes(EPOCH_TAG_LEN, "big") + label,
-            length=32,
-        )
+        return self._epoch_key(b"sgx-group-key", scope, label)
 
     # ------------------------------------------------------------------
     # Seal / unseal (must run inside the enclave)

@@ -8,12 +8,15 @@ mixed additions. The reference here uses nothing but the retained affine
 no arithmetic with what it checks. Tier-1 runs a bounded number of
 examples; the nightly raises ``REPRO_EC_EXAMPLES``.
 
-The last section pins the *work* each multiplier does as exact counts of
-point doublings and additions — the claim of the change, with no clock.
+The fixed-base table itself is checked entry by entry with the affine
+``+``, and its retained and transient memory are bounded. The last section
+pins the *work* each multiplier does as exact counts of point doublings
+and additions — the claim of the change, with no clock.
 """
 
 import copy
 import os
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -59,15 +62,28 @@ def point_with_x_from(x: int) -> ECPoint:
         x = (x + 1) % P
 
 
-def table_entry(window: int, digit: int) -> ECPoint:
-    return ECPoint(CURVE_P256, *CURVE_P256._generator_table[window][digit - 1])
+def table_entry(row: int, digit: int) -> ECPoint:
+    """``digit * 256**row * G`` as the comb adds it, for a signed digit
+    in ``[-127, 128]`` other than 0 (a negative one is the entry negated)."""
+    entry = ECPoint(CURVE_P256, *CURVE_P256._generator_table[row][abs(digit) - 1])
+    return entry if digit > 0 else -entry
+
+
+def scalar_reaching(row: int, digit: int) -> int:
+    """The scalar whose recoding is ``digit`` at ``row`` with every lower
+    row zero (a negative digit carries one into ``row + 1``)."""
+    return (digit % 256) << (8 * row)
 
 
 EDGE_SCALARS = [
     0, 1, 2, 15, 16, 17, 31, 32, 33, N - 2, N - 1, N, N + 1, 2 * N - 1,
-    (1 << 256) - 1,                       # every 4-bit digit 0xF (and >= n)
-    (1 << 252) - 1,                       # every digit 0xF below n
-    int("f0" * 32, 16), int("0f" * 32, 16),  # alternating digits
+    127, 128, 129, 255, 256, 257,         # either side of a byte's sign edge
+    N - 128, N - 129,
+    (1 << 256) - 1,                       # every byte 0xFF (and >= n)
+    (1 << 248) - 1,                       # a carry ripple through 31 rows below n
+    (1 << 252) - 1,
+    int("7f" * 32, 16), int("80" * 32, 16), int("81" * 32, 16),
+    int("f0" * 32, 16), int("0f" * 32, 16),  # alternating nibbles
     int("a" * 64, 16), int("5" * 64, 16),    # alternating bits
     int("8" * 64, 16), int("10" * 32, 16),
 ]
@@ -81,9 +97,13 @@ scalars = st.one_of(
     st.integers(min_value=0, max_value=1 << 20),
 )
 points = st.one_of(
-    st.sampled_from([G, -G, INFINITY, G + G, table_entry(0, 15), table_entry(63, 1)]),
+    st.sampled_from(
+        [G, -G, INFINITY, G + G, table_entry(0, 128), table_entry(0, -127), table_entry(32, 1)]
+    ),
     st.builds(
-        table_entry, st.integers(min_value=0, max_value=63), st.integers(min_value=1, max_value=15)
+        table_entry,
+        st.integers(min_value=0, max_value=32),
+        st.integers(min_value=-127, max_value=128).filter(bool),
     ),
     st.integers(min_value=1, max_value=P - 1).map(point_with_x_from),
     st.integers(min_value=1, max_value=P - 1).map(point_with_x_from).map(lambda q: -q),
@@ -161,23 +181,35 @@ class TestAgainstAffineLadder:
 
 class TestMixedAdditionEdges:
     """Accumulating a table entry onto ``u2*Q`` can meet the very same
-    point or its negative; count the doubling helper to show the branch
-    was really taken (with ``u2 = 1`` the ladder itself never doubles)."""
+    point or its negative, through a plain or a negated entry; count the
+    doubling helper to show the branch was really taken (with ``u2 = 1``
+    the ladder itself never doubles)."""
 
-    @pytest.mark.parametrize("window,digit", [(0, 1), (0, 15), (17, 6), (63, 15)])
-    def test_equal_point_takes_the_doubling_branch(self, counts, window, digit):
-        entry = table_entry(window, digit)
-        scalar = digit << (4 * window)
-        assert double_multiply(scalar, 1, entry) == entry + entry
+    EDGES = [
+        (0, 1), (0, 15), (17, 6), (31, 128),  # plain entries
+        (0, -1), (0, -127), (17, -6), (31, -1),  # negated; carry into row + 1
+    ]
+
+    @pytest.mark.parametrize("row,digit", EDGES)
+    def test_equal_point_takes_the_doubling_branch(self, counts, row, digit):
+        entry = table_entry(row, digit)
+        scalar = scalar_reaching(row, digit)
+        expected = reference_multiply(G, scalar) + entry
+        assert double_multiply(scalar, 1, entry) == expected
         assert counts["double"] == 1
+        if digit > 0:
+            assert expected == entry + entry
 
-    @pytest.mark.parametrize("window,digit", [(0, 1), (0, 15), (17, 6), (63, 15)])
-    def test_opposite_point_gives_infinity(self, counts, window, digit):
-        entry = table_entry(window, digit)
-        scalar = digit << (4 * window)
-        assert double_multiply(scalar, 1, -entry).is_infinity
+    @pytest.mark.parametrize("row,digit", EDGES)
+    def test_opposite_point_gives_infinity(self, counts, row, digit):
+        entry = table_entry(row, digit)
+        scalar = scalar_reaching(row, digit)
+        expected = reference_multiply(G, scalar) + -entry
+        assert double_multiply(scalar, 1, -entry) == expected
         assert counts["double"] == 0
-        assert double_multiply(scalar, N - 1, entry).is_infinity
+        assert double_multiply(scalar, N - 1, entry) == expected
+        # A plain digit is the whole scalar; a negated one leaves its carry.
+        assert expected.is_infinity == (digit > 0)
 
     def test_last_table_entry_completes_a_doubling(self, counts):
         # rest*G + Q == top*G just before the top digit's entry is added.
@@ -200,7 +232,7 @@ class TestOtherCurves:
         g = clone.generator
         assert g is clone.generator  # memoised on the curve
         assert "_generator_table" not in vars(clone)
-        for scalar in (1, 2, 16, 0xDEADBEEF, N - 1, N, -3):
+        for scalar in (1, 2, 16, 128, 129, 0xDEADBEEF, N - 129, N - 1, N, -3):
             expected = reference_multiply(g, scalar)
             assert g * scalar == expected
             assert expected.curve is clone
@@ -250,9 +282,47 @@ class TestLazyState:
         assert point == 5 * G
 
 
+class TestTable:
+    """The fixed-base table of a fresh clone, entry by entry, with nothing
+    but the affine ``+``; and what building it costs in memory."""
+
+    def test_every_entry_by_affine_addition(self):
+        clone = replace(CURVE_P256, name="table-check")
+        table = clone._generator_table
+        assert len(table) == N.bit_length() // 8 + 1 == 33
+        base = clone.generator
+        for row in table:
+            assert len(row) == 128
+            entry = ECPoint(clone, *row[0])
+            assert entry == base
+            for coordinates in row[1:]:
+                entry, previous = ECPoint(clone, *coordinates), entry
+                assert entry == previous + base
+            base = entry + entry  # 256 times this row's base
+
+    def test_memory_retained_and_transient(self):
+        clone = replace(CURVE_P256, name="table-memory")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            clone._generator_table
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        retained, transient_peak = current - before, peak - before
+        assert retained <= 1_000_000
+        assert transient_peak <= 1.5 * retained
+
+    def test_scalar_beyond_the_table_fails_closed(self):
+        with pytest.raises(AssertionError, match="outlasts"):
+            ec._generator_multiply(CURVE_P256, 1 << (8 * 33), 0, 1, 0)
+
+
 class TestOperationCounts:
-    """Exact group-operation counts per multiplication (the parent: 256
-    doublings + ~128 additions each, twice that per verification)."""
+    """Exact group-operation counts per multiplication (a double-and-add
+    spends 256 doublings + ~128 additions each, twice that per
+    verification)."""
 
     @staticmethod
     def sample_scalars():
@@ -267,7 +337,7 @@ class TestOperationCounts:
             G * scalar
             worst = max(worst, counts["add"])
         assert counts["double"] == 0
-        assert 60 <= worst <= 64
+        assert worst == 33
 
     def test_variable_point_ladder(self, counts):
         q = point_with_x_from(0xC0FFEE)
@@ -286,4 +356,4 @@ class TestOperationCounts:
             counts["double"] = counts["add"] = 0
             assert public.verify(message, signature)
             assert counts["double"] <= 265
-            assert counts["add"] <= 145
+            assert counts["add"] <= 113

@@ -47,6 +47,42 @@ def test_hkdf_rfc5869_test_case_1():
     )
 
 
+def test_hkdf_rfc5869_test_case_2_long_inputs():
+    ikm = bytes(range(0x00, 0x50))
+    salt = bytes(range(0x60, 0xB0))
+    info = bytes(range(0xB0, 0x100))
+    prk = hkdf_extract(salt, ikm)
+    assert prk.hex() == (
+        "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244"
+    )
+    okm = hkdf_expand(prk, info, 82)
+    assert okm.hex() == (
+        "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+        "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+        "cc30c58179ec3e87c14c01d5c1f3434f1d87"
+    )
+
+
+def test_hkdf_rfc5869_test_case_3_empty_salt_and_info():
+    ikm = bytes.fromhex("0b" * 22)
+    prk = hkdf_extract(b"", ikm)
+    assert prk.hex() == (
+        "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04"
+    )
+    okm = hkdf_expand(prk, b"", 42)
+    assert okm.hex() == (
+        "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+        "9d201395faa4b61a96c8"
+    )
+
+
+def test_hkdf_expand_block_edges():
+    prk = hkdf_extract(b"salt", b"ikm")
+    longest = hkdf_expand(prk, b"info", 255 * 32)
+    for length in (0, 1, 31, 32, 33, 64, 65, 255 * 32):
+        assert hkdf_expand(prk, b"info", length) == longest[:length]
+
+
 def test_hkdf_one_shot_matches_extract_expand():
     ikm, salt, info = b"key material", b"salt", b"context"
     expected = hkdf_expand(hkdf_extract(salt, ikm), info, 64)
