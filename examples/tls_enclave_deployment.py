@@ -22,16 +22,14 @@ from repro.http import (
     LIBSEAL_CHECK_HEADER,
     LIBSEAL_RESULT_HEADER,
     HttpRequest,
-    parse_request,
     parse_response,
 )
+from repro.servers import EventLoop, LoopClient
 from repro.services.git import GitHttpService, GitServer
 from repro.services.git.repo import RefUpdate
 from repro.services.git.smart_http import encode_push
 from repro.sgx import AttestationService, QuotingEnclave
 from repro.ssm import GitSSM
-from repro.tls import api as client_api
-from repro.tls.bio import bio_pair
 from repro.tls.cert import CertificateAuthority, make_server_identity
 
 
@@ -69,32 +67,18 @@ def main() -> None:
     git = GitHttpService(GitServer())
     repo = git.server.create_repository("project.git")
 
-    def connect():
-        c2s, s_from_c = bio_pair()
-        s2c, c_from_s = bio_pair()
-        server_ssl = runtime.api.SSL_new(ctx)
-        runtime.api.SSL_set_bio(server_ssl, s_from_c, s2c)
-        cctx = client_api.SSL_CTX_new(client_api.TLS_client_method())
-        client_api.SSL_CTX_load_verify_locations(cctx, ca)
-        ssl = client_api.SSL_new(cctx)
-        client_api.SSL_set_bio(ssl, c_from_s, c2s)
-        for _ in range(10):
-            # Drive both endpoints each round (no short-circuit: the
-            # server must see the ClientHello even while the client is
-            # still mid-handshake).
-            client_done = client_api.SSL_connect(ssl)
-            server_done = runtime.api.SSL_accept(server_ssl)
-            if client_done and server_done:
-                return ssl, server_ssl
-        raise RuntimeError("handshake did not converge")
+    # The production front end: every connection is an lthread task on
+    # the event loop, and closing one releases its audit pairing state.
+    loop = EventLoop(git.handle, api=runtime.api, ssl_ctx=ctx,
+                     on_close=libseal.logger.close_connection)
 
     def roundtrip(request: HttpRequest):
-        client_ssl, server_ssl = connect()
-        client_api.SSL_write(client_ssl, request.encode())
-        raw = runtime.api.SSL_read(server_ssl)  # audited inside the enclave
-        response = git.handle(parse_request(raw))
-        runtime.api.SSL_write(server_ssl, response.encode())  # audited too
-        return parse_response(client_api.SSL_read(client_ssl))
+        # A stock TLS client: one connection, one request.
+        client = LoopClient(loop, ca)
+        client.handshake()
+        _, received = client.exchange(request.encode())  # audited in-enclave
+        loop.close(client.conn_id)
+        return parse_response(received)
 
     # Developer pushes two commits over TLS.
     for i in range(2):

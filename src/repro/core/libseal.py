@@ -101,6 +101,11 @@ class LibSeal:
         rote: RoteCluster | None = None,
         storage: LogStorage | None = None,
     ):
+        self._prepare(ssm, config, signing_key, rote, storage)
+        self._adopt_log()
+
+    def _prepare(self, ssm, config, signing_key, rote, storage) -> None:
+        """Everything ``__init__`` sets up but the log and its checker."""
         self.ssm = ssm
         self.config = config or LibSealConfig()
         self.signing_key = (
@@ -110,14 +115,6 @@ class LibSeal:
         )
         self.rote = rote if rote is not None else RoteCluster(f=self.config.rote_f)
         self.storage = storage if storage is not None else InMemoryStorage()
-        self.audit_log = AuditLog(
-            ssm.schema_sql,
-            self.signing_key,
-            self.rote,
-            log_id=self.config.log_id,
-            storage=self.storage,
-        )
-        self.checker = InvariantChecker(ssm, self.audit_log)
         self.rate_limiter = RateLimiter(
             self.config.check_rate_capacity, self.config.check_rate_refill
         )
@@ -139,6 +136,15 @@ class LibSeal:
         # upgrades this to the authenticated client identity so an
         # attacker cannot reset their budget by reconnecting.
         self.client_key_resolver = lambda handle: handle
+
+    def _adopt_log(self, log: AuditLog | None = None) -> None:
+        """Serve ``log`` (a fresh, empty one when None) and build the one
+        checker over it."""
+        if log is None:
+            log = AuditLog(self.ssm.schema_sql, self.signing_key, self.rote,
+                           log_id=self.config.log_id, storage=self.storage)
+        self.audit_log = log
+        self.checker = InvariantChecker(self.ssm, log)
 
     # ------------------------------------------------------------------
     # Attachment to the enclave TLS runtime
@@ -344,8 +350,10 @@ class LibSeal:
         - on a *detection* (tampering, rollback) or unavailable storage,
           ``libseal`` is None — resuming would launder the violation.
         """
-        instance = cls(ssm, config=config, signing_key=signing_key,
-                       rote=rote, storage=storage)
+        # The log comes from the snapshot (or is fresh), so it and its
+        # checker are built once, after recovery has decided.
+        instance = cls.__new__(cls)
+        instance._prepare(ssm, config, signing_key, rote, storage)
         report = recover_log(
             storage,
             ssm.schema_sql,
@@ -362,9 +370,8 @@ class LibSeal:
             RecoveryOutcome.RETIRED_EPOCH,
         ):
             return None, report
+        instance._adopt_log(report.log)
         if report.log is not None:
-            instance.audit_log = report.log
-            instance.checker = InvariantChecker(ssm, report.log)
             # Logical time must move strictly forward past every recovered
             # tuple. The entry count bounds the pair count only on a log
             # that was never trimmed, so the largest logged time decides.

@@ -116,9 +116,11 @@ class AuditLogger:
         state = self._state(handle)
         if state.poisoned:
             return None
+        # A buffered partial response has already been passed through:
+        # it stays framed so its pair is logged once the rest arrives,
+        # but its bytes are never returned again.
+        sent = len(state.response_buffer)
         state.response_buffer.extend(data)
-        # Only chunks consisting entirely of complete responses can be
-        # rewritten (bytes already returned cannot be recalled).
         rewritten: list[bytes] = []
         modified = False
         while state.response_buffer:
@@ -131,18 +133,18 @@ class AuditLogger:
             if message is None:
                 break
             replacement = self._handle_response(handle, state, message)
-            if replacement is not None:
+            if sent or replacement is None:
+                # A head already out cannot get a verdict injected any
+                # more: only its unsent remainder passes.
+                rewritten.append(message[sent:])
+            else:
                 modified = True
                 rewritten.append(replacement)
-            else:
-                rewritten.append(message)
-        if state.response_buffer:
-            # Partial tail: pass everything through untouched; the pair
-            # will be logged when the rest of the response arrives.
-            rewritten.append(bytes(state.response_buffer))
-            state.response_buffer.clear()
-            return None if not modified else b"".join(rewritten)
-        return b"".join(rewritten) if modified else None
+            sent = 0
+        if not modified:
+            return None
+        rewritten.append(bytes(state.response_buffer[sent:]))
+        return b"".join(rewritten)
 
     def _handle_response(
         self, handle: int, state: _ConnectionState, message: bytes

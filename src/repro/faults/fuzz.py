@@ -44,11 +44,11 @@ from repro.faults import hooks as _faults
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.http import HttpRequest, HttpResponse
 from repro.http.parser import HttpLimits
+from repro.servers.client import LoopClient
 from repro.servers.connection import ConnectionLimits, FeedResult
 from repro.servers.eventloop import EventLoop
 from repro.sim.clock import SimClock
 from repro.tls import api as native_api
-from repro.tls.bio import BIO
 from repro.tls.cert import CertificateAuthority, make_server_identity
 from repro.tls.record import RECORD_CCS, VALID_RECORD_TYPES, frame
 
@@ -193,14 +193,11 @@ class _TlsScenario:
             lambda request: HttpResponse(200, body=b"fuzz-ok")
         )
         # Capture the canonical flights once.
-        bundle = self._establish()
-        self.flights: list[bytes] = bundle["flights"]
-        native_api.SSL_write(
-            bundle["cssl"], HttpRequest("GET", "/fuzz").encode()
+        self._established = self._establish()
+        self.flights: list[bytes] = self._established.flights
+        self.sealed_request: bytes = self._established.seal(
+            HttpRequest("GET", "/fuzz").encode()
         )
-        self.sealed_request: bytes = bundle["wb"].read()
-        bundle["sealed"] = self.sealed_request
-        self._established_bundle = bundle
 
     def _server_ctx(self):
         ctx = native_api.SSL_CTX_new(native_api.TLS_server_method())
@@ -218,40 +215,25 @@ class _TlsScenario:
         )
         return sup, sup.open()
 
-    def _establish(self) -> dict:
+    def _establish(self) -> LoopClient:
         loop = EventLoop(
             self.handler, api=native_api, ssl_ctx=self._server_ctx()
         )
-        cid = loop.open()
-        cctx = native_api.SSL_CTX_new(native_api.TLS_client_method())
-        native_api.SSL_CTX_load_verify_locations(cctx, self.ca)
-        cctx.drbg_seed = b"fuzz-client"
-        cssl = native_api.SSL_new(cctx)
-        rb, wb = BIO("fuzz-crb"), BIO("fuzz-cwb")
-        native_api.SSL_set_bio(cssl, rb, wb)
-        flights: list[bytes] = []
-        for _ in range(10):
-            native_api.SSL_connect(cssl)
-            out = wb.read()
-            if out:
-                flights.append(out)
-                result = loop.feed(cid, out)
-                rb.write(result.output)
-            if native_api.SSL_is_init_finished(cssl) and (
-                loop.connection(cid).established
-            ):
-                break
-        else:  # pragma: no cover - deterministic handshake
+        client = LoopClient(loop, self.ca, seed=b"fuzz-client")
+        client.handshake()
+        if not client.established:  # pragma: no cover - deterministic
             raise TLSError("fuzz scenario handshake did not complete")
-        return {
-            "sup": loop, "cid": cid, "cssl": cssl, "rb": rb,
-            "wb": wb, "flights": flights,
-        }
+        return client
 
-    def established_copy(self) -> dict:
+    def established_copy(self) -> LoopClient:
         """An independent established connection (≈0.6 ms, no handshake):
-        a deep copy of the established loop and its client end."""
-        return copy.deepcopy(self._established_bundle)
+        a deep copy of the established client end and its loop."""
+        return copy.deepcopy(self._established)
+
+    def copy_serves(self) -> bool:
+        """Whether a fresh established copy still serves the request."""
+        probe = self.established_copy()
+        return probe.loop.feed(probe.conn_id, self.sealed_request).served == 1
 
 
 def _mutate_flights(
@@ -400,19 +382,16 @@ def _canary_check(scenario, sup, report, case, rng) -> None:
     """Sampled cross-connection isolation probe after a mutation case."""
     if rng.randrange(32) != 0:
         return
-    bundle = scenario.established_copy()
-    result = bundle["sup"].feed(bundle["cid"], bundle["sealed"])
-    if result.served != 1:
+    if not scenario.copy_serves():
         report.failures.append(
-            f"case {case}: canary connection failed to serve after "
-            f"mutation (violation={result.violation!r})"
+            f"case {case}: canary connection failed to serve after mutation"
         )
 
 
 def _run_tls_post_case(scenario, op, rng, report, case) -> None:
-    bundle = scenario.established_copy()
-    sup, cid = bundle["sup"], bundle["cid"]
-    sealed = bundle["sealed"]
+    established = scenario.established_copy()
+    sup, cid = established.loop, established.conn_id
+    sealed = scenario.sealed_request
     if op == "replay_client_hello":
         # A captured ClientHello after keys are live must fail record
         # authentication — never reset the connection's state.
@@ -497,15 +476,12 @@ def _run_tls_post_case(scenario, op, rng, report, case) -> None:
         )
         return
     _record_outcome(report, case, op, result)
-    # Isolation: the replay source (the original bundle) must be able to
-    # serve on an independent copy even after this case's abort.
-    if rng.randrange(16) == 0:
-        probe = scenario.established_copy()
-        ok = probe["sup"].feed(probe["cid"], probe["sealed"])
-        if ok.served != 1:
-            report.failures.append(
-                f"case {case} op {op}: abort leaked into fresh connection"
-            )
+    # Isolation: the replay source (the original client end) must serve
+    # on an independent copy even after this case's abort.
+    if rng.randrange(16) == 0 and not scenario.copy_serves():
+        report.failures.append(
+            f"case {case} op {op}: abort leaked into fresh connection"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -855,41 +831,25 @@ def fuzz_service_layer(
             on_close=libseal.logger.close_connection,
         )
 
-        def connect():
-            cid = sup.open()
-            cctx = native_api.SSL_CTX_new(native_api.TLS_client_method())
-            native_api.SSL_CTX_load_verify_locations(cctx, ca)
-            cctx.drbg_seed = b"svc-client"
-            cssl = native_api.SSL_new(cctx)
-            rb, wb = BIO("svc-crb"), BIO("svc-cwb")
-            native_api.SSL_set_bio(cssl, rb, wb)
-            for _ in range(10):
-                native_api.SSL_connect(cssl)
-                out = wb.read()
-                if out:
-                    result = sup.feed(cid, out)
-                    rb.write(result.output)
-                if native_api.SSL_is_init_finished(cssl) and (
-                    sup.connection(cid).established
-                ):
-                    return cid, cssl, rb, wb
-            raise TLSError("service fuzz handshake failed")
+        def connect() -> LoopClient:
+            client = LoopClient(sup, ca, seed=b"svc-client")
+            client.handshake()
+            if not client.established:
+                raise TLSError("service fuzz handshake failed")
+            return client
 
-        cid, cssl, rb, wb = connect()
+        client = connect()
         reconnects = 0
         for _ in range(share):
             rng = _case_rng("service", seed, case)
             try:
                 request_bytes = _service_case_request(name, rng)
-                native_api.SSL_write(cssl, request_bytes)
-                result = sup.feed(cid, wb.read())
+                result, _ = client.exchange(request_bytes)
                 if result.aborted:
                     _record_outcome(report, case, f"{name}:payload", result)
-                    cid, cssl, rb, wb = connect()
+                    client = connect()
                     reconnects += 1
                 elif result.served or result.bad_requests:
-                    rb.write(result.output)
-                    native_api.SSL_read(cssl)  # client consumes the reply
                     report.outcomes.append(
                         FuzzOutcome(case, f"{name}:payload", "served")
                     )
@@ -903,13 +863,13 @@ def fuzz_service_layer(
                     f"case {case} [{name}]: typed error escaped the "
                     f"supervisor: {exc!r}"
                 )
-                cid, cssl, rb, wb = connect()
+                client = connect()
                 reconnects += 1
             except Exception as exc:
                 report.failures.append(
                     f"case {case} [{name}]: UNCAUGHT {exc!r}"
                 )
-                cid, cssl, rb, wb = connect()
+                client = connect()
                 reconnects += 1
             case += 1
         # The audit log must still verify as a consistent prefix.

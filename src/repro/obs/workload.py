@@ -1,26 +1,25 @@
 """Drive a real workload through the full pipeline for ``repro obs``.
 
-The existing workload generators (:mod:`repro.workloads`) interact with
-LibSEAL only through ``log_pair``. :class:`TlsPairPump` exploits that:
-it stands where the workload expects a :class:`~repro.core.LibSeal` and
-pushes every request/response pair through a *real* enclave TLS endpoint
-— client-side TLS write, in-enclave ``ssl_read`` (read tap), in-enclave
-``ssl_write`` (write tap → SSM → audit append → seal → periodic check) —
-so a trace of the run covers every seam the paper's evaluation
-attributes cost to: handshake, record processing, audit append/seal,
-ROTE rounds and invariant checking.
+The workload generators (:mod:`repro.workloads`) interact with LibSEAL
+only through ``log_pair``. :func:`run_workload` stands in for it and
+serves every pair through the production front end: a
+:class:`~repro.servers.LoopClient` sends the request, the
+:class:`~repro.servers.EventLoop` decrypts it in the enclave (read tap),
+parses it and answers with the generator's own response (write tap →
+SSM → audit append → seal → periodic check). A trace of the run covers
+every layer a served request crosses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from repro.core import LibSeal, LibSealConfig
 from repro.enclave_tls import EnclaveTlsRuntime
 from repro.http import HttpRequest, HttpResponse
+from repro.servers import EventLoop, LoopClient
 from repro.ssm import DropboxSSM, GitSSM, MessagingSSM, OwnCloudSSM
-from repro.tls import api as native_api
-from repro.tls.bio import bio_pair
 from repro.tls.cert import CertificateAuthority, make_server_identity
 from repro.workloads import (
     DropboxOpsWorkload,
@@ -29,97 +28,14 @@ from repro.workloads import (
     OwnCloudEditWorkload,
 )
 
-WORKLOADS = ("git", "owncloud", "dropbox", "messaging")
-
-_SSMS = {
-    "git": GitSSM,
-    "owncloud": OwnCloudSSM,
-    "dropbox": DropboxSSM,
-    "messaging": MessagingSSM,
+#: name -> (service SSM, workload generator)
+_WORKLOADS = {
+    "git": (GitSSM, GitReplayWorkload),
+    "owncloud": (OwnCloudSSM, OwnCloudEditWorkload),
+    "dropbox": (DropboxSSM, DropboxOpsWorkload),
+    "messaging": (MessagingSSM, MessagingWorkload),
 }
-
-_WORKLOAD_CLASSES = {
-    "git": GitReplayWorkload,
-    "owncloud": OwnCloudEditWorkload,
-    "dropbox": DropboxOpsWorkload,
-    "messaging": MessagingWorkload,
-}
-
-
-class TlsPairPump:
-    """A ``log_pair``-compatible front end over the enclave TLS runtime.
-
-    Reconnects every ``reconnect_every`` pairs (persistent-connection
-    style) so handshakes appear in the trace at a realistic rate without
-    paying one full ECDHE handshake per request.
-    """
-
-    def __init__(self, libseal: LibSeal, reconnect_every: int = 20):
-        if reconnect_every < 1:
-            raise ValueError("reconnect_every must be >= 1")
-        self.libseal = libseal
-        self.reconnect_every = reconnect_every
-        self.runtime = EnclaveTlsRuntime()
-        libseal.attach(self.runtime)
-        self.api = self.runtime.api
-        self.ca = CertificateAuthority("obs-root", seed=b"obs-ca")
-        key, cert = make_server_identity(self.ca, "obs.example", seed=b"obs-id")
-        self.server_ctx = self.api.SSL_CTX_new(self.api.TLS_server_method())
-        self.api.SSL_CTX_use_certificate(self.server_ctx, cert)
-        self.api.SSL_CTX_use_PrivateKey(self.server_ctx, key)
-        self.pairs_pumped = 0
-        self.handshakes = 0
-        self._client_ssl = None
-        self._server_ssl = None
-
-    # -- connection management -----------------------------------------
-
-    def _connect(self) -> None:
-        self._teardown()
-        c2s, s_from_c = bio_pair()
-        s2c, c_from_s = bio_pair()
-        server_ssl = self.api.SSL_new(self.server_ctx)
-        self.api.SSL_set_bio(server_ssl, s_from_c, s2c)
-        client_ctx = native_api.SSL_CTX_new(native_api.TLS_client_method())
-        native_api.SSL_CTX_load_verify_locations(client_ctx, self.ca)
-        client_ctx.drbg_seed = b"obs-client" + self.handshakes.to_bytes(4, "big")
-        client_ssl = native_api.SSL_new(client_ctx)
-        native_api.SSL_set_bio(client_ssl, c_from_s, c2s)
-        for _ in range(10):
-            done_c = native_api.SSL_connect(client_ssl)
-            done_s = self.api.SSL_accept(server_ssl)
-            if done_c and done_s:
-                break
-        else:
-            raise RuntimeError("obs workload handshake did not complete")
-        self.handshakes += 1
-        self._client_ssl = client_ssl
-        self._server_ssl = server_ssl
-
-    def _teardown(self) -> None:
-        if self._server_ssl is not None:
-            self.api.SSL_shutdown(self._server_ssl)
-            self.api.SSL_free(self._server_ssl)
-            self._server_ssl = None
-        self._client_ssl = None
-
-    # -- the LibSeal-compatible surface --------------------------------
-
-    def log_pair(
-        self, request: HttpRequest, response: HttpResponse, handle: int = 0
-    ) -> str | None:
-        """Pump one pair through the enclave so the audit taps see it."""
-        if self.pairs_pumped % self.reconnect_every == 0:
-            self._connect()
-        self.pairs_pumped += 1
-        native_api.SSL_write(self._client_ssl, request.encode())
-        self.api.SSL_read(self._server_ssl)  # read tap observes the request
-        self.api.SSL_write(self._server_ssl, response.encode())  # write tap logs
-        native_api.SSL_read(self._client_ssl)
-        return None
-
-    def close(self) -> None:
-        self._teardown()
+WORKLOADS = tuple(_WORKLOADS)
 
 
 @dataclass
@@ -149,15 +65,53 @@ def run_workload(
     to capture the trace."""
     if name not in WORKLOADS:
         raise ValueError(f"unknown workload {name!r}; choose from {WORKLOADS}")
+    if reconnect_every < 1:
+        raise ValueError("reconnect_every must be >= 1")
+    ssm_class, workload_class = _WORKLOADS[name]
     libseal = LibSeal(
-        _SSMS[name](), config=LibSealConfig(check_interval=check_interval)
+        ssm_class(), config=LibSealConfig(check_interval=check_interval)
     )
-    pump = TlsPairPump(libseal, reconnect_every=reconnect_every)
+    runtime = EnclaveTlsRuntime()
+    libseal.attach(runtime)
+    api = runtime.api
+    ca = CertificateAuthority("obs-root", seed=b"obs-ca")
+    key, cert = make_server_identity(ca, "obs.example", seed=b"obs-id")
+    ctx = api.SSL_CTX_new(api.TLS_server_method())
+    api.SSL_CTX_use_certificate(ctx, cert)
+    api.SSL_CTX_use_PrivateKey(ctx, key)
+    # The generator's back end has already answered each request; the
+    # loop's handler serves that answer.
+    answers: list[HttpResponse] = []
+    loop = EventLoop(
+        lambda request: answers.pop(), api=api, ssl_ctx=ctx,
+        on_close=libseal.logger.close_connection,
+    )
+    client: LoopClient | None = None
+
+    def log_pair(request: HttpRequest, response: HttpResponse) -> None:
+        nonlocal client
+        # Persistent connections: handshakes show in the trace at a
+        # realistic rate without one full ECDHE handshake per request.
+        if loop.stats.requests_served % reconnect_every == 0:
+            if client is not None:
+                loop.close(client.conn_id)
+            label = b"obs-client" + loop.stats.opened.to_bytes(4, "big")
+            client = LoopClient(loop, ca, seed=label)
+            client.handshake()
+            if not client.established:
+                raise RuntimeError("obs workload handshake did not complete")
+        answers.append(response)
+        result, _ = client.exchange(request.encode())
+        if result.served != 1:
+            raise RuntimeError(f"obs request not served: {result.violation!r}")
+
     try:
-        workload = _WORKLOAD_CLASSES[name](pump, seed=seed)
-        workload.run(requests)
+        workload_class(SimpleNamespace(log_pair=log_pair), seed=seed).run(
+            requests
+        )
     finally:
-        pump.close()
+        if client is not None:
+            loop.close(client.conn_id)
     audit_rows = sum(
         libseal.audit_log.row_count(table)
         for table in libseal.audit_log.db.table_names()
@@ -165,8 +119,8 @@ def run_workload(
     return WorkloadReport(
         workload=name,
         requests=requests,
-        pairs_pumped=pump.pairs_pumped,
-        handshakes=pump.handshakes,
+        pairs_pumped=loop.stats.requests_served,
+        handshakes=loop.stats.opened,
         pairs_logged=libseal.pairs_logged,
         checks_run=libseal.checker.stats.checks_run,
         epochs_sealed=libseal.audit_log.epochs_sealed,

@@ -10,11 +10,13 @@ table of live connections and is the one pump: it runs every connection
 as a cooperative lthread task on one scheduler (the §4.3 async front-end
 core, 100k+ concurrent connections). A deep copy of a loop stands in for
 handing a live table to a second loop;
+:mod:`repro.servers.client` is the client end of one loop connection;
 :mod:`repro.servers.attest` wraps a handler with the ``GET /attest``
 monitoring endpoint.
 """
 
 from repro.servers.attest import AttestMonitor
+from repro.servers.client import LoopClient
 from repro.servers.connection import (
     BufferBoundViolation,
     ConnectionAborted,
@@ -48,6 +50,7 @@ __all__ = [
     "EventLoopStats",
     "FeedResult",
     "FrontendRunResult",
+    "LoopClient",
     "MachineConfig",
     "ReadWait",
     "Reschedule",

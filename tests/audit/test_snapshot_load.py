@@ -139,3 +139,30 @@ class TestOnePass:
         state["next_row_id"] += 1
         with pytest.raises(IntegrityError, match="PRIMARY KEY"):
             load(log, json.dumps(doc).encode())
+
+
+class TestRecoverBuildsOnce:
+    """``LibSeal.recover`` builds one log and one checker: the snapshot's
+    log when there is one, a fresh log when there is none."""
+
+    @pytest.mark.parametrize("snapshot", [True, False])
+    def test_one_log_one_checker(self, monkeypatch, snapshot):
+        from repro.core import LibSeal
+        from repro.core import libseal as core_libseal
+        from repro.ssm import GitSSM
+        from repro.workloads import GitReplayWorkload
+
+        storage, rote = InMemoryStorage(), RoteCluster(f=1)
+        if snapshot:
+            live = LibSeal(GitSSM(), rote=rote, storage=storage)
+            GitReplayWorkload(live, seed=3).run(4)
+        logs = Counting(monkeypatch, AuditLog, "__init__")
+        checkers = Counting(monkeypatch, core_libseal, "InvariantChecker")
+        recovered, report = LibSeal.recover(GitSSM(), storage, rote=rote)
+        assert (logs.calls, checkers.calls) == (1, 1)
+        assert (report.log is not None) == snapshot
+        if snapshot:
+            assert recovered.audit_log is report.log
+            assert recovered.pairs_logged == live.pairs_logged
+        assert recovered.checker.audit_log is recovered.audit_log
+        assert recovered.check_invariants(force_full=True).ok

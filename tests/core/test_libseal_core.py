@@ -1,5 +1,7 @@
 """Unit tests for the LibSEAL core: logger pairing, checker, rate limiting."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.core import LibSeal, LibSealConfig
 from repro.core.checker import RateLimiter
 from repro.core.logger import AuditLogger
@@ -83,6 +85,101 @@ class TestAuditLogger:
         logger.close_connection(1)
         logger.on_write(1, HttpResponse(200).encode())
         assert pairs == []
+
+
+def _body_logger(pairs, header=None):
+    def on_pair(request, response, handle):
+        pairs.append((request.path, response.status, response.body))
+        return header
+
+    return AuditLogger(on_pair)
+
+
+def _written(logger, chunks):
+    """What ``SSL_write`` would send for each chunk, concatenated."""
+    out = b""
+    for chunk in chunks:
+        replacement = logger.on_write(1, chunk)
+        out += chunk if replacement is None else replacement
+    return out
+
+
+class TestSplitResponses:
+    """A response written in more than one ``SSL_write`` is framed
+    across the writes and paired with its own request."""
+
+    def test_split_response_is_logged_with_its_request(self):
+        pairs = []
+        logger = _body_logger(pairs)
+        logger.on_read(1, HttpRequest("GET", "/a").encode()
+                       + HttpRequest("GET", "/b").encode())
+        first = HttpResponse(200, body=b"0123456789").encode()
+        second = HttpResponse(404, body=b"second").encode()
+        chunks = [first[:-5], first[-5:], second]
+        assert [logger.on_write(1, c) for c in chunks] == [None] * 3
+        assert pairs == [("/a", 200, b"0123456789"), ("/b", 404, b"second")]
+        assert logger.unparsable_messages == 0
+        assert logger.poisoned_connections == 0
+
+    def test_head_split_byte_by_byte(self):
+        pairs = []
+        logger = _body_logger(pairs)
+        logger.on_read(1, HttpRequest("GET", "/a").encode())
+        raw = HttpResponse(200, body=b"xyz").encode()
+        assert _written(logger, [raw[i:i + 1] for i in range(len(raw))]) == raw
+        assert pairs == [("/a", 200, b"xyz")]
+
+    def test_verdict_is_not_injected_into_bytes_already_sent(self):
+        pairs = []
+        logger = _body_logger(pairs, header="OK")
+        logger.on_read(1, HttpRequest("GET", "/a").encode()
+                       + HttpRequest("GET", "/b").encode())
+        first = HttpResponse(200, body=b"0123456789").encode()
+        second = HttpResponse(200, body=b"whole").encode()
+        assert logger.on_write(1, first[:10]) is None
+        out = logger.on_write(1, first[10:] + second)
+        # The split response's remainder passes unchanged (its head left
+        # without the header); the whole one behind it still gets it.
+        assert out.startswith(first[10:])
+        rewritten = parse_response(out[len(first) - 10:])
+        assert rewritten.headers.get(LIBSEAL_RESULT_HEADER) == "OK"
+        assert [p[0] for p in pairs] == ["/a", "/b"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_split_logs_the_unsplit_pairs(self, data):
+        responses = data.draw(st.lists(
+            st.tuples(st.sampled_from([200, 404, 500]),
+                      st.binary(max_size=24)),
+            min_size=1, max_size=5,
+        ))
+        stream = b"".join(
+            HttpResponse(status, body=body).encode()
+            for status, body in responses
+        )
+        cuts = sorted(data.draw(
+            st.sets(st.integers(1, len(stream) - 1), max_size=8)
+        ))
+        bounds = [0, *cuts, len(stream)]
+        requests = b"".join(
+            HttpRequest("GET", f"/{i}").encode() for i in range(len(responses))
+        )
+
+        def run(chunks):
+            pairs = []
+            logger = _body_logger(pairs)
+            logger.on_read(1, requests)
+            return pairs, _written(logger, chunks)
+
+        whole_pairs, _ = run([stream])
+        split_pairs, split_bytes = run(
+            [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+        )
+        assert split_pairs == whole_pairs == [
+            (f"/{i}", status, body)
+            for i, (status, body) in enumerate(responses)
+        ]
+        assert split_bytes == stream
 
 
 class TestRateLimiter:

@@ -1,16 +1,19 @@
-"""End-to-end: the ``repro obs`` workload pump under an enabled plane.
+"""End-to-end: the ``repro obs`` workload under an enabled plane.
 
 A short git replay must produce a trace that covers every pipeline seam
 the paper attributes cost to — handshake, record processing, audit
 append/seal, ROTE rounds, invariant checking — with non-zero modelled
-cycles, and the counters must agree with the workload report.
+cycles, the counters must agree with the workload report, and every
+pair must have been served by the production front end (the event loop).
 """
 
 import pytest
 
+from repro.core import LibSeal
 from repro.obs import ObsConfig, hooks
+from repro.obs import workload as obs_workload
 from repro.obs.render import aggregate_spans, render_span_tree
-from repro.obs.workload import WORKLOADS, TlsPairPump, run_workload
+from repro.obs.workload import WORKLOADS, run_workload
 
 pytestmark = pytest.mark.obs
 
@@ -56,6 +59,15 @@ def test_git_replay_traces_every_pipeline_seam():
         assert metrics.value("libseal_pairs_total") == float(report.pairs_logged)
         assert metrics.value("audit_seals_total") == float(report.epochs_sealed)
         assert report.checks_run > 0 and report.audit_rows > 0
+        # Every pair went through the event loop, one connection per
+        # handshake.
+        assert metrics.value("frontend_requests_served_total") == float(
+            report.pairs_pumped
+        )
+        assert metrics.value("frontend_connections_total") == float(
+            report.handshakes
+        )
+        assert report.pairs_pumped == report.pairs_logged > 40
 
         # The aggregated tree nests records under their enclave entry.
         root = aggregate_spans(plane.tracer.spans())
@@ -80,8 +92,22 @@ def test_all_workload_names_resolve():
 
 
 def test_pump_rejects_nonpositive_reconnect():
-    from repro.core import LibSeal
-    from repro.ssm import GitSSM
-
     with pytest.raises(ValueError):
-        TlsPairPump(LibSeal(GitSSM()), reconnect_every=0)
+        run_workload("git", requests=5, reconnect_every=0)
+
+
+def test_run_releases_every_connection(monkeypatch):
+    """Closing each connection through the loop releases the logger's
+    pairing state: nothing is left behind after a run."""
+    built: list[LibSeal] = []
+
+    class Recorded(LibSeal):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(obs_workload, "LibSeal", Recorded)
+    report = run_workload("git", requests=60, reconnect_every=10)
+    assert report.handshakes == 7  # two set-up pushes + 60 ops, 10 a connection
+    assert len(built) == 1
+    assert built[0].logger._connections == {}

@@ -19,6 +19,7 @@ from repro.lthreads import TaskState
 from repro.servers import (
     AUDIT_FLUSH_OCALL,
     EventLoop,
+    LoopClient,
     ReadWait,
     ServerMachine,
 )
@@ -30,7 +31,6 @@ from repro.servers.connection import (
 )
 from repro.sim.clock import SimClock
 from repro.tls import api as native_api
-from repro.tls.bio import BIO
 from repro.tls.cert import CertificateAuthority, make_server_identity
 from repro.workloads.traffic import (
     DiurnalOpenLoopTraffic,
@@ -57,23 +57,12 @@ def _server_ctx(api, name: str, seed: str):
     return ca, ctx
 
 
-def _tls_connect(ca, frontend):
-    """Handshake a simulated client against the front end."""
-    cid = frontend.open()
-    cctx = native_api.SSL_CTX_new(native_api.TLS_client_method())
-    native_api.SSL_CTX_load_verify_locations(cctx, ca)
-    cssl = native_api.SSL_new(cctx)
-    rb, wb = BIO("el-c-rb"), BIO("el-c-wb")
-    native_api.SSL_set_bio(cssl, rb, wb)
-    for _ in range(10):
-        native_api.SSL_connect(cssl)
-        out = wb.read()
-        if out:
-            rb.write(frontend.feed(cid, out).output)
-        if native_api.SSL_is_init_finished(cssl):
-            break
-    assert native_api.SSL_is_init_finished(cssl)
-    return cid, cssl, rb, wb
+def _tls_connect(ca, frontend) -> LoopClient:
+    """A client end handshaken against the front end."""
+    client = LoopClient(frontend, ca)
+    client.handshake()
+    assert client.established
+    return client
 
 
 class TestFrontendParity:
@@ -169,19 +158,17 @@ class TestFrontendParity:
     def test_end_to_end_request_over_tls(self):
         ca, ctx = _server_ctx(native_api, "eltls", "eltls")
         fe = EventLoop(_echo_handler, api=native_api, ssl_ctx=ctx)
-        cid, cssl, rb, wb = _tls_connect(ca, fe)
-        native_api.SSL_write(cssl, _request("/tls"))
-        result = fe.feed(cid, wb.read())
+        client = _tls_connect(ca, fe)
+        result, received = client.exchange(_request("/tls"))
         assert result.served == 1
-        rb.write(result.output)
-        assert parse_response(native_api.SSL_read(cssl)).body == b"echo:/tls"
+        assert parse_response(received).body == b"echo:/tls"
 
     def test_garbage_bytes_abort_with_typed_error_and_alert(
         self
     ):
         ca, ctx = _server_ctx(native_api, "elg", "elg")
         fe = EventLoop(_echo_handler, api=native_api, ssl_ctx=ctx)
-        cid, _, _, _ = _tls_connect(ca, fe)
+        cid = _tls_connect(ca, fe).conn_id
         result = fe.feed(cid, b"\xde\xad\xbe\xef" * 16)
         assert result.aborted
         assert isinstance(result.violation, TLSError)
@@ -192,11 +179,10 @@ class TestFrontendParity:
     def test_tls_abort_leaves_neighbour_serving(self):
         ca, ctx = _server_ctx(native_api, "eln", "eln")
         fe = EventLoop(_echo_handler, api=native_api, ssl_ctx=ctx)
-        bad_cid, _, _, _ = _tls_connect(ca, fe)
-        good_cid, good_ssl, good_rb, good_wb = _tls_connect(ca, fe)
+        bad_cid = _tls_connect(ca, fe).conn_id
+        good = _tls_connect(ca, fe)
         assert fe.feed(bad_cid, b"\x00" * 64).aborted
-        native_api.SSL_write(good_ssl, _request("/still-up"))
-        result = fe.feed(good_cid, good_wb.read())
+        result, _ = good.exchange(_request("/still-up"))
         assert result.served == 1 and not result.aborted
 
     def test_teardown_releases_state_by_ssl_handle(self):
@@ -210,8 +196,8 @@ class TestFrontendParity:
         closed: list[int] = []
         fe = EventLoop(_echo_handler, api=api, ssl_ctx=ctx,
                        on_close=closed.append)
-        abort_cid = _tls_connect(ca, fe)[0]
-        close_cid = _tls_connect(ca, fe)[0]
+        abort_cid = _tls_connect(ca, fe).conn_id
+        close_cid = _tls_connect(ca, fe).conn_id
         abort_handle = fe.connection(abort_cid).audit_handle
         close_handle = fe.connection(close_cid).audit_handle
         assert fe.feed(abort_cid, b"\x00" * 64).aborted
@@ -321,12 +307,12 @@ class TestEventLoopScheduling:
         untouched (the fuzzing harness's established-connection path)."""
         ca, ctx = _server_ctx(native_api, "elcopy", "elcopy")
         original = EventLoop(_echo_handler, api=native_api, ssl_ctx=ctx)
-        cid, cssl, rb, wb = _tls_connect(ca, original)
+        client = _tls_connect(ca, original)
+        cid = client.conn_id
         sessions = ctx.sessions_created
         stats_before = copy.deepcopy(original.stats)
         original_conn = original.connection(cid)
-        native_api.SSL_write(cssl, _request("/copied"))
-        request_bytes = wb.read()
+        request_bytes = client.seal(_request("/copied"))
 
         clone = copy.deepcopy(original)
         assert clone.connection(cid) is not original_conn

@@ -19,7 +19,7 @@ from repro.errors import (
     TcbRevokedError,
 )
 from repro.http import HttpRequest, HttpResponse
-from repro.servers.eventloop import EventLoop
+from repro.servers import EventLoop, LoopClient
 from repro.sgx.ratls import (
     AttestationPlane,
     make_attested_identity,
@@ -27,7 +27,6 @@ from repro.sgx.ratls import (
 )
 from repro.sgx.sealing import SigningAuthority
 from repro.tls import api as native_api
-from repro.tls.bio import BIO
 from repro.tls.cert import CertificateAuthority, make_server_identity
 
 SUBJECT = "ratls.example"
@@ -281,44 +280,26 @@ class TestSupervisorTeardown:
         return EventLoop(_handler, api=native_api, ssl_ctx=ctx)
 
     def _drive(self, sup, ca, client_identity):
-        cid = sup.open()
-        cctx = native_api.SSL_CTX_new(native_api.TLS_client_method())
-        native_api.SSL_CTX_load_verify_locations(cctx, ca)
-        key, cert = client_identity
-        native_api.SSL_CTX_use_certificate(cctx, cert)
-        native_api.SSL_CTX_use_PrivateKey(cctx, key)
-        cssl = native_api.SSL_new(cctx)
-        rb, wb = BIO("ratls-c-rb"), BIO("ratls-c-wb")
-        native_api.SSL_set_bio(cssl, rb, wb)
-        result = None
-        for _ in range(10):
-            native_api.SSL_connect(cssl)
-            out = wb.read()
-            if out:
-                result = sup.feed(cid, out)
-                rb.write(result.output)
-                if result.aborted:
-                    break
-            if native_api.SSL_is_init_finished(cssl):
-                break
-        return cid, cssl, result
+        client = LoopClient(sup, ca, identity=client_identity)
+        return client, client.handshake()
 
     def test_attested_client_serves(self, ca, plane, enclave, server_identity):
         sup = self._supervisor(ca, plane, server_identity)
         attested = make_attested_identity(
             ca, "client-0", enclave, plane.platform("client")
         )
-        cid, cssl, result = self._drive(sup, ca, attested)
-        assert native_api.SSL_is_init_finished(cssl)
+        client, result = self._drive(sup, ca, attested)
+        assert client.established
         assert not result.aborted
-        assert cid in sup.live_connections
+        assert client.conn_id in sup.live_connections
 
     def test_unattested_client_aborted_with_attestation_error(
         self, ca, plane, server_identity
     ):
         sup = self._supervisor(ca, plane, server_identity)
         plain = make_server_identity(ca, "client-0", seed=b"plain-client")
-        cid, _, result = self._drive(sup, ca, plain)
+        client, result = self._drive(sup, ca, plain)
+        cid = client.conn_id
         assert result.aborted
         assert isinstance(result.violation, AttestationError)
         # Alerted (best effort) before teardown, and fully isolated.
@@ -332,12 +313,12 @@ class TestSupervisorTeardown:
         forged = make_attested_identity(
             ca, "client-evil", enclave, plane.rogue_platform("evil")
         )
-        _, _, bad = self._drive(sup, ca, forged)
+        _, bad = self._drive(sup, ca, forged)
         assert bad.aborted and isinstance(bad.violation, AttestationError)
         attested = make_attested_identity(
             ca, "client-good", enclave, plane.platform("good")
         )
-        good_cid, good_ssl, good = self._drive(sup, ca, attested)
-        assert native_api.SSL_is_init_finished(good_ssl)
+        good_client, good = self._drive(sup, ca, attested)
+        assert good_client.established
         assert not good.aborted
-        assert good_cid in sup.live_connections
+        assert good_client.conn_id in sup.live_connections
