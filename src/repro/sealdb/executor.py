@@ -24,8 +24,9 @@ report (and the simulator can charge for) rows actually touched.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.sealdb import ast, planner, vector
 from repro.sealdb.errors import SQLExecutionError
@@ -58,6 +59,9 @@ class ColumnInfo:
 
 
 _AMBIGUOUS = -1
+
+#: What :meth:`Executor._probe` returns when the subquery must run as a SELECT.
+_DECLINED = object()
 
 
 class ColumnLayout(list):
@@ -139,33 +143,44 @@ class GroupScope:
     """Resolution environment for one *group* of rows (aggregate queries).
 
     Non-aggregate column references resolve against a representative row
-    (the group's first row, or all-NULL for an empty group); aggregate
-    function calls are computed over every row in the group.
+    and aggregate function calls are computed over every row in the
+    group. The representative follows SQLite's bare-column rule: when the
+    query has exactly one ``MIN()``/``MAX()`` aggregate, ``pick`` returns
+    the row holding the extreme; otherwise it is the group's first row
+    (all-NULL for an empty group).
     """
 
-    __slots__ = ("columns", "rows", "parent")
+    __slots__ = ("columns", "rows", "parent", "_pick", "_representative")
 
     def __init__(
         self,
         columns: ColumnLayout,
         rows: list[Sequence[SqlValue]],
         parent: "Scope | GroupScope | None" = None,
+        pick=None,
     ):
         self.columns = columns
         self.rows = rows
         self.parent = parent
+        self._pick = pick
+        self._representative: Scope | None = None
 
     def representative(self) -> Scope:
-        if self.rows:
-            return Scope(self.columns, self.rows[0], self.parent)
-        return Scope(self.columns, [None] * len(self.columns), self.parent)
+        if self._representative is None:
+            if not self.rows:
+                row: Sequence[SqlValue] = [None] * len(self.columns)
+            elif self._pick is None:
+                row = self.rows[0]
+            else:
+                row = self._pick(self)
+            self._representative = Scope(self.columns, row, self.parent)
+        return self._representative
 
     def resolve(self, table: str | None, column: str) -> SqlValue:
         return self.representative().resolve(table, column)
 
     def row_scopes(self) -> list[Scope]:
         return [Scope(self.columns, row, self.parent) for row in self.rows]
-
 
 
 @dataclass
@@ -265,6 +280,9 @@ class Executor:
         # Batch-predicate memo per predicate node (None = proven
         # unbatchable, also worth remembering).
         self._batch_plans: dict[int, tuple[ast.Expr, vector.BatchPredicate | None]] = {}
+        # Probe plans per subquery node (None = not a probe shape), pinned
+        # with the table and its schema they were classified against.
+        self._probe_plans: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Statement dispatch
@@ -359,7 +377,8 @@ class Executor:
             source = self._apply_pushed(source, [leftover], params, outer)
 
         aggregated = bool(select.group_by) or any(
-            _contains_aggregate(item.expr) for item in select.items
+            next(_aggregate_calls(item.expr), None) is not None
+            for item in select.items
         ) or (select.having is not None)
 
         items = self._expand_stars(select.items, source.columns)
@@ -372,8 +391,9 @@ class Executor:
 
         if aggregated:
             groups = self._group_rows(select, source, params, outer, items, names)
+            pick = self._extreme_row_picker(select, items, order_exprs, params)
             for group in groups:
-                scope = GroupScope(source.columns, group, outer)
+                scope = GroupScope(source.columns, group, outer, pick)
                 if select.having is not None:
                     if sql_truth(self._eval(select.having, scope, params)) is not True:
                         continue
@@ -392,6 +412,52 @@ class Executor:
             ColumnLayout(ColumnInfo(None, name) for name in names), out_rows
         )
         return relation, names, order_keys if select.order_by else None
+
+    def _extreme_row_picker(
+        self,
+        select: ast.Select,
+        items: list[ast.SelectItem],
+        order_exprs: list[ast.Expr],
+        params: tuple[SqlValue, ...],
+    ):
+        """SQLite's bare-column rule (https://www.sqlite.org/lang_select.html):
+        with exactly one ``MIN()``/``MAX()`` aggregate in the query, bare
+        columns come from the row holding the extreme. Returns the
+        ``GroupScope -> row`` picker, or None for the first-row default.
+
+        Ties keep the first row holding the extreme, as SQLite's
+        accumulator does (it moves only on a strictly better value). A
+        group whose values are all NULL has no extreme; SQLite's choice
+        there depends on its plan, and SealDB keeps the first row."""
+        calls: list[ast.FunctionCall] = []
+        having = [select.having] if select.having is not None else []
+        for expr in [item.expr for item in items] + having + order_exprs:
+            for call in _aggregate_calls(expr):
+                if (
+                    call.name in ("MIN", "MAX")
+                    and len(call.args) == 1
+                    and call not in calls
+                ):
+                    calls.append(call)
+        if len(calls) != 1:
+            return None
+        arg = self._compile(calls[0].args[0])
+        want_max = calls[0].name == "MAX"
+
+        def pick(group: GroupScope) -> Sequence[SqlValue]:
+            best_row, best = group.rows[0], None
+            for row_scope in group.row_scopes():
+                value = arg(row_scope, params)
+                if value is None:
+                    continue
+                if best is not None:
+                    comparison = sql_compare(value, best)
+                    if not comparison or (comparison > 0) != want_max:
+                        continue
+                best_row, best = row_scope.row, value
+            return best_row
+
+        return pick
 
     def _group_rows(
         self,
@@ -632,9 +698,8 @@ class Executor:
         rows = table.rows
         empty_scope = Scope(ColumnLayout(), [], outer)
 
-        positions: Sequence[int]
-        range_check: planner.RangeStart | None = None
-        bound: SqlValue = None
+        positions: Sequence[int] = range(len(rows))
+        checks: list[tuple[planner.SortedBound, SqlValue]] = []
         residual = plan.residual
         try:
             if plan.lookups:
@@ -643,60 +708,65 @@ class Executor:
                     self._eval(l.value, empty_scope, params) for l in plan.lookups
                 )
                 positions = table.lookup(cols, key)
-                range_check = plan.range_start
-                if range_check is not None:
-                    bound = self._eval(range_check.bound, empty_scope, params)
-                self.stats.index_probes += 1
-            elif plan.range_start is not None:
-                range_check = plan.range_start
-                bound = self._eval(range_check.bound, empty_scope, params)
-                start = (
-                    None
-                    if bound is None
-                    else table.sorted_start(
-                        range_check.column_index, bound, range_check.inclusive
-                    )
-                )
-                if bound is None:
-                    positions = ()
-                    range_check = None
-                elif start is not None:
-                    # The bisect already established the bound for every
-                    # remaining row; nothing left to re-check.
-                    positions = range(start, len(rows))
-                    range_check = None
-                    self.stats.range_scans += 1
-                else:
-                    # Sorted hint was lost after planning: scan, but keep
-                    # the bound as an explicit per-row check.
-                    positions = range(len(rows))
-                    self.stats.full_scans += 1
-            else:
-                positions = range(len(rows))
-                self.stats.full_scans += 1
+            bounds = [
+                (bound, self._eval(bound.bound, empty_scope, params))
+                for bound in plan.bounds
+            ]
         except SQLExecutionError:
             # A lookup key / bound failed to evaluate ahead of the scan
             # (e.g. an unresolvable outer reference). Scan everything and
             # evaluate the original predicate per row, so the error is
             # raised only if a row actually reaches it.
             positions = range(len(rows))
-            range_check = None
             residual = full_predicate
             self.stats.full_scans += 1
+        else:
+            if plan.lookups:
+                self.stats.index_probes += 1
+            start, end = 0, len(positions)
+            null_bound = False
+            for bound, value in bounds:
+                if value is None:
+                    # A comparison with NULL is never true.
+                    null_bound = True
+                    break
+                cut = table.sorted_cut(
+                    bound.column_index, positions, value, bound.bisect_right
+                )
+                if cut is None:
+                    # Sorted hint lost after planning, or a bound that is
+                    # not a real number: keep it as a per-row check.
+                    checks.append((bound, value))
+                elif bound.upper:
+                    end = min(end, cut)
+                else:
+                    start = max(start, cut)
+            if null_bound:
+                positions, checks = (), []
+            else:
+                positions = positions[start:max(start, end)]
+                if not plan.lookups:
+                    if len(checks) < len(bounds):
+                        self.stats.range_scans += 1
+                    else:
+                        self.stats.full_scans += 1
 
         range_pred: vector.RowPredicate | None = None
-        if range_check is not None:
+        if checks:
+            bound_checks = tuple(
+                (bound.column_index, value, bound.upper, bound.inclusive)
+                for bound, value in checks
+            )
 
-            def range_pred(
-                row,
-                _i=range_check.column_index,
-                _b=bound,
-                _inc=range_check.inclusive,
-            ):
-                comparison = sql_compare(row[_i], _b)
-                return comparison is not None and (
-                    comparison > 0 or (comparison == 0 and _inc)
-                )
+            def range_pred(row, _checks=bound_checks):
+                for i, value, upper, inclusive in _checks:
+                    comparison = sql_compare(row[i], value)
+                    if comparison is None or not (
+                        (comparison < 0 if upper else comparison > 0)
+                        or (comparison == 0 and inclusive)
+                    ):
+                        return False
+                return True
 
         # Every row the access path yields is priced, whether or not it
         # then survives the range bound or the residual.
@@ -1327,6 +1397,9 @@ class Executor:
 
         def scalar_select_fn(scope, params):
             def run_scalar(outer) -> SqlValue:
+                probed = self._probe(select, False, outer, params)
+                if probed is not _DECLINED:
+                    return probed
                 relation, names = self.run_select(select, params, outer=outer)
                 if len(names) != 1:
                     raise SQLExecutionError(
@@ -1348,6 +1421,9 @@ class Executor:
 
         def exists_fn(scope, params):
             def run_exists(outer) -> bool:
+                probed = self._probe(select, True, outer, params)
+                if probed is not _DECLINED:
+                    return probed
                 relation, _ = self.run_select(probe, params, outer=outer)
                 return bool(relation.rows)
 
@@ -1355,6 +1431,77 @@ class Executor:
             return bool_to_sql(not exists if negated else exists)
 
         return exists_fn
+
+    def _probe(
+        self,
+        select: ast.Select,
+        exists: bool,
+        outer,
+        params: tuple[SqlValue, ...],
+    ):
+        """Answer a subquery the planner classified as a probe
+        (:func:`repro.sealdb.planner.plan_probe`): one index lookup, one
+        bisect of the ascending bucket on the sorted column, at most one
+        row read. Returns :data:`_DECLINED` — and the caller runs the
+        SELECT — whenever the answer cannot be proven that way: no probe
+        shape, a key or bound that fails to evaluate, a NULL or non-real
+        bound, or a sorted hint the table has lost.
+
+        Among rows sharing the top value the first-stored one answers:
+        the SELECT's stable sort puts it first, and ``MAX`` replaces its
+        running best only on a strictly greater value."""
+        source = select.source
+        if not isinstance(source, ast.NamedTable):
+            return _DECLINED
+        try:
+            table = self._db.lookup_table(source.name)
+        except SQLExecutionError:
+            return _DECLINED  # a view, or no such table: the SELECT says which
+        entry = self._probe_plans.get(id(select))
+        if (
+            entry is None
+            or entry[0] is not select
+            or entry[1] is not table
+            or entry[2] is not table.columns  # replan if the schema changed
+        ):
+            plan = planner.plan_probe(select, table, exists)
+            cols = plan and tuple(l.column_index for l in plan.lookups)
+            if len(self._probe_plans) > 8192:
+                self._probe_plans.clear()
+            entry = (select, table, table.columns, plan, cols)
+            self._probe_plans[id(select)] = entry
+        plan, cols = entry[3], entry[4]
+        if plan is None:
+            return _DECLINED
+        column = plan.sorted_column
+        if column is not None and not table.is_sorted(column):
+            return _DECLINED
+        try:
+            key = tuple(self._eval(l.value, outer, params) for l in plan.lookups)
+            if plan.bound is not None:
+                bound = self._eval(plan.bound.bound, outer, params)
+        except SQLExecutionError:
+            return _DECLINED
+        positions = table.lookup(cols, key)
+        end: int | None = len(positions)
+        if plan.bound is not None:
+            end = table.sorted_cut(column, positions, bound, plan.bound.bisect_right)
+            if end is None:
+                return _DECLINED  # NULL or not a real number
+        self.stats.index_probes += 1
+        if not end:
+            return False if exists else None
+        # The one row read is a flat positional access, priced like the
+        # batch loop the bucket scan it replaces ran in.
+        self.stats.rows_scanned += 1
+        self.stats.rows_vectorized += 1
+        if exists:
+            return True
+        rows = table.rows
+        top = rows[positions[end - 1]][column]
+        first = bisect_left(positions, top, 0, end, key=lambda p: rows[p][column])
+        row = rows[positions[first]]
+        return row[column if plan.kind == "max" else plan.value_column]
 
     def _build_function(self, expr: ast.FunctionCall):
         name = expr.name
@@ -1478,37 +1625,33 @@ def _find_column(columns: ColumnLayout, name: str) -> int:
     return matches[0]
 
 
-def _contains_aggregate(expr: ast.Expr) -> bool:
+def _aggregate_calls(expr: ast.Expr) -> Iterator[ast.FunctionCall]:
+    """Every aggregate call in ``expr`` (without entering subqueries)."""
     if isinstance(expr, ast.FunctionCall):
         if expr.star or is_aggregate(expr.name, len(expr.args)):
-            return True
-        return any(_contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, ast.Unary):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.Binary):
-        return _contains_aggregate(expr.left) or _contains_aggregate(expr.right)
-    if isinstance(expr, ast.IsNull):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.Between):
-        return any(
-            _contains_aggregate(e) for e in (expr.operand, expr.low, expr.high)
-        )
-    if isinstance(expr, ast.Like):
-        return _contains_aggregate(expr.operand) or _contains_aggregate(expr.pattern)
-    if isinstance(expr, ast.InList):
-        return _contains_aggregate(expr.operand) or any(
-            _contains_aggregate(i) for i in expr.items
-        )
-    if isinstance(expr, ast.InSelect):
-        return _contains_aggregate(expr.operand)
-    if isinstance(expr, ast.Case):
-        parts: list[ast.Expr] = [e for pair in expr.branches for e in pair]
+            yield expr
+            return
+        parts: Sequence[ast.Expr] = expr.args
+    elif isinstance(expr, (ast.Unary, ast.IsNull, ast.InSelect)):
+        parts = (expr.operand,)
+    elif isinstance(expr, ast.Binary):
+        parts = (expr.left, expr.right)
+    elif isinstance(expr, ast.Between):
+        parts = (expr.operand, expr.low, expr.high)
+    elif isinstance(expr, ast.Like):
+        parts = (expr.operand, expr.pattern)
+    elif isinstance(expr, ast.InList):
+        parts = (expr.operand, *expr.items)
+    elif isinstance(expr, ast.Case):
+        parts = [e for pair in expr.branches for e in pair]
         if expr.operand is not None:
             parts.append(expr.operand)
         if expr.default is not None:
             parts.append(expr.default)
-        return any(_contains_aggregate(p) for p in parts)
-    return False
+    else:
+        return
+    for part in parts:
+        yield from _aggregate_calls(part)
 
 
 def _output_name(item: ast.SelectItem) -> str:

@@ -2,24 +2,35 @@
 
 The planner stays deliberately small. It rewrites nothing; it only
 *classifies* the conjuncts of a WHERE / ON clause against the relations
-being read and hands the executor three kinds of opportunities:
+being read and hands the executor four kinds of opportunities:
 
 - **equality lookups** — ``col = expr`` where ``expr`` does not read the
   scanned relation: the scan becomes a probe of a (composite) hash index
   on the table (see :meth:`repro.sealdb.table.Table.ensure_index`);
-- **sorted range starts** — ``col > expr`` / ``col >= expr`` on a column
-  carrying the append-sorted hint: the scan starts at a bisected
-  position instead of row 0 (the audit log's ``time`` columns qualify);
+- **sorted bounds** — ``col > expr`` / ``col >= expr`` (a start) and
+  ``col < expr`` / ``col <= expr`` (an end) on a column carrying the
+  append-sorted hint: the scan, or the index bucket, is cut at bisected
+  positions instead of filtered row by row (the audit log's ``time``
+  columns qualify);
 - **hash equi-joins** — ``a.x = b.y`` conjuncts of a join condition
   where the two sides resolve to opposite join legs: the nested loop
-  becomes build + probe.
+  becomes build + probe;
+- **correlated probes** — a subquery over one base table whose WHERE is
+  nothing but equality lookups plus at most one end bound on a sorted
+  column, asking for the latest row (``ORDER BY col DESC LIMIT 1``), the
+  ``MAX(col)``, or ``EXISTS``: it is answered by one index lookup and a
+  bisect of the bucket, reading at most one row (:func:`plan_probe`).
+  Among rows that share the top value the probe answers with the
+  *first-stored* one, which is the row the stable sort (and ``MAX``'s
+  strictly-greater scan) of the full evaluation yields.
 
 Everything the planner cannot prove stays in a *residual* expression and
 is evaluated row-at-a-time exactly as before, so planned and unplanned
 execution are semantically identical (the property-test suite drives
 randomized workloads through both). Classification is purely syntactic
 and conservative: any conjunct containing a subquery, or whose column
-references cannot be attributed unambiguously, is left residual.
+references cannot be attributed unambiguously, is left residual, and a
+subquery that does not match a probe shape exactly is run as a SELECT.
 """
 
 from __future__ import annotations
@@ -31,7 +42,10 @@ from repro.sealdb import ast
 from repro.sealdb.table import Table
 
 _EQ_OPS = ("=", "==")
-_LOWER_BOUND_OPS = {">": False, ">=": True}  # op -> inclusive
+# op -> (upper end, inclusive), for ``col OP expr``.
+_BOUND_OPS = {
+    ">": (False, False), ">=": (False, True), "<": (True, False), "<=": (True, True)
+}
 _FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
@@ -133,45 +147,44 @@ class EqualityLookup:
 
 
 @dataclass(frozen=True)
-class RangeStart:
-    """One ``col > expr`` / ``col >= expr`` lower bound on a sorted column."""
+class SortedBound:
+    """One ``col OP expr`` bound on a sorted column: a start (``>``,
+    ``>=``) or, with ``upper``, an end (``<``, ``<=``)."""
 
     column_index: int
     bound: ast.Expr
     inclusive: bool
+    upper: bool
+
+    @property
+    def bisect_right(self) -> bool:
+        """Which bisect finds the cut: ``> b`` starts and ``<= b`` ends
+        after the rows equal to ``b``; ``>= b`` and ``< b`` before them."""
+        return self.inclusive == self.upper
 
 
 @dataclass(frozen=True)
 class ScanPlan:
     """Access-path choice for one base-table scan.
 
-    ``residual`` holds every conjunct not consumed by the lookups/range;
-    the executor evaluates it per candidate row. The lookup and range
+    ``residual`` holds every conjunct not consumed by the lookups/bounds;
+    the executor evaluates it per candidate row. The lookup and bound
     conjuncts themselves are *not* re-evaluated: the index-key equality
-    and the bisect bound are exact under SQL semantics.
+    and the bisect cuts are exact under SQL semantics.
     """
 
     lookups: tuple[EqualityLookup, ...]
-    range_start: RangeStart | None
+    range_start: SortedBound | None
+    range_end: SortedBound | None
     residual: ast.Expr | None
 
     @property
-    def is_full_scan(self) -> bool:
-        return not self.lookups and self.range_start is None
+    def bounds(self) -> tuple[SortedBound, ...]:
+        return tuple(b for b in (self.range_start, self.range_end) if b is not None)
 
-    def explain(self) -> str:
-        parts = []
-        if self.lookups:
-            cols = ",".join(str(l.column_index) for l in self.lookups)
-            parts.append(f"index-probe(cols={cols})")
-        if self.range_start is not None:
-            op = ">=" if self.range_start.inclusive else ">"
-            parts.append(f"sorted-range(col={self.range_start.column_index}{op})")
-        if not parts:
-            parts.append("full-scan")
-        if self.residual is not None:
-            parts.append("residual-filter")
-        return " + ".join(parts)
+    @property
+    def is_full_scan(self) -> bool:
+        return not self.lookups and not self.bounds
 
 
 def plan_scan(
@@ -182,11 +195,12 @@ def plan_scan(
     A conjunct becomes an equality lookup when it is ``col = expr`` (either
     side) with ``col`` a plain reference to the scanned table and ``expr``
     subquery-free and not reading the scanned table (so it is evaluable
-    once, before the scan). Lower bounds on append-sorted columns become
-    the range start. Everything else is residual.
+    once, before the scan). The first lower and the first upper bound on
+    append-sorted columns become the range start and end. Everything else
+    is residual.
     """
     lookups: list[EqualityLookup] = []
-    range_start: RangeStart | None = None
+    ends: dict[bool, SortedBound] = {}
     residual: list[ast.Expr] = []
     seen_cols: set[int] = set()
     for conjunct in conjuncts:
@@ -195,13 +209,18 @@ def plan_scan(
             seen_cols.add(lookup.column_index)
             lookups.append(lookup)
             continue
-        if range_start is None:
-            bound = _as_range_start(conjunct, table, alias)
-            if bound is not None and table.is_sorted(bound.column_index):
-                range_start = bound
-                continue
+        bound = _as_sorted_bound(conjunct, table, alias)
+        if (
+            bound is not None
+            and bound.upper not in ends
+            and table.is_sorted(bound.column_index)
+        ):
+            ends[bound.upper] = bound
+            continue
         residual.append(conjunct)
-    return ScanPlan(tuple(lookups), range_start, conjoin(residual))
+    return ScanPlan(
+        tuple(lookups), ends.get(False), ends.get(True), conjoin(residual)
+    )
 
 
 def _as_equality_lookup(
@@ -216,22 +235,21 @@ def _as_equality_lookup(
     return None
 
 
-def _as_range_start(
+def _as_sorted_bound(
     expr: ast.Expr, table: Table, alias: str
-) -> RangeStart | None:
-    if not isinstance(expr, ast.Binary):
+) -> SortedBound | None:
+    """``col OP expr`` / ``expr OP col`` with ``OP`` an order comparison,
+    ``col`` local and ``expr`` independent of the scanned table."""
+    if not isinstance(expr, ast.Binary) or expr.op not in _BOUND_OPS:
         return None
-    op = expr.op
-    col_side, value_side = expr.left, expr.right
-    if op in ("<", "<="):
-        op = _FLIPPED[op]
-        col_side, value_side = expr.right, expr.left
-    inclusive = _LOWER_BOUND_OPS.get(op)
-    if inclusive is None:
-        return None
-    col = _local_column(col_side, table, alias)
-    if col is not None and _independent_of(value_side, table, alias):
-        return RangeStart(col, value_side, inclusive)
+    for op, col_side, value_side in (
+        (expr.op, expr.left, expr.right),
+        (_FLIPPED[expr.op], expr.right, expr.left),
+    ):
+        col = _local_column(col_side, table, alias)
+        if col is not None and _independent_of(value_side, table, alias):
+            upper, inclusive = _BOUND_OPS[op]
+            return SortedBound(col, value_side, inclusive, upper)
     return None
 
 
@@ -264,6 +282,119 @@ def _independent_of(expr: ast.Expr, table: Table, alias: str) -> bool:
         elif ref.table.lower() == alias.lower():
             return False
     return True
+
+
+# --------------------------------------------------------------------------
+# Correlated probes
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ProbePlan:
+    """A subquery answered by one index lookup plus a bisect.
+
+    ``kind`` is ``"latest"`` (``SELECT col … ORDER BY sorted DESC
+    LIMIT 1``: ``value_column`` of the latest row), ``"max"``
+    (``SELECT MAX(sorted) …``) or ``"exists"``. The bucket of
+    ``lookups`` is cut at ``bound`` (an end on ``sorted_column``); the
+    executor declines to run the probe, and runs the SELECT instead,
+    whenever ``sorted_column`` has lost its sorted hint or the bound's
+    value is not a real number.
+    """
+
+    kind: str
+    lookups: tuple[EqualityLookup, ...]
+    sorted_column: int | None
+    bound: SortedBound | None
+    value_column: int | None = None
+
+
+def plan_probe(select: ast.Select, table: Table, exists: bool) -> ProbePlan | None:
+    """Classify a scalar (``exists=False``) or ``EXISTS`` subquery over
+    ``table`` as a probe, or None when its answer could depend on
+    anything a lookup and one bisect cannot see.
+
+    The FROM is the one base table; the WHERE is only equality lookups
+    (at least one) plus at most one upper bound; there is no GROUP BY,
+    HAVING, OFFSET or compound, and every select item reads the table
+    directly, so no per-row evaluation the probe skips could raise.
+    """
+    source = select.source
+    if (
+        not isinstance(source, ast.NamedTable)
+        or select.compound
+        or select.group_by
+        or select.having is not None
+        or select.offset is not None
+    ):
+        return None
+    alias = source.alias or source.name
+    lookups: list[EqualityLookup] = []
+    bound: SortedBound | None = None
+    for conjunct in split_conjuncts(select.where):
+        lookup = _as_equality_lookup(conjunct, table, alias)
+        if lookup is not None and all(
+            l.column_index != lookup.column_index for l in lookups
+        ):
+            lookups.append(lookup)
+            continue
+        candidate = _as_sorted_bound(conjunct, table, alias)
+        if bound is not None or candidate is None or not candidate.upper:
+            return None
+        bound = candidate
+    if not lookups:
+        return None
+    bound_column = None if bound is None else bound.column_index
+    if exists:
+        if select.order_by or select.limit is not None or not all(
+            _inert_item(item.expr, table, alias) for item in select.items
+        ):
+            return None
+        return ProbePlan("exists", tuple(lookups), bound_column, bound)
+    if len(select.items) != 1 or select.distinct:
+        return None
+    item = select.items[0]
+    if isinstance(item.expr, ast.FunctionCall):
+        call = item.expr
+        if (
+            call.name != "MAX"
+            or call.star
+            or call.distinct
+            or len(call.args) != 1
+            or select.order_by
+            or select.limit is not None
+        ):
+            return None
+        column = _local_column(call.args[0], table, alias)
+        if column is None or bound_column not in (None, column):
+            return None
+        return ProbePlan("max", tuple(lookups), column, bound)
+    value = _local_column(item.expr, table, alias)
+    if (
+        value is None
+        or len(select.order_by) != 1
+        or not select.order_by[0].descending
+        or not (isinstance(select.limit, ast.Literal) and select.limit.value == 1)
+    ):
+        return None
+    order = select.order_by[0].expr
+    column = _local_column(order, table, alias)
+    if column is None or bound_column not in (None, column):
+        return None
+    assert isinstance(order, ast.ColumnRef)
+    if order.table is None and (item.alias or "").lower() == order.column.lower():
+        return None  # ORDER BY a bare output alias orders by that output
+    return ProbePlan("latest", tuple(lookups), column, bound, value)
+
+
+def _inert_item(expr: ast.Expr, table: Table, alias: str) -> bool:
+    """A select item whose evaluation cannot raise on any row: a literal,
+    a column of the table, or ``*`` / ``alias.*``."""
+    if isinstance(expr, ast.Literal):
+        return True
+    if isinstance(expr, ast.Star):
+        return expr.table is None or expr.table.lower() == alias.lower()
+    return _local_column(expr, table, alias) is not None
 
 
 # --------------------------------------------------------------------------

@@ -234,13 +234,19 @@ class Table:
     def is_sorted(self, col_index: int) -> bool:
         return col_index in self._sorted_columns
 
-    def sorted_start(self, col_index: int, bound: SqlValue, inclusive: bool) -> int | None:
-        """First row position with value ``>= bound`` (``> bound`` when
-        not inclusive), or None when the column carries no sorted hint."""
+    def sorted_cut(
+        self, col_index: int, positions: Sequence[int], bound: SqlValue, right: bool
+    ) -> int | None:
+        """Bisect ``positions`` (ascending row positions) on ``col_index``:
+        the index of the first row whose value is ``> bound`` (``right``)
+        or ``>= bound``. None when the column carries no sorted hint or
+        ``bound`` is not a real number: then nothing orders the rows
+        against it and the caller must compare row by row."""
         if col_index not in self._sorted_columns or not _sortable(bound):
             return None
-        bisect = bisect_left if inclusive else bisect_right
-        return bisect(self.rows, bound, key=lambda row: row[col_index])
+        rows = self.rows
+        bisect = bisect_right if right else bisect_left
+        return bisect(positions, bound, key=lambda p: rows[p][col_index])
 
     def approximate_size_bytes(self) -> int:
         """Rough on-disk footprint used by log-size accounting (§6.5)."""
@@ -262,5 +268,9 @@ class Table:
 
 def _sortable(value: SqlValue) -> bool:
     """Values the sorted hint supports: real numbers only (one rank, so
-    Python ``<`` agrees with ``sql_compare``; NULL sorts nowhere)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    Python ``<`` agrees with ``sql_compare``; NULL and NaN sort nowhere)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and value == value
+    )
