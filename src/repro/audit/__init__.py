@@ -11,7 +11,7 @@ forge, modify, delete or *roll back* log state. Defences, as in the paper:
   counter value, so presenting an older signed log is detected;
 - :mod:`repro.audit.persistence` — synchronous flush of log state to
   untrusted storage, sealed via the SGX sealing facility;
-- :mod:`repro.audit.wal` — the signed write-ahead intent shared by the
+- :mod:`repro.audit.wal` — the authenticated write-ahead intent shared by the
   seal, key-rotation and shard-membership protocols: one codec, one
   validator, one checkpointed step runner;
 - :mod:`repro.audit.log` — :class:`AuditLog`, tying the relational store

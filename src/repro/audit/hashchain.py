@@ -22,9 +22,9 @@ from repro.audit.wal import (
     TRAILING_TEXT,
     U32,
     U64,
-    SignedIntent,
+    AuthenticatedIntent,
+    authenticated_intent,
     intent_field,
-    signed_intent,
 )
 from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey, EcdsaSignature
 from repro.crypto.hashing import sha256
@@ -110,9 +110,9 @@ class SignedHead:
             raise IntegrityError("audit log head signature invalid")
 
 
-@signed_intent
-class SealIntent(SignedIntent):
-    """A signed write-ahead marker: "a seal of this chain state is in flight".
+@authenticated_intent
+class SealIntent(AuthenticatedIntent):
+    """A MAC'd write-ahead marker: "a seal of this chain state is in flight".
 
     Written to storage *before* the ROTE increment of each epoch seal.
     After a crash between the increment and the snapshot write, the stored
@@ -124,19 +124,19 @@ class SealIntent(SignedIntent):
     """
 
     TAG = b"SEAL-INTENT"
-    MAGIC = b"INTENT1"
+    MAGIC = b"INTENT2"
     SIDECAR = "intent"
     NOUN = "seal intent"
 
     log_id: str = intent_field(TEXT)
     head_hash: bytes = intent_field(DIGEST)
     entry_count: int = intent_field(U64)
-    signature: EcdsaSignature
+    tag: bytes
 
 
-@signed_intent
-class RotationIntent(SignedIntent):
-    """A signed write-ahead marker: "a key rotation to ``to_epoch`` is in flight".
+@authenticated_intent
+class RotationIntent(AuthenticatedIntent):
+    """A MAC'd write-ahead marker: "a key rotation to ``to_epoch`` is in flight".
 
     Written to storage *before* the authority rotates, so a crash at any
     step of the rotation (rotate keys → audited log record → re-seal →
@@ -145,7 +145,7 @@ class RotationIntent(SignedIntent):
     """
 
     TAG = b"ROTATE-INTENT"
-    MAGIC = b"ROTATE1"
+    MAGIC = b"ROTATE2"
     SIDECAR = "rotation"
     NOUN = "rotation intent"
 
@@ -153,12 +153,12 @@ class RotationIntent(SignedIntent):
     from_epoch: int = intent_field(U32)
     to_epoch: int = intent_field(U32)
     reason: str = intent_field(TRAILING_TEXT)
-    signature: EcdsaSignature
+    tag: bytes
 
 
-@signed_intent
-class MembershipIntent(SignedIntent):
-    """A signed write-ahead marker: "a shard membership change is in flight".
+@authenticated_intent
+class MembershipIntent(AuthenticatedIntent):
+    """A MAC'd write-ahead marker: "a shard membership change is in flight".
 
     Written to the control log's storage *before* any step of a
     split/merge executes, so a crash at any rebalance checkpoint (audited
@@ -167,7 +167,7 @@ class MembershipIntent(SignedIntent):
     """
 
     TAG = b"SHARD-INTENT"
-    MAGIC = b"SHARD1"
+    MAGIC = b"SHARD2"
     SIDECAR = "membership"
     NOUN = "membership intent"
 
@@ -179,7 +179,7 @@ class MembershipIntent(SignedIntent):
     generation_from: int = intent_field(U64)
     generation_to: int = intent_field(U64)
     epoch: int = intent_field(U32)
-    signature: EcdsaSignature
+    tag: bytes
 
 
 class HashChain:

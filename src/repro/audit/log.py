@@ -318,7 +318,7 @@ class AuditLog:
 
         Crash-tolerant protocol order:
 
-        1. durably write a signed :class:`SealIntent` for the new chain
+        1. durably write an authenticated :class:`SealIntent` for the new chain
            state (write-ahead, so a crash after step 2 is distinguishable
            from a rollback at recovery);
         2. increment the ROTE counter (retries/backoff inside);
@@ -341,7 +341,7 @@ class AuditLog:
         with _obs.span("audit.seal", cycles=SEAL_EPOCH_CYCLES):
             crash_at("crash_before_intent")
             if self.storage is not None:
-                intent = SealIntent.sign(
+                intent = SealIntent.seal(
                     self._signing_key, self.log_id, self.chain.head, len(self.chain)
                 )
                 self.storage.save_intent(intent.encode(), SealIntent.SIDECAR)

@@ -15,9 +15,13 @@ crashes mid-write.
 
 Alongside the snapshot, storage keeps small *write-ahead intent* sidecar
 files, one per kind (:data:`SIDECAR_KINDS`, see :mod:`repro.audit.wal`):
-the seal intent written ahead of each ROTE increment, which recovery uses
-to tell a benign crash mid-seal from a rollback attack, and the rotation
-and membership intents their coordinators replay after a crash.
+the authenticated seal intent written ahead of each ROTE increment, which
+recovery uses to tell a benign crash mid-seal from a rollback attack, and
+the rotation and membership intents their coordinators replay after a
+crash. A sidecar's new directory entry is fsynced once, on its first
+save; afterwards the file is overwritten in place, and clearing
+truncates it to zero bytes (absent) without an fsync — a lost truncate
+leaves an older intent the next save overwrites before its increment.
 
 Disk latency is metered (synchronous flush per request/response pair is
 the LibSEAL-disk configuration of Fig. 5). All failures surface as typed
@@ -67,6 +71,8 @@ class LogStorage:
         self.flush_count = 0
         self.bytes_written = 0
         self.total_latency_ms = 0.0
+        #: Sidecar kinds whose directory entry this instance has fsynced.
+        self._durable_sidecars: set[str] = set()
         #: Orphaned ``.tmp`` files removed at start-up: evidence of a
         #: crash mid-write, consumed by the recovery protocol.
         self.orphans_cleaned: list[Path] = self._cleanup_orphans()
@@ -187,20 +193,23 @@ class LogStorage:
     # ------------------------------------------------------------------
 
     def save_intent(self, blob: bytes, kind: str) -> None:
-        """Durably record a signed intent (small, overwritten in place)."""
+        """Durably record an intent (small, overwritten in place)."""
         path = self._sidecar_path(kind)
         try:
             with open(path, "wb") as handle:
                 handle.write(blob)
                 handle.flush()
                 os.fsync(handle.fileno())
+            if kind not in self._durable_sidecars:
+                _fsync_directory(path.parent)
+                self._durable_sidecars.add(kind)
         except OSError as exc:
             raise StorageError(f"cannot write {kind} sidecar {path}: {exc}") from exc
 
     def load_intent(self, kind: str) -> bytes | None:
         path = self._sidecar_path(kind)
         try:
-            return path.read_bytes()
+            return path.read_bytes() or None
         except FileNotFoundError:
             return None
         except OSError as exc:
@@ -208,7 +217,7 @@ class LogStorage:
 
     def clear_intent(self, kind: str) -> None:
         try:
-            self._sidecar_path(kind).unlink(missing_ok=True)
+            os.truncate(self._sidecar_path(kind), 0)
         except OSError:
             pass
 

@@ -20,7 +20,7 @@ outcome                     meaning
                             atomic-replace invariant preserved the previous
                             snapshot, the torn tail is discarded
 ``IN_FLIGHT_DISCARDED``     the counter is one behind the quorum *and* a valid
-                            signed seal intent proves the enclave itself was
+                            authenticated seal intent proves the enclave was
                             mid-seal: the unacknowledged in-flight pair is
                             discarded and the gap closed by re-sealing
 ``TAMPER_DETECTED``         chain/signature/ciphertext verification failed,
@@ -148,7 +148,8 @@ def recover_log(
 
     ``schema_sql`` (``ssm.schema_sql``) and ``log_id`` are the service's:
     the snapshot's copies are not signed, so one that differs is
-    ``TAMPER_DETECTED``, never executed or adopted.
+    ``TAMPER_DETECTED``, never executed or adopted. ``signing_key``
+    authenticates the seal intent; ``public_key`` verifies the head.
 
     Never raises for faults it can classify: every path returns a
     :class:`RecoveryReport` so the startup code can decide policy
@@ -181,7 +182,7 @@ def _recover_log(
     torn = bool(getattr(storage, "orphans_cleaned", []))
     # A forged/corrupt/foreign intent buys the adversary nothing: it reads
     # as absent, and a counter gap without an intent is a rollback.
-    intent = load_valid_intent(storage, SealIntent, public_key, log_id)
+    intent = load_valid_intent(storage, SealIntent, signing_key, log_id)
 
     if not storage.exists():
         # Nothing was ever durably sealed. A leftover intent means the

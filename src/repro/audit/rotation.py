@@ -12,12 +12,12 @@ must never leave the deployment split across two epochs, and a slow or
 partitioned replica must never be silently stranded on keys that stop
 verifying.
 
-:class:`KeyRotationCoordinator` gets both properties from a signed
+:class:`KeyRotationCoordinator` gets both properties from an authenticated
 write-ahead :class:`~repro.audit.hashchain.RotationIntent` plus
 idempotent steps, run by the shared
 :class:`~repro.audit.wal.CheckpointedWal`:
 
-1. durably record a signed rotation intent (the WAL entry);
+1. durably record an authenticated rotation intent (the WAL entry);
 2. advance the authority's epoch registry (old epoch → grace window);
 3. append an audited ``key_rotation`` event to the log itself, so the
    rotation is part of the tamper-evident history an auditor replays;
@@ -148,8 +148,8 @@ class KeyRotationCoordinator(CheckpointedWal):
         return self.libseal.audit_log
 
     @property
-    def public_key(self):
-        return self.libseal.signing_key.public_key()
+    def signing_key(self):
+        return self.libseal.signing_key
 
     @property
     def owner_id(self) -> str:
@@ -163,8 +163,8 @@ class KeyRotationCoordinator(CheckpointedWal):
         """Rotate to a fresh epoch, end to end (WAL write first)."""
         from_epoch = self.authority.current_epoch
         return self._begin(
-            RotationIntent.sign(
-                self.libseal.signing_key,
+            RotationIntent.seal(
+                self.signing_key,
                 self.owner_id,
                 from_epoch,
                 from_epoch + 1,

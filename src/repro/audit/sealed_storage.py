@@ -84,9 +84,9 @@ class SealedLogStorage(LogStorage):
     def size_bytes(self) -> int:
         return self.inner.size_bytes()
 
-    # Intent sidecars pass through unencrypted: each is a signed public
-    # artifact (chain head + count, epoch numbers, shard names), nothing
-    # confidential.
+    # Intent sidecars pass through unencrypted: each is an authenticated
+    # public artifact (chain head + count, epoch numbers, shard names),
+    # nothing confidential.
     def save_intent(self, blob: bytes, kind: str) -> None:
         self.inner.save_intent(blob, kind)
 

@@ -1,21 +1,21 @@
-"""Signed write-ahead intents: one codec, one validator, one step runner.
+"""Authenticated write-ahead intents: one codec, one validator, one step runner.
 
 Three protocols in this repo change durable state in more than one step
 over *untrusted* storage: the epoch seal (:meth:`AuditLog.seal_epoch`),
 key rotation (:mod:`repro.audit.rotation`) and shard membership change
-(:mod:`repro.shard.rebalance`). Each persists a signed intent in a
-sidecar file *before* the first step, so a crash at any later point is
+(:mod:`repro.shard.rebalance`). Each persists an authenticated intent in
+a sidecar file *before* the first step, so a crash at any later point is
 distinguishable from an attack and can be replayed to completion.
 
 This module is the single implementation of what they share:
 
-- :class:`SignedIntent` — the codec. A concrete intent is a frozen
-  dataclass that declares a payload tag, a wire magic, its sidecar kind
-  and an ordered list of typed fields; ``payload``/``sign``/``verify``/
-  ``encode``/``decode`` are derived from that declaration.
-- :func:`load_valid_intent` — the validator: decode, signature, owner
-  id, and *currency* (an intent the protocol has already moved past is a
-  replay by the storage provider, not a crash to resume).
+- :class:`AuthenticatedIntent` — the codec. A concrete intent is a
+  frozen dataclass that declares a payload tag, a wire magic, its
+  sidecar kind and an ordered list of typed fields; ``payload``/``seal``/
+  ``verify``/``encode``/``decode`` are derived from that declaration.
+- :func:`load_valid_intent` — the validator: decode, HMAC tag, owner id, and
+  *currency* (an intent the protocol has already moved past is a replay
+  by the storage provider, not a crash to resume).
 - :class:`CheckpointedWal` — the coordinator base: write-ahead save,
   ``pending()``, validate-or-discard, the fault site between steps, and
   an ordered step table run with a checkpoint after every step.
@@ -30,9 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, ClassVar
 
-from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey, EcdsaSignature
+from repro.crypto.hashing import constant_time_equal, hkdf, hmac_sha256
 from repro.errors import IntegrityError
 from repro.faults import hooks as _faults
+
+#: Why a blob in an older wire format is refused (the message is stable).
+UNSUPPORTED_VERSION = "unsupported intent version"
+
+
+def intent_key(d: int) -> bytes:
+    """The intent MAC key of the enclave whose signing scalar is ``d``:
+    only the enclave that wrote an intent reads it back, and only it
+    holds ``d`` (an epoch's group key is shared by every enclave)."""
+    return hkdf(d.to_bytes(32, "big"), salt=b"LibSEAL intent MAC", info=b"v2")
 
 
 # ----------------------------------------------------------------------
@@ -42,7 +52,7 @@ from repro.faults import hooks as _faults
 
 @dataclass(frozen=True)
 class FieldCodec:
-    """How one intent field enters the signed payload and the wire form."""
+    """How one intent field enters the authenticated payload and the wire form."""
 
     to_payload: Callable[[Any], bytes]
     to_wire: Callable[[Any], bytes]
@@ -85,15 +95,15 @@ U64 = _uint(8)
 
 
 def intent_field(codec: FieldCodec):
-    """Declare one signed field of a :class:`SignedIntent` subclass."""
+    """Declare one authenticated field of an :class:`AuthenticatedIntent` subclass."""
     return field(metadata={"codec": codec})
 
 
-def signed_intent(cls):
+def authenticated_intent(cls):
     """Class decorator for a concrete intent: freeze it as a dataclass
-    and record its signed-field table once, in declaration order."""
+    and record its authenticated-field table once, in declaration order."""
     cls = dataclass(frozen=True)(cls)
-    cls.SIGNED_FIELDS = tuple(
+    cls.FIELDS = tuple(
         (f.name, f.metadata["codec"]) for f in fields(cls) if "codec" in f.metadata
     )
     return cls
@@ -104,65 +114,70 @@ def signed_intent(cls):
 # ----------------------------------------------------------------------
 
 
-class SignedIntent:
-    """Base of every signed write-ahead intent.
+class AuthenticatedIntent:
+    """Base of every MAC'd write-ahead intent.
 
-    A concrete intent is decorated with :func:`signed_intent` and
-    declares its signed fields with :func:`intent_field`, in payload/wire
-    order, followed by a ``signature: EcdsaSignature`` field. The first
-    signed field scopes the intent to its owner (a log id, a plane id).
+    A concrete intent is decorated with :func:`authenticated_intent` and
+    declares its fields with :func:`intent_field`, in payload/wire
+    order, followed by a ``tag: bytes`` field (HMAC-SHA256 of the
+    payload under :func:`intent_key`). The first field scopes the intent
+    to its owner (a log id, a plane id).
 
-    The signed payload is ``TAG NUL field...``; the wire form is
-    ``MAGIC``, each field and the hex signature joined by NULs. Both are
-    on-disk formats a crashed deployment resumes from.
+    The authenticated payload is ``TAG NUL field...``; the wire form is
+    ``MAGIC``, each field and the hex tag joined by NULs. Both are
+    on-disk formats a crashed deployment resumes from. ``MAGIC``'s last
+    byte is the format version: a blob of the same format at another
+    version is refused as :data:`UNSUPPORTED_VERSION`.
     """
 
-    TAG: ClassVar[bytes]  #: domain-separation prefix of the signed payload
+    TAG: ClassVar[bytes]  #: domain-separation prefix of the payload
     MAGIC: ClassVar[bytes]  #: first wire element (format + version)
     SIDECAR: ClassVar[str]  #: the storage sidecar this intent is kept in
     NOUN: ClassVar[str]  #: how error messages name it
-    SIGNED_FIELDS: ClassVar[tuple[tuple[str, FieldCodec], ...]]
+    FIELDS: ClassVar[tuple[tuple[str, FieldCodec], ...]]
 
     @property
     def owner_id(self) -> str:
-        return getattr(self, self.SIGNED_FIELDS[0][0])
+        return getattr(self, self.FIELDS[0][0])
 
     def payload(self) -> bytes:
         return self.TAG + b"\x00" + b"".join(
-            codec.to_payload(getattr(self, name))
-            for name, codec in self.SIGNED_FIELDS
+            codec.to_payload(getattr(self, name)) for name, codec in self.FIELDS
         )
 
     @classmethod
-    def sign(cls, key: EcdsaPrivateKey, *args, **kwargs):
-        unsigned = cls(*args, **kwargs, signature=EcdsaSignature(0, 0))
-        return cls(*args, **kwargs, signature=key.sign(unsigned.payload()))
+    def seal(cls, signing_key, *args, **kwargs):
+        untagged = cls(*args, **kwargs, tag=b"")
+        tag = hmac_sha256(intent_key(signing_key.d), untagged.payload())
+        return cls(*args, **kwargs, tag=tag)
 
-    def verify(self, public_key: EcdsaPublicKey) -> None:
-        if not public_key.verify(self.payload(), self.signature):
-            raise IntegrityError(f"{self.NOUN} signature invalid")
+    def verify(self, signing_key) -> None:
+        expected = hmac_sha256(intent_key(signing_key.d), self.payload())
+        if not constant_time_equal(self.tag, expected):
+            raise IntegrityError(f"{self.NOUN} tag invalid")
 
     def encode(self) -> bytes:
         return b"\x00".join(
             [self.MAGIC]
-            + [
-                codec.to_wire(getattr(self, name))
-                for name, codec in self.SIGNED_FIELDS
-            ]
-            + [_hex(self.signature.encode())]
+            + [codec.to_wire(getattr(self, name)) for name, codec in self.FIELDS]
+            + [_hex(self.tag)]
         )
 
     @classmethod
     def decode(cls, blob: bytes):
-        signed = cls.SIGNED_FIELDS
+        magic = blob.split(b"\x00", 1)[0]
+        if magic != cls.MAGIC and magic[:-1] == cls.MAGIC[:-1]:
+            raise IntegrityError(f"{cls.NOUN}: {UNSUPPORTED_VERSION} {magic!r}")
         try:
-            magic, *wire, sig_hex = blob.split(b"\x00")
+            magic, *wire, tag_hex = blob.split(b"\x00")
             if magic != cls.MAGIC:
                 raise ValueError("bad magic")
-            if len(wire) != len(signed):
-                raise ValueError(f"expected {len(signed)} fields, got {len(wire)}")
-            values = [codec.from_wire(part) for (_, codec), part in zip(signed, wire)]
-            return cls(*values, EcdsaSignature.decode(_unhex(sig_hex)))
+            if len(wire) != len(cls.FIELDS):
+                raise ValueError(f"expected {len(cls.FIELDS)} fields, got {len(wire)}")
+            values = [
+                codec.from_wire(part) for (_, codec), part in zip(cls.FIELDS, wire)
+            ]
+            return cls(*values, _unhex(tag_hex))
         except (ValueError, UnicodeDecodeError) as exc:
             raise IntegrityError(f"{cls.NOUN} unparsable: {exc}") from exc
 
@@ -174,28 +189,29 @@ class SignedIntent:
 
 def load_valid_intent(
     storage,
-    intent_type: type[SignedIntent],
-    public_key: EcdsaPublicKey,
+    intent_type: type[AuthenticatedIntent],
+    signing_key,
     owner_id: str,
     still_current: Callable[[Any], bool] = lambda intent: True,
 ):
     """The stored intent, or None if absent or not to be acted on.
 
-    Storage is adversarial, so an intent counts only if it parses, is
-    signed by this enclave's key, names this owner, and is still
-    *current*: the provider can write back an old, validly signed intent
-    the protocol has long completed, and replaying that would redo a
-    finished change against today's state. A rejected intent buys the
-    adversary nothing — the worst outcome is that the operator re-issues
-    a genuine in-flight change. This function never clears the sidecar;
-    the caller decides.
+    Storage is adversarial, so an intent counts only if it parses (in
+    the current wire version), carries a tag minted under this enclave's
+    ``signing_key``, names this owner, and is still *current*: the
+    provider can write back an old, validly tagged intent the protocol
+    has long completed, and replaying that would redo a finished change
+    against today's state. A rejected intent buys the adversary nothing
+    — the worst outcome is that the operator re-issues a genuine
+    in-flight change. This function never clears the sidecar; the
+    caller decides.
     """
     blob = storage.load_intent(intent_type.SIDECAR)
     if blob is None:
         return None
     try:
         intent = intent_type.decode(blob)
-        intent.verify(public_key)
+        intent.verify(signing_key)
     except IntegrityError:
         return None
     if intent.owner_id != owner_id or not still_current(intent):
@@ -209,17 +225,18 @@ def load_valid_intent(
 
 
 class CheckpointedWal:
-    """A multi-step state change made crash-safe by a signed WAL entry.
+    """A multi-step state change made crash-safe by an authenticated WAL entry.
 
     A protocol subclasses this and supplies only its content:
 
-    - ``INTENT`` — its :class:`SignedIntent` type;
+    - ``INTENT`` — its :class:`AuthenticatedIntent` type;
     - ``FAULT_SITE`` — the fault-plane site checked between steps;
     - ``STEPS`` — the ordered table of step functions, each called as
       ``step(self, intent, report)``, each *guarded and idempotent* so a
       replay from the top converges wherever the first attempt stopped;
-    - ``storage`` / ``public_key`` / ``owner_id`` — where the sidecar
-      lives, whose signature counts, and whose intents are ours;
+    - ``storage`` / ``signing_key`` / ``owner_id`` — where the sidecar
+      lives, whose key the tag must be minted under, and whose intents
+      are ours;
     - :meth:`_still_current` — False once the protocol has moved past
       the intent (see :func:`load_valid_intent`);
     - :meth:`_run` — builds its report, calls :meth:`_run_steps`, and
@@ -229,7 +246,7 @@ class CheckpointedWal:
     write-ahead save, one after every step.
     """
 
-    INTENT: ClassVar[type[SignedIntent]]
+    INTENT: ClassVar[type[AuthenticatedIntent]]
     FAULT_SITE: ClassVar[str]
     STEPS: ClassVar[tuple[Callable, ...]]
 
@@ -252,7 +269,7 @@ class CheckpointedWal:
         """Whether a WAL entry is outstanding."""
         return self.storage.load_intent(self.INTENT.SIDECAR) is not None
 
-    def _begin(self, intent: SignedIntent):
+    def _begin(self, intent: AuthenticatedIntent):
         """Make the intent durable before anything changes, then run it."""
         self.storage.save_intent(intent.encode(), self.INTENT.SIDECAR)
         self.started += 1
@@ -263,13 +280,14 @@ class CheckpointedWal:
         """Replay a change whose WAL entry survived a crash.
 
         Returns None when no valid, current change was in flight; a
-        forged, corrupt, foreign or stale intent is discarded and its
-        sidecar cleared (see :func:`load_valid_intent` for why).
+        forged, corrupt, foreign, stale or old-version intent is
+        discarded and its sidecar cleared (see :func:`load_valid_intent`
+        for why).
         """
         intent = load_valid_intent(
             self.storage,
             self.INTENT,
-            self.public_key,
+            self.signing_key,
             self.owner_id,
             self._still_current,
         )
@@ -285,7 +303,7 @@ class CheckpointedWal:
             if event.kind in ("crash", "abort"):
                 raise _faults.active().crash(event)
 
-    def _run_steps(self, intent: SignedIntent, report) -> None:
+    def _run_steps(self, intent: AuthenticatedIntent, report) -> None:
         for step in self.STEPS:
             step(self, intent, report)
             self._checkpoint()

@@ -4,7 +4,7 @@ A membership change (split = shard joins, merge = shard leaves) moves
 owned log ranges between enclaves while the plane keeps serving. It is
 a distributed, multi-step state change that a crash must never leave
 half-applied, so it runs on the shared
-:class:`~repro.audit.wal.CheckpointedWal`: a signed write-ahead
+:class:`~repro.audit.wal.CheckpointedWal`: an authenticated write-ahead
 :class:`~repro.audit.hashchain.MembershipIntent` persisted *before*
 anything moves, idempotent steps, and a ``shard.step`` fault site
 between every pair of steps (:data:`SHARD_CHECKPOINTS` of them) for the
@@ -12,7 +12,7 @@ chaos suite to crash at.
 
 The step sequence:
 
-1. durably record the signed membership intent (the WAL entry);
+1. durably record the authenticated membership intent (the WAL entry);
 2. append the audited ``begin`` record to the control log and seal it —
    the change is now tamper-evident history;
 3. provision the joining shard (split) through mutual RA-TLS admission;
@@ -105,8 +105,8 @@ class Rebalancer(CheckpointedWal):
         return self.plane.control_storage
 
     @property
-    def public_key(self):
-        return self.plane.signing_key.public_key()
+    def signing_key(self):
+        return self.plane.signing_key
 
     @property
     def owner_id(self) -> str:
@@ -138,7 +138,7 @@ class Rebalancer(CheckpointedWal):
                 raise SimulationError(f"shard {shard} is not a member")
             if len(members) == 1:
                 raise SimulationError("cannot merge away the last shard")
-        intent = MembershipIntent.sign(
+        intent = MembershipIntent.seal(
             plane.signing_key,
             plane_id=plane.plane_id,
             change_id=f"{kind}-{shard}-g{plane.router.generation + 1}",

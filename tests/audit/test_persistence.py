@@ -9,10 +9,17 @@ and checks the invariant plus the orphan-``.tmp`` cleanup that a
 restart performs.
 """
 
+import os
+import stat
+from pathlib import Path
+
 import pytest
 
+from repro.audit import AuditLog, RoteCluster
 from repro.audit.persistence import SIDECAR_KINDS, InMemoryStorage, LogStorage
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
+from repro.crypto.drbg import HmacDrbg
+from repro.crypto.ecdsa import EcdsaPrivateKey
 from repro.errors import StorageError
 from repro.faults import hooks as _faults
 from repro.faults.plan import FaultEvent, FaultPlan, InjectedCrash
@@ -257,11 +264,83 @@ class TestSealedSidecars(SidecarContract):
 
     @pytest.mark.parametrize("kind", SIDECAR_KINDS)
     def test_sidecar_passes_through_unencrypted(self, store, kind):
-        # Intents are signed public artifacts; only snapshots are sealed.
+        # Intents are authenticated public artifacts; only snapshots are sealed.
         store.save_intent(b"wal-entry", kind)
         assert store.inner.load_intent(kind) == b"wal-entry"
         store.save(OLD)
         assert store.inner.load() != OLD
+
+
+class TestSidecarEntryDurability:
+    """Under the power-loss model (a new or removed directory entry is
+    durable only once its directory is fsynced), the seal intent must be
+    durable — contents *and* entry — before the ROTE counter moves, or a
+    benign crash right after the increment reads as a rollback."""
+
+    def test_intent_entry_is_durable_before_every_increment(
+        self, tmp_path, monkeypatch
+    ):
+        ops = []  # the recorded os.open/fsync/replace/unlink sequence
+        durable: set[str] = set()  # entries listed at the last dir fsync
+        changed: set[str] = set()  # entries created/replaced/removed since
+        names = ("open", "fsync", "replace", "unlink")
+        real = {name: getattr(os, name) for name in names}
+
+        def recorded_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT and not os.path.exists(path):
+                changed.add(Path(path).name)
+            ops.append(("open", Path(path).name))
+            return real["open"](path, flags, *args, **kwargs)
+
+        def recorded_fsync(fd):
+            real["fsync"](fd)
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                ops.append(("fsync-dir",))
+                durable.clear()
+                durable.update(os.listdir(tmp_path))
+                changed.clear()
+            else:
+                ops.append(("fsync",))
+
+        def recorded_replace(src, dst, *args, **kwargs):
+            real["replace"](src, dst, *args, **kwargs)
+            ops.append(("replace", Path(dst).name))
+            changed.update({Path(src).name, Path(dst).name})
+
+        def recorded_unlink(path, *args, **kwargs):
+            real["unlink"](path, *args, **kwargs)
+            ops.append(("unlink", Path(path).name))
+            changed.add(Path(path).name)
+
+        for name, wrapper in (
+            ("open", recorded_open),
+            ("fsync", recorded_fsync),
+            ("replace", recorded_replace),
+            ("unlink", recorded_unlink),
+        ):
+            monkeypatch.setattr(os, name, wrapper)
+
+        rote = RoteCluster(f=1)
+        key = EcdsaPrivateKey.generate(HmacDrbg(seed=b"sidecar-durability"))
+        storage = LogStorage(tmp_path / "log.bin")
+        log = AuditLog("CREATE TABLE t(time INTEGER)", key, rote, storage=storage)
+        real_increment = rote.increment
+        increments = []
+
+        def checked_increment(log_id):
+            sidecar = "log.bin.intent"
+            assert sidecar in durable and sidecar not in changed, (
+                f"increment {len(increments) + 1}: intent entry not durable; "
+                f"ops so far {ops}"
+            )
+            increments.append(log_id)
+            return real_increment(log_id)
+
+        monkeypatch.setattr(rote, "increment", checked_increment)
+        for time in range(4):
+            log.append("t", (time,))
+            log.seal_epoch()
+        assert len(increments) == 4
 
 
 class TestInMemoryParity:

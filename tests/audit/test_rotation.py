@@ -24,7 +24,6 @@ from repro.audit.rote import RoteCluster
 from repro.audit.rote_replica import CounterAttestation, CounterReply
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 from repro.core.libseal import LibSeal, LibSealConfig
-from repro.crypto.ecdsa import EcdsaSignature
 from repro.errors import RetiredEpochError, SealingError
 from repro.sgx import Enclave, EnclaveConfig, EpochState, KeyPolicy, SealedBlob
 from repro.sgx.sealing import SigningAuthority
@@ -174,21 +173,19 @@ class TestCrashAtEveryStep:
         stack.assert_converged(2)
 
     def test_forged_wal_entry_is_discarded(self, stack):
-        intent = RotationIntent(
-            "rotation-test", 1, 2, "forged", EcdsaSignature(1, 1)
-        )
+        intent = RotationIntent("rotation-test", 1, 2, "forged", bytes(32))
         stack.storage.save_intent(intent.encode(), "rotation")
         assert stack.coordinator.resume() is None
         assert not stack.coordinator.pending()
         assert stack.authority.current_epoch == 1
 
     def test_stale_wal_replay_is_discarded(self, stack):
-        """A provider replaying a *completed* rotation's validly signed
+        """A provider replaying a *completed* rotation's validly tagged
         WAL entry must not re-run it against today's registry: that would
         force-retire a grace-window epoch a healthy replica still needs."""
         stack.coordinator.rotate("first")  # 1 -> 2; WAL written, then cleared
-        # The blob the provider copied meanwhile (signing is deterministic).
-        stale = RotationIntent.sign(
+        # The blob the provider copied meanwhile (the tag is deterministic).
+        stale = RotationIntent.seal(
             stack.libseal.signing_key, stack.config.log_id, 1, 2, "first"
         ).encode()
         stack.cluster.nodes[0].pin()  # one replica lags behind ...

@@ -14,6 +14,11 @@ signed 8-bit digit edges (127, 128, 129, 255, 256), at ``n - 1`` and at
 three DRBG draws; the records are one signed log head, one seal intent's
 wire encoding and one ROTE counter attestation with its replica's sealed
 blob, taken across a key rotation. Every signature also verifies.
+
+The seal intent is the one vector not captured from that tree: its tag is
+an HMAC under a key derived from the record key's scalar (``INTENT2``,
+which replaced the ECDSA-signed ``INTENT1``), and ``SEAL_INTENT_SHA256``
+was captured with the same command from the tree that introduced it.
 """
 
 import hashlib
@@ -73,7 +78,7 @@ SIGNATURE_SHA256 = {
 
 SIGNED_HEAD_SHA256 = "4af110a20017758f01e03f3250b761cf0b92a28c96ae2ab64128b7ae052e0dcd"
 
-SEAL_INTENT_SHA256 = "aa4cebc3cc18f980cb27bd20a3f7b76a4538d5d34a855843bf9f8f878d0912d2"
+SEAL_INTENT_SHA256 = "d40b0afd21513b8fb0596eead800ef3350b3eedfc976c34c9840921b91714758"
 
 ATTESTATION_SHA256 = "7b62053ceee688b219b1b623249330750decdde75ed0a0c0895b5f976f39a4c8"
 
@@ -93,7 +98,7 @@ def signed_head() -> SignedHead:
 
 
 def seal_intent() -> SealIntent:
-    return SealIntent.sign(
+    return SealIntent.seal(
         record_key(), log_id=LOG_ID, head_hash=HEAD_HASH, entry_count=1000
     )
 
@@ -136,7 +141,7 @@ def test_seal_intent_encoding_matches_golden():
     intent = seal_intent()
     assert sha(intent.encode()) == SEAL_INTENT_SHA256
     assert SealIntent.decode(intent.encode()) == intent
-    intent.verify(record_key().public_key())
+    intent.verify(record_key())
 
 
 def test_rote_attestation_and_replica_blob_match_golden():

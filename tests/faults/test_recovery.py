@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro import faults
-from repro.audit import AuditLog, RoteCluster
+from repro.audit import AuditLog, RoteCluster, SealIntent
 from repro.audit.persistence import LogStorage
 from repro.audit.recovery import RecoveryOutcome, recover_log
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
@@ -21,6 +21,7 @@ from repro.faults import FaultEvent, FaultPlan, InjectedCrash
 from repro.http import HttpRequest, HttpResponse
 from repro.sgx.sealing import SigningAuthority
 from repro.ssm.base import ServiceSpecificModule
+from tests.audit.test_wal import v1_wire
 
 SCHEMA = "CREATE TABLE updates(time INTEGER, note TEXT)"
 
@@ -163,9 +164,28 @@ class TestRecoveryOutcomes:
                 FaultPlan([FaultEvent("audit.seal", "crash_after_increment")])
             ):
                 seal_epochs(log, 1, start=1)
-        path.with_suffix(".bin.intent").write_bytes(b"INTENT1\x00forged")
+        path.with_suffix(".bin.intent").write_bytes(b"INTENT2\x00forged")
         report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.ROLLBACK_DETECTED
+
+    def test_counter_gap_with_v1_intent_is_rollback(self, tmp_path, key):
+        """The one-time cost of upgrading across an in-flight seal: the
+        version-1 intent the old build left (ECDSA-signed for exactly
+        this state) is refused, so the gap cannot be explained."""
+        rote = RoteCluster(f=1)
+        path = tmp_path / "log.bin"
+        log = make_log(LogStorage(path), key, rote)
+        seal_epochs(log, 1)
+        with pytest.raises(InjectedCrash):
+            with faults.inject(
+                FaultPlan([FaultEvent("audit.seal", "crash_after_increment")])
+            ):
+                seal_epochs(log, 1, start=1)
+        sidecar = path.with_suffix(".bin.intent")
+        sidecar.write_bytes(v1_wire(SealIntent.decode(sidecar.read_bytes()), key))
+        report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
+        assert report.outcome is RecoveryOutcome.ROLLBACK_DETECTED
+        assert not report.intent_found
 
     def test_tamper_detected_on_corrupt_read(self, tmp_path, key):
         rote = RoteCluster(f=1)

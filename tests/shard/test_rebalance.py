@@ -12,7 +12,6 @@ verifying end to end.
 import pytest
 
 from repro.audit.hashchain import MembershipIntent
-from repro.crypto.ecdsa import EcdsaSignature
 from repro.errors import RangeUnavailableError, SimulationError
 from repro.shard import ShardPlane
 from repro.shard.rebalance import Rebalancer
@@ -142,7 +141,7 @@ class TestWalHygiene:
             generation_from=1,
             generation_to=2,
             epoch=1,
-            signature=EcdsaSignature(1, 1),
+            tag=bytes(32),
         )
         plane.control_storage.save_intent(forged.encode(), "membership")
         assert plane.rebalancer.resume() is None
@@ -152,7 +151,7 @@ class TestWalHygiene:
     def test_foreign_wal_entry_is_discarded(self):
         plane, _ = make_stack(("shard-0", "shard-1"))
         other = ShardPlane(plane_id="other", shards=("x",), seed=9)
-        foreign = MembershipIntent.sign(
+        foreign = MembershipIntent.seal(
             other.signing_key,
             plane_id="other",
             change_id="split-x-g2",
@@ -167,13 +166,13 @@ class TestWalHygiene:
         assert not plane.rebalancer.pending()
 
     def test_stale_wal_replay_is_discarded(self):
-        """A provider replaying a *completed* change's validly signed WAL
+        """A provider replaying a *completed* change's validly tagged WAL
         entry must not re-run it against today's ring (it would collide
         with the live membership and wedge every later change)."""
         plane, _ = make_stack(("shard-0", "shard-1"))
         plane.rebalancer.split("shard-2")  # g1 -> 2; WAL written, then cleared
-        # The blob the provider copied meanwhile (signing is deterministic).
-        stale = MembershipIntent.sign(
+        # The blob the provider copied meanwhile (the tag is deterministic).
+        stale = MembershipIntent.seal(
             plane.signing_key,
             plane_id=plane.plane_id,
             change_id="split-shard-2-g2",
