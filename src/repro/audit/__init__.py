@@ -47,7 +47,6 @@ from repro.audit.rote_replica import (
     JoinRequest,
     LieModel,
     RoteReplica,
-    make_counter_enclave,
 )
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 
@@ -79,7 +78,6 @@ __all__ = [
     "JoinReply",
     "CounterAttestation",
     "LieModel",
-    "make_counter_enclave",
     "SealedLogStorage",
     "make_log_enclave",
 ]

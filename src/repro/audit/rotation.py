@@ -6,8 +6,8 @@ invalidates every derived key at once — the remedy for suspected key
 exposure, scheduled hygiene, and enclave upgrades alike — but rotation
 is a *distributed, multi-step* state change: the authority's registry,
 the audit log (which records the rotation as a chained tuple), the
-sealed snapshot on untrusted storage, and every ROTE replica's sealed
-counter blob must all cross to the new epoch. A crash in the middle
+sealed snapshot on untrusted storage, and every ROTE replica's
+in-memory counters must all cross to the new epoch. A crash in the middle
 must never leave the deployment split across two epochs, and a slow or
 partitioned replica must never be silently stranded on keys that stop
 verifying.
@@ -24,7 +24,7 @@ idempotent steps, run by the shared
 4. re-seal the log snapshot under the new epoch (the background
    re-seal pass for sealed log segments);
 5. announce the epoch to the replica group — replicas that can derive
-   the new keys adopt them and re-seal their counter state;
+   the new keys adopt them and re-MAC their counters;
 6. retire the old epoch once *every* replica has adopted the new one
    (otherwise it stays in the grace window — rotation never strands a
    healthy replica), then clear the WAL entry.
@@ -92,29 +92,20 @@ def retire_grace_epochs(authority) -> list[int]:
     return retired
 
 
-def stranded_blobs(authority, replicas=(), storage=None) -> list[tuple]:
+def stranded_blobs(authority, storage) -> list[tuple]:
     """Sealed blobs the current key registry can no longer open.
 
-    Looks at each ROTE replica's sealed counter state and, when given,
-    at the snapshot in ``storage`` — the *raw* store underneath a
-    sealed-at-rest log. Returns ``(holder, epoch)`` pairs, the holder
-    being a replica's node id or ``"log"``; a converged rotation leaves
-    none.
+    Looks at the snapshot in ``storage`` — the *raw* store underneath a
+    sealed-at-rest log (replicas keep their counters in enclave memory
+    and leave nothing on disk). Returns ``("log", epoch)`` pairs; a
+    converged rotation leaves none.
     """
-    sealed = [
-        (replica.node_id, replica.sealed_state)
-        for replica in replicas
-        if replica.sealed_state is not None
-    ]
-    if storage is not None and storage.exists():
-        sealed.append(("log", storage.load()))
-    usable = (EpochState.ACTIVE, EpochState.GRACE)
-    stranded = []
-    for holder, raw in sealed:
-        epoch = SealedBlob.decode(raw).epoch
-        if authority.epoch_state(epoch) not in usable:
-            stranded.append((holder, epoch))
-    return stranded
+    if not storage.exists():
+        return []
+    epoch = SealedBlob.decode(storage.load()).epoch
+    if authority.epoch_state(epoch) in (EpochState.ACTIVE, EpochState.GRACE):
+        return []
+    return [("log", epoch)]
 
 
 class KeyRotationCoordinator(CheckpointedWal):
@@ -216,7 +207,7 @@ class KeyRotationCoordinator(CheckpointedWal):
         report.log_resealed = self.libseal._try_seal()
 
     def _announce(self, intent: RotationIntent, report: RotationReport) -> None:
-        """Replicas adopt the epoch and re-seal their counter state."""
+        """Replicas adopt the epoch and re-MAC their counters."""
         report.acks = self.cluster.announce_epoch()
 
     def _retire_old(self, intent: RotationIntent, report: RotationReport) -> None:

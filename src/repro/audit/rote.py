@@ -7,7 +7,8 @@ counter nodes to increment and retrieve a monotonic counter, tolerating
 :class:`~repro.audit.rote_replica.RoteReplica` state machines reached
 only through a :class:`~repro.sim.network.SimNetwork` — messages can be
 delayed, lost, duplicated, reordered or partitioned away, replicas
-crash (losing memory, keeping their sealed state) and restart, and this
+crash (losing their counters, which live only in enclave memory) and
+restart unconfirmed until ``2f + 1`` peers have caught them up, and this
 client never touches replica memory.
 
 Protocol as implemented here:
@@ -25,7 +26,9 @@ Protocol as implemented here:
   is the maximum over MAC-*valid* attestations (plus the client's own
   cache). Liars can replay stale values but cannot forge higher ones,
   so the maximum is exact — a stale/rolled-back log claiming an older
-  value is detected, and no lie can fabricate rollback evidence.
+  value is detected, and no lie can fabricate rollback evidence. A group
+  that lost more than ``f`` memories answers no quorum at all, never a
+  lower value.
 
 **Availability vs. integrity.** A round that falls short of the quorum
 is retried with bounded exponential backoff (constants from
@@ -235,10 +238,11 @@ class RoteCluster:
         self.nodes[node_id].crash()
 
     def recover(self, node_id: int) -> None:
-        """Restart a crashed replica: unseal, rejoin, catch up.
+        """Restart a crashed replica: rejoin and catch up through the group.
 
         The catch-up exchange is allowed to land before the next quorum
-        operation by draining the network.
+        operation by draining the network; without 2f+1 answers the replica
+        stays silent (unconfirmed).
         """
         self.nodes[node_id].restart()
         self.network.settle()

@@ -1,12 +1,17 @@
-"""ROTE counter replicas: sealed state machines on the simulated network.
+"""ROTE counter replicas: in-memory state machines on the simulated network.
 
 Each :class:`RoteReplica` is one counter node of the §5.1 group, modelled
-the way ReplicaTEE says cloud SGX replication actually behaves: the node
-is an enclave that keeps its per-log counters in memory, seals them to
-untrusted disk on every accepted update (MRSIGNER policy, so a restarted
-enclave of the same authority can unseal them), and on restart rejoins by
-unsealing + broadcasting a catch-up read to its peers. A crash wipes the
-in-memory state and kills the enclave; only the sealed blob survives.
+the way ROTE keeps counters: the node is an enclave that holds its
+per-log counters in enclave memory only and writes nothing to untrusted
+storage, because a blob the host keeps is a blob the host can roll back.
+A crash wipes memory and kills the enclave. On restart the replica is
+*unconfirmed*: it rejoins by broadcasting a catch-up read to its peers
+and stays silent on counter and catch-up requests until MAC-valid
+replies from ``2f + 1`` distinct peers have been merged (DESIGN §4f);
+each client request it silences re-sends the read to the peers that have
+not answered yet. When that many peers cannot answer (more than ``f`` concurrent memory
+losses, or the whole group) it stays silent, and a quorum read fails
+(``FRESHNESS_UNVERIFIABLE``) rather than return a lower value.
 
 Counter values travel as :class:`CounterAttestation`\\ s — the value plus
 an HMAC under the replica group's shared key (provisioned via the signing
@@ -30,13 +35,11 @@ counter and catch-up traffic from any address that has not been
 admitted. A restart wipes the admission state with the rest of memory,
 so a rejoining replica must re-attest its peers before it will adopt
 their catch-up material — during an attestation-service outage that
-means degraded availability (it rejoins empty-handed), never adoption
-of unverified state.
+means it stays unconfirmed, never adoption of unverified state.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -46,14 +49,11 @@ from repro.crypto.hashing import constant_time_equal, hmac_sha256, sha256
 from repro.errors import (
     AttestationError,
     AttestationUnavailableError,
-    RetiredEpochError,
-    SealingError,
     SimulationError,
 )
 from repro.obs import hooks as _obs
-from repro.sgx.enclave import Enclave, EnclaveConfig
-from repro.sgx.ratls import BINDING_ROTE_JOIN
-from repro.sgx.sealing import EpochState, KeyPolicy, SealedBlob, SigningAuthority
+from repro.sgx.ratls import BINDING_ROTE_JOIN, make_node_enclave
+from repro.sgx.sealing import EpochState, SigningAuthority
 
 if TYPE_CHECKING:
     from repro.sgx.ratls import AttestationPlane
@@ -61,8 +61,6 @@ if TYPE_CHECKING:
 
 #: Attestations kept per log for lie models to replay (first + recent).
 HISTORY_LIMIT = 8
-
-COUNTER_STATE_AD = b"rote-counter-state"
 
 
 # ----------------------------------------------------------------------
@@ -121,24 +119,6 @@ class CounterAttestation:
             return False
         expected = hmac_sha256(key, self._payload(self.log_id, self.value, self.epoch))
         return constant_time_equal(self.mac, expected)
-
-    # JSON shape used inside sealed replica state.
-    def to_json(self) -> dict:
-        return {
-            "log_id": self.log_id,
-            "value": self.value,
-            "mac": self.mac.hex(),
-            "epoch": self.epoch,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CounterAttestation":
-        return cls(
-            str(obj["log_id"]),
-            int(obj["value"]),
-            bytes.fromhex(obj["mac"]),
-            int(obj.get("epoch", 1)),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -283,33 +263,8 @@ class LieModel:
 # ----------------------------------------------------------------------
 
 
-def make_counter_enclave(
-    authority: SigningAuthority, code_version: str = "rote-counter-1.0"
-) -> Enclave:
-    """Build the small enclave sealing/unsealing replica counter state."""
-    enclave = Enclave(
-        EnclaveConfig(code_identity=code_version, signer_name=authority.name)
-    )
-
-    def ecall_seal_counters(plaintext: bytes, epoch: int | None = None) -> bytes:
-        blob = authority.seal(
-            enclave, plaintext, policy=KeyPolicy.MRSIGNER,
-            associated_data=COUNTER_STATE_AD, epoch=epoch,
-        )
-        return blob.encode()
-
-    def ecall_unseal_counters(encoded: bytes) -> bytes:
-        blob = SealedBlob.decode(encoded)
-        return authority.unseal(enclave, blob, associated_data=COUNTER_STATE_AD)
-
-    enclave.interface.register_ecall("seal_counters", ecall_seal_counters)
-    enclave.interface.register_ecall("unseal_counters", ecall_unseal_counters)
-    enclave.interface.seal_interface()
-    return enclave
-
-
 class RoteReplica:
-    """One counter node: enclave + sealed per-log counters + lifecycle.
+    """One counter node: enclave + in-memory per-log counters + lifecycle.
 
     The replica is purely message-driven: it reacts to
     :class:`IncrementRequest` / :class:`RetrieveRequest` /
@@ -347,7 +302,7 @@ class RoteReplica:
         #: Catch-up attestations refused for carrying a retired/unknown
         #: key epoch (pre-rotation replays smuggled via catch-up).
         self.retired_rejections = 0
-        self.enclave = make_counter_enclave(authority, code_version)
+        self.enclave = make_node_enclave(code_version, authority.name)
         self.crashed = False
         self.lie: LieModel | None = None
         #: The key epoch this replica currently operates in.
@@ -362,9 +317,10 @@ class RoteReplica:
         self.unreachable_rounds = 0
         self._state: dict[str, CounterAttestation] = {}
         self._history: dict[str, list[CounterAttestation]] = {}
-        #: Sealed counter state as it sits on untrusted disk; survives
-        #: crashes, unlike everything above.
-        self.sealed_state: bytes | None = None
+        #: False from a crash until 2f+1 distinct peers answered this
+        #: replica's catch-up. A fresh group starts confirmed (all zero).
+        self.confirmed = True
+        self._vouchers: set[str] = set()
         self.restarts = 0
         self.writes_accepted = 0
         self.catchups_served = 0
@@ -459,7 +415,7 @@ class RoteReplica:
         return self.authority.derive_group_key(self.cluster_id.encode(), epoch)
 
     def maybe_adopt(self, epoch: int) -> bool:
-        """Adopt a newer ACTIVE epoch: re-MAC state, re-seal the blob.
+        """Adopt a newer ACTIVE epoch: re-MAC the in-memory state.
 
         Old attestations stay in ``_history`` untouched — exactly the
         pre-rotation material a Byzantine replica would later replay.
@@ -478,8 +434,6 @@ class RoteReplica:
                 key, log_id, att.value, epoch
             )
         self.epoch_migrations += 1
-        if self._state or self.sealed_state is not None:
-            self._persist()  # migrate the sealed blob to the new epoch
         self._note("rote_replica_epoch_migrations_total")
         return True
 
@@ -489,29 +443,26 @@ class RoteReplica:
         self.pinned = self.epoch
 
     def upgrade(self, code_version: str) -> None:
-        """Install a new enclave build (same signer): unpin and rejoin.
+        """Install a new enclave build (same signer): unpin and adopt.
 
-        The MRSIGNER-sealed counter blob survives the measurement change;
-        in-memory state is carried over (an upgrade is not a crash) and
-        re-sealed under the current epoch.
+        In-memory state is carried over and the replica stays confirmed:
+        an upgrade is not a crash.
         """
         self.code_version = code_version
         self.enclave.destroy()
-        self.enclave = make_counter_enclave(self.authority, code_version)
+        self.enclave = make_node_enclave(code_version, self.authority.name)
         self.pinned = None
-        if not self.maybe_adopt(self.authority.current_epoch) and (
-            self._state or self.sealed_state is not None
-        ):
-            self._persist()
+        self.maybe_adopt(self.authority.current_epoch)
         self._note("rote_replica_upgrades_total")
 
     # -- lifecycle -------------------------------------------------------
 
     def crash(self) -> None:
-        """Power loss: memory and enclave gone, sealed blob stays."""
+        """Power loss: memory and enclave gone, counters with them."""
         if self.crashed:
             return
         self.crashed = True
+        self.confirmed = False
         self._state = {}
         self._history = {}
         #: Admission and its verifier cache live in enclave memory: a
@@ -521,51 +472,51 @@ class RoteReplica:
         self._note("rote_replica_crashes_total")
 
     def restart(self) -> None:
-        """Rebuild the enclave, unseal state, rejoin with a catch-up read.
+        """Rebuild the enclave and rejoin, unconfirmed, with a catch-up read.
 
-        A sealed blob from an epoch that retired while the replica was
-        down no longer unseals (fail closed) — the replica then rejoins
-        empty and relies on the peer catch-up, exactly like a node whose
-        disk was lost. A blob still inside the grace window unseals, and
-        its attestations are re-MACed into the current epoch on accept.
+        Nothing is read from storage: the replica comes back empty and
+        stays silent on counter and catch-up requests until 2f+1 distinct
+        peers have answered this restart's catch-up (:meth:`_merge_catchup`,
+        re-sent by :meth:`_ask_again`).
         """
         if not self.crashed:
             return
-        self.enclave = make_counter_enclave(self.authority, self.code_version)
+        self.enclave = make_node_enclave(self.code_version, self.authority.name)
         self.admission = self._make_admission()
         self.crashed = False
         self.restarts += 1
+        self._vouchers = set()
         self.epoch = min(
             self.authority.current_epoch,
             self.pinned if self.pinned is not None else self.authority.current_epoch,
         )
-        if self.sealed_state is not None:
-            try:
-                raw = self.enclave.interface.ecall(
-                    "unseal_counters", self.sealed_state
-                )
-            except RetiredEpochError:
-                self.sealed_state = None
-                self._note("rote_replica_retired_blobs_total")
-            except SealingError:
-                # Tampered at rest: never adopt, rejoin via peers only.
-                self.sealed_state = None
-            else:
-                for obj in json.loads(raw.decode()):
-                    att = CounterAttestation.from_json(obj)
-                    if att.verify(self._key_for):
-                        self._accept(att, persist=False)
         # Re-attest before catching up: joins are sent first, so every
         # peer processes (and answers) the JoinRequest before it sees the
         # CatchupRequest, and the JoinReply lands here before the
         # CatchupReply — mutual admission is re-established exactly in
         # time for the catch-up merge to accept it. If attestation is
         # unverifiable (service outage), the catch-up replies are dropped
-        # un-adopted and this replica rejoins degraded but honest.
-        self.join()
-        for peer in self.peers:
-            self.network.send(self.address, peer, CatchupRequest(op_id=self.restarts))
+        # un-adopted and this replica stays unconfirmed, silent but honest.
+        self._ask_again()
         self._note("rote_replica_restarts_total")
+
+    def _ask_again(self) -> None:
+        """Send this restart's catch-up read to the peers that have not
+        vouched yet, (re-)attesting first if admission is incomplete."""
+        # Client requests pace the re-sends, so a peer cut off or a reply
+        # lost during the restart vouches once it is heard again. A
+        # silenced *catch-up* request never triggers one: two rejoiners
+        # would otherwise re-ask each other forever. Vouchers from
+        # earlier sends still count: each answered after this restart.
+        if self.admission is not None and not all(
+            self.admission.is_admitted(address)
+            for address in self.peers + self.watchers
+        ):
+            self.join()
+        request = CatchupRequest(op_id=self.restarts)
+        for peer in self.peers:
+            if peer not in self._vouchers:
+                self.network.send(self.address, peer, request)
 
     # -- message handling ------------------------------------------------
 
@@ -578,6 +529,10 @@ class RoteReplica:
         if isinstance(message, JoinReply):
             self._handle_join_reply(message, src)
             return
+        if not self.confirmed and isinstance(
+            message, (IncrementRequest, RetrieveRequest)
+        ):
+            self._ask_again()  # the request itself is dropped or silenced below
         if self.admission is not None:
             # A TCB change since the last message evicts revoked peers
             # before anything from them is processed (cheap when idle).
@@ -593,6 +548,13 @@ class RoteReplica:
                 self.unadmitted_drops += 1
                 self._note("rote_replica_unadmitted_drops_total")
                 return
+        if not self.confirmed and isinstance(
+            message, (IncrementRequest, RetrieveRequest, CatchupRequest)
+        ):
+            # A counter the group has not vouched for is never served,
+            # and never handed to another rejoiner as catch-up material.
+            self._note("rote_replica_unconfirmed_silences_total")
+            return
         if isinstance(message, (IncrementRequest, RetrieveRequest)):
             if self.unreachable_rounds > 0:
                 self.unreachable_rounds -= 1
@@ -606,7 +568,7 @@ class RoteReplica:
         elif isinstance(message, CatchupRequest):
             self._handle_catchup(message, src)
         elif isinstance(message, CatchupReply):
-            self._merge_catchup(message)
+            self._merge_catchup(message, src)
 
     def _epoch_gate(self, epoch: int) -> bool:
         """Adopt a newer epoch if possible; True when this replica can
@@ -680,7 +642,10 @@ class RoteReplica:
             ),
         )
 
-    def _merge_catchup(self, message: CatchupReply) -> None:
+    def _merge_catchup(self, message: CatchupReply, src: str) -> None:
+        """Merge higher MAC-valid values; a wholly valid peer reply to the
+        current round vouches for this replica (2f+1 confirm it, §4f)."""
+        valid = True
         for att in message.attestations:
             if self.authority.epoch_state(att.epoch) not in (
                 EpochState.ACTIVE,
@@ -697,13 +662,25 @@ class RoteReplica:
                         "Material rejected for carrying a retired/unknown epoch",
                         where="catchup",
                     ).inc()
+                valid = False
                 continue
             if not att.verify(self._key_for):
+                valid = False
                 continue
             current = self._state.get(att.log_id)
             if current is None or att.value > current.value:
                 self._accept(att)
                 self.catchup_merges += 1
+        if (
+            valid
+            and not self.confirmed
+            and message.op_id == self.restarts
+            and src in self.peers
+        ):
+            self._vouchers.add(src)
+            # 2f+1 of the 3f peers of an n = 3f+1 group.
+            if len(self._vouchers) >= 2 * (len(self.peers) // 3) + 1:
+                self.confirmed = True
 
     def _reply(self, op_id: int, log_id: str, dst: str, op: str) -> None:
         att = self._state.get(log_id)
@@ -726,12 +703,12 @@ class RoteReplica:
 
     # -- state -----------------------------------------------------------
 
-    def _accept(self, att: CounterAttestation, persist: bool = True) -> None:
+    def _accept(self, att: CounterAttestation) -> None:
         if att.epoch != self.epoch:
-            # Grace-window material (e.g. unsealed after a restart or a
-            # peer catch-up): store it re-MACed into this replica's own
-            # epoch so the stored state survives the old epoch's
-            # retirement. The original stays in history.
+            # Grace-window material (e.g. from a peer catch-up): store
+            # it re-MACed into this replica's own epoch so the stored
+            # state survives the old epoch's retirement. The original
+            # stays in history.
             key = self._key_for(self.epoch)
             if key is not None:
                 att = CounterAttestation.sign(key, att.log_id, att.value, self.epoch)
@@ -742,21 +719,6 @@ class RoteReplica:
             # Keep the oldest (stale-echo fodder) plus the recent tail.
             del history[1 : len(history) - (HISTORY_LIMIT - 1)]
         self.writes_accepted += 1
-        if persist:
-            self._persist()
-
-    def _persist(self) -> None:
-        payload = json.dumps(
-            [self._state[log_id].to_json() for log_id in sorted(self._state)]
-        ).encode()
-        try:
-            self.sealed_state = self.enclave.interface.ecall(
-                "seal_counters", payload, self.epoch
-            )
-        except RetiredEpochError:
-            # A stranded build whose epoch retired mid-flight: keep the
-            # last good blob rather than sealing under dead keys.
-            self._note("rote_replica_persist_refused_total")
 
     def _note(self, name: str) -> None:
         if _obs.ON:

@@ -4,8 +4,8 @@ Two questions the epochal key lifecycle raises that the chaos soak
 asserts but does not quantify:
 
 - what does a rotation *cost* while the service keeps running — how many
-  counter increments, network messages and re-sealed blobs does one
-  epoch bump consume, and does the service keep certifying pairs across
+  counter increments, network messages and replica epoch migrations does
+  one epoch bump consume, and does the service keep certifying pairs across
   the bump (rotation must never strand a healthy replica);
 - how expensive is WAL crash-replay — a crash at every coordinator
   checkpoint must converge on resume with zero unsealable blobs, and the
@@ -13,7 +13,8 @@ asserts but does not quantify:
   the first attempt got.
 
 All gateable metrics are deterministic counts (increments, messages,
-migrated blobs, rejections); wall-clock columns are informational only.
+replica epoch migrations, rejections); wall-clock columns are
+informational only.
 """
 
 from __future__ import annotations
@@ -62,10 +63,7 @@ def _drive(libseal: LibSeal, pairs: int) -> None:
 
 def _unsealable_blobs(libseal: LibSeal) -> int:
     """Blobs on disk that the current key registry can no longer open."""
-    cluster = libseal.rote
-    return len(
-        stranded_blobs(cluster.authority, cluster.nodes, libseal.storage.inner)
-    )
+    return len(stranded_blobs(libseal.rote.authority, libseal.storage.inner))
 
 
 def rotation_lifecycle(

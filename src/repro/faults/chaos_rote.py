@@ -14,7 +14,8 @@ safety/liveness oracle checks after every step that:
   moves backwards;
 - **no stale head accepted**: a retained earlier log snapshot, replayed
   through ``AuditLog.load``, is rejected with ``RollbackError`` whenever
-  the quorum is reachable;
+  the quorum is reachable, and a LibSEAL restarted from one never resumes
+  clean — not even after the replica group itself lost power;
 - **error discipline**: ``RollbackError``/``IntegrityError`` appear only
   on genuine integrity evidence (never injected here, so never expected);
   availability faults surface as ``QuorumUnavailableError`` degradation
@@ -165,15 +166,12 @@ class RoteDeployment(ChaosHarness):
             self.libseal, channels=1, members=2, fetch_ratio=0.0,
             seed=scenario.seed,
         )
-        self.crashed: set[int] = set()
         self.partitioned: set[int] = set()
         self.storm = False
-        #: Attestation-service availability, as the script last set it.
-        self.attest_down = False
-        #: Replicas that restarted during an attestation outage: their
-        #: mutual admission with the client is broken until they rejoin
-        #: with the service back, so they cannot serve quorum traffic.
-        self.unattested: set[int] = set()
+        #: Set once the script power-cycled more than f replicas at once:
+        #: no replica can be confirmed again, and liveness is not owed.
+        self.group_lost = False
+        self._kept: InMemoryStorage | None = None
         #: Replicas whose platform TCB the script revoked: evicted from
         #: the group, so unavailable for quorum purposes.
         self.revoked: set[int] = set()
@@ -195,13 +193,13 @@ class RoteDeployment(ChaosHarness):
         )
 
     def _availability_expected(self) -> bool:
-        """Can the client currently be denied a quorum legitimately?"""
+        """Can the client currently be denied a quorum legitimately?
+        (A crashed or unconfirmed replica is silent, so not live.)"""
         reachable_live = sum(
             1
             for i in range(self.cluster.n)
-            if i not in self.crashed
+            if self.cluster.nodes[i].confirmed
             and i not in self.partitioned
-            and i not in self.unattested
             and i not in self.revoked
             and not self._epoch_stranded(i)
         )
@@ -283,23 +281,29 @@ class RoteDeployment(ChaosHarness):
         self._note("heal")
 
     def do_crash(self, i: int) -> None:
-        """``("crash", i)``: replica i dies, keeping its sealed state."""
+        """``("crash", i)``: replica i loses power, and its counters with
+        it (they live only in enclave memory)."""
         self.cluster.crash(i)
-        self.crashed.add(i)
         self._note("crash", i)
 
     def do_restart(self, i: int) -> None:
-        """``("restart", i)``: replica i restarts and rejoins the group."""
+        """``("restart", i)``: replica i restarts and asks the group to
+        confirm its counters."""
         self.cluster.recover(i)
-        self.crashed.discard(i)
-        if self.attested:
-            # Rejoining behind a dead attestation service leaves the
-            # replica unable to re-attest anyone — degraded, by design.
-            if self.attest_down:
-                self.unattested.add(i)
-            else:
-                self.unattested.discard(i)
         self._note("restart", i)
+
+    def do_power_cycle(self, victims: tuple[int, ...]) -> None:
+        """``("power_cycle", nodes)``: the nodes lose power together, then
+        all restart; the group confirms them only if at most f did."""
+        for i in victims:
+            self.cluster.crash(i)
+        for i in victims:
+            self.cluster.recover(i)
+        self.group_lost = self.group_lost or len(victims) > self.cluster.f
+        confirmed = tuple(i for i in victims if self.cluster.nodes[i].confirmed)
+        self._note("power_cycle", tuple(victims), confirmed)
+        if confirmed != (() if self.group_lost else tuple(victims)):
+            self._violate(f"power-cycled {victims}, confirmed {confirmed}")
 
     def do_lie(self, i: int, shape: str) -> None:
         """``("lie", i, shape)``: replica i turns Byzantine."""
@@ -468,14 +472,8 @@ class RoteDeployment(ChaosHarness):
         must be a fail-closed degradation (``expected``), never a
         rollback/tamper detection — rotation is not an attack.
         """
-        clone = copy.deepcopy(self.storage_inner)
-        storage = (
-            SealedLogStorage(clone, self.log_enclave)
-            if self.epoch_aware
-            else clone
-        )
         report = recover_log(
-            storage,
+            self._storage_copy(self.storage_inner),
             self.libseal.ssm.schema_sql,
             self.libseal.signing_key,
             self.libseal.signing_key.public_key(),
@@ -493,9 +491,40 @@ class RoteDeployment(ChaosHarness):
                 f"recovery outcome {report.outcome.value}, expected {expected}"
             )
 
+    def _storage_copy(self, inner: InMemoryStorage):
+        """A copy of ``inner`` behind this deployment's storage stack."""
+        clone = copy.deepcopy(inner)
+        if self.epoch_aware:
+            return SealedLogStorage(clone, self.log_enclave)
+        return clone
+
+    def do_keep_snapshot(self) -> None:
+        """``("keep_snapshot",)``: the host keeps a copy of LibSEAL's
+        stored snapshot to restart it from later."""
+        self._kept = copy.deepcopy(self.storage_inner)
+        self._note("keep_snapshot", self._head_counter())
+
+    def do_recover_stale(self) -> None:
+        """``("recover_stale",)``: restart LibSEAL from the kept snapshot
+        with an empty client cache; it must never resume clean."""
+        # A restarted enclave keeps no client memory: the committed
+        # cache is the old instance's and is not handed over.
+        self.cluster._committed.clear()
+        _, report = LibSeal.recover(
+            MessagingSSM(),
+            self._storage_copy(self._kept),
+            config=self.config,
+            signing_key=self.libseal.signing_key,
+            rote=self.cluster,
+        )
+        self._note("recover_stale", report.outcome.value, report.counter)
+        expected = "freshness-unverifiable" if self.group_lost else "rollback-detected"
+        if report.outcome.value != expected:
+            self._violate(f"stale snapshot recovered {report.outcome.value}")
+
     def do_check_epoch(self) -> None:
         """``("check_epoch",)``: rotation convergence oracle — one active
-        epoch, no WAL, no stranded blobs."""
+        epoch, no WAL, no stranded log snapshot."""
         authority = self.cluster.authority
         active = [
             epoch
@@ -509,11 +538,8 @@ class RoteDeployment(ChaosHarness):
             )
         if self.coordinator.pending():
             self._violate("rotation WAL entry outstanding after convergence")
-        stranded = stranded_blobs(authority, self.cluster.nodes)
-        if stranded:
-            self._violate(f"unsealable replica blobs after rotation: {stranded}")
         if self.epoch_aware:
-            for _, epoch in stranded_blobs(authority, (), self.storage_inner):
+            for _, epoch in stranded_blobs(authority, self.storage_inner):
                 self._violate(f"sealed log snapshot stranded on epoch {epoch}")
         self._note("check_epoch", authority.current_epoch, len(authority.epochs))
 
@@ -628,13 +654,11 @@ class RoteDeployment(ChaosHarness):
     def do_attest_outage(self) -> None:
         """``("attest_outage",)``: the attestation service goes down."""
         self.plane.service.outage()
-        self.attest_down = True
         self._note("attest_outage")
 
     def do_attest_restore(self) -> None:
         """``("attest_restore",)``: the attestation service comes back."""
         self.plane.service.restore()
-        self.attest_down = False
         self._note("attest_restore")
 
     def do_clock_advance(self, seconds: float) -> None:
@@ -749,7 +773,20 @@ class RoteDeployment(ChaosHarness):
     # -- end of script ----------------------------------------------------
 
     def _final_check(self) -> None:
+        if self.group_lost:
+            # More than f memories lost: nothing can confirm a replica
+            # again and nothing re-initialises the group (DESIGN §5), so
+            # liveness is not owed. Safety was checked at every step.
+            self._note("group_lost")
+            return
         if self._availability_expected():
             self._violate("scenario script ended with active faults")
+        # With at most f lost at once, the closing traffic re-sends every
+        # rejoiner's catch-up to peers it can hear again: none may be left
+        # silent, or one more crash could cost the quorum for good.
+        nodes = self.cluster.nodes
+        silent = [i for i in range(len(nodes)) if not nodes[i].confirmed]
+        if silent:
+            self._violate(f"restarted replicas {silent} never confirmed")
         if self.libseal.degraded.active:
             self._violate("scenario ended degraded: liveness not restored")

@@ -17,7 +17,7 @@ identity raises :class:`~repro.errors.SealingError`.
 registry of :class:`KeyEpoch`\\ s and every derived key (sealing, group,
 nonce stream) is scoped to one. Rotation creates a new ACTIVE epoch and
 moves the previous one into a bounded GRACE window during which its blobs
-still unseal (so a healthy replica sealed just before the rotation is
+still unseal and verify (so a replica that missed the rotation is
 never stranded); once RETIRED, material under that epoch is rejected
 fail-closed with :class:`~repro.errors.RetiredEpochError` — not proof of
 tampering, but a lineage the rotation deliberately invalidated. Sealed

@@ -19,6 +19,7 @@ from repro.core import LibSeal, LibSealConfig
 from repro.faults import FaultEvent, FaultPlan, InjectedCrash
 from repro.http import LIBSEAL_CHECK_HEADER, HttpRequest, HttpResponse
 from repro.ssm.base import ServiceSpecificModule
+from tests.quorum_outage import cut_off, reconnect
 
 
 class PairSSM(ServiceSpecificModule):
@@ -166,8 +167,7 @@ class TestLibSealGroupSealing:
     def test_degraded_mode_suspends_grouping(self):
         libseal = LibSeal(PairSSM(), config=grouped_config(4))
         rote = libseal.rote
-        for node_id in range(rote.f + 1):
-            rote.crash(node_id)
+        cut_off(rote, range(rote.f + 1))
         # The outage is discovered when the first window closes; after
         # that every pair retries its own seal — exact per-pair unsealed
         # accounting, no deferral while freshness is at risk.
@@ -178,8 +178,7 @@ class TestLibSealGroupSealing:
         drive(libseal, 2, start=4)
         assert libseal.degraded.unsealed_pairs == 6
         assert libseal.group_sealer.pending_pairs == 0
-        for node_id in range(rote.f + 1):
-            rote.recover(node_id)
+        reconnect(rote)
         assert libseal.try_reseal()
         assert not libseal.degraded.active
         assert libseal.degraded.unsealed_pairs == 0
@@ -189,13 +188,11 @@ class TestLibSealGroupSealing:
         libseal = LibSeal(PairSSM(), config=grouped_config(3))
         rote = libseal.rote
         drive(libseal, 2)  # staged, no seal yet
-        for node_id in range(rote.f + 1):
-            rote.crash(node_id)
+        cut_off(rote, range(rote.f + 1))
         drive(libseal, 1)  # closes the window; the seal fails
         assert libseal.degraded.active
         assert libseal.degraded.unsealed_pairs == 3
-        for node_id in range(rote.f + 1):
-            rote.recover(node_id)
+        reconnect(rote)
         assert libseal.try_reseal()
         assert libseal.degraded.unsealed_pairs == 0
         libseal.verify_log()

@@ -4,6 +4,8 @@ The cluster has n = 3f + 1 nodes and needs a quorum of 2f + 1; it must
 survive *any* f faulty nodes (crashed, equivocating, or slow — via the
 bounded retry/backoff loop) and must degrade into a retryable
 ``QuorumUnavailableError`` (never a false ``RollbackError``) at f + 1.
+A restarted replica serves again only once 2f + 1 peers confirmed its
+counters, so more than f memory losses never heal on their own.
 """
 
 import itertools
@@ -110,19 +112,34 @@ class TestHealing:
         cluster = RoteCluster(f=1)
         assert cluster.increment("log") == 1
         cluster.crash(0)
+        assert cluster.increment("log") == 2
+        # One restart (f = 1): the three peers confirm the restarter.
+        cluster.recover(0)
+        assert cluster.nodes[0].confirmed
+        assert cluster.nodes[0].counters == {"log": 2}
+        # With another replica down, progress needs the rejoined one.
+        cluster.crash(1)
+        assert cluster.increment("log") == 3
+        assert cluster.retrieve("log") == 3
+        assert cluster.nodes[0].counters == {"log": 3}
+
+    def test_more_than_f_restarts_stay_unavailable(self):
+        cluster = RoteCluster(f=1, max_retries=1)
+        assert cluster.increment("log") == 1
+        cluster.crash(0)
         cluster.crash(1)
         with pytest.raises(QuorumUnavailableError):
             cluster.increment("log")
+        # Each restarter hears from only two confirmed peers: neither is
+        # ever confirmed, so both stay silent and the quorum never forms.
         cluster.recover(1)
-        # Back to exactly f faulty: progress resumes. The failed attempt
-        # may have burned a counter value on surviving nodes (they stored
-        # the proposal even though no quorum formed) — that is harmless:
-        # freshness only needs monotonicity, not density.
-        resumed = cluster.increment("log")
-        assert resumed > 1
-        assert cluster.retrieve("log") == resumed
         cluster.recover(0)
-        assert cluster.increment("log") == resumed + 1
+        assert not cluster.nodes[0].confirmed
+        assert not cluster.nodes[1].confirmed
+        with pytest.raises(QuorumUnavailableError):
+            cluster.retrieve("log")
+        with pytest.raises(QuorumUnavailableError):
+            cluster.increment("log")
 
     def test_rejoined_node_catches_up_through_increments(self):
         cluster = RoteCluster(f=1)
@@ -228,7 +245,10 @@ class TestMixedFaultBoundaries:
         assert recovered is not None
         assert recovered.degraded.active
         assert recovered.degraded.reason == "freshness-unverifiable"
-        # Heal back to exactly f faulty: the buffered tail reseals.
+        # The restarted replica hears from only the f honest survivors
+        # (liars serve no catch-up): it is never confirmed, so the group
+        # stays unverifiable rather than certify a value it lost.
         rote.recover(f)
-        assert recovered.try_reseal()
-        assert not recovered.degraded.active
+        assert not rote.nodes[f].confirmed
+        assert not recovered.try_reseal()
+        assert recovered.degraded.reason == "freshness-unverifiable"

@@ -3,7 +3,7 @@
 The acceptance bar for the epochal key lifecycle:
 
 - a crash injected between *any* two steps of the rotation WAL replays
-  to exactly one active epoch with zero unsealable blobs;
+  to exactly one active epoch with no unsealable log snapshot;
 - a replica stranded on a pre-rotation build degrades the quorum to an
   availability fault (freshness-unverifiable), never a rollback claim;
 - attestations MACed under a retired group key are rejected by the
@@ -25,7 +25,7 @@ from repro.audit.rote_replica import CounterAttestation, CounterReply
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 from repro.core.libseal import LibSeal, LibSealConfig
 from repro.errors import RetiredEpochError, SealingError
-from repro.sgx import Enclave, EnclaveConfig, EpochState, KeyPolicy, SealedBlob
+from repro.sgx import Enclave, EnclaveConfig, EpochState, KeyPolicy
 from repro.sgx.sealing import SigningAuthority
 from repro.sim.network import SimNetwork
 from repro.ssm.messaging import MessagingSSM
@@ -54,7 +54,7 @@ class Stack:
         self.coordinator = KeyRotationCoordinator(self.libseal)
 
     def seed_activity(self, seals: int = 2) -> None:
-        """Seal a few epochs so replicas hold sealed counter state."""
+        """Seal a few epochs so replicas hold counter state."""
         for i in range(seals):
             self.libseal.audit_log.append_event("workload", f"pair-{i}")
             self.libseal.audit_log.seal_epoch()
@@ -67,7 +67,7 @@ class Stack:
         ]
 
     def assert_converged(self, expected_epoch: int) -> None:
-        """The crash-safety oracle: one epoch, no WAL, no dead blobs."""
+        """The crash-safety oracle: one epoch, no WAL, no dead snapshot."""
         authority = self.authority
         active = [
             epoch
@@ -78,7 +78,7 @@ class Stack:
         assert authority.current_epoch == expected_epoch
         assert not self.coordinator.pending()
         assert self.inner.exists()
-        assert stranded_blobs(authority, self.cluster.nodes, self.inner) == []
+        assert stranded_blobs(authority, self.inner) == []
 
 
 @pytest.fixture
@@ -117,8 +117,9 @@ class TestHappyPath:
         stack.coordinator.rotate("scheduled")
         for replica in stack.cluster.nodes:
             assert replica.epoch == 2
-            assert SealedBlob.decode(replica.sealed_state).epoch == 2
             assert replica.epoch_migrations == 1
+            # The counters themselves are re-MACed into the new epoch.
+            assert all(att.epoch == 2 for att in replica._state.values())
 
     def test_sequential_rotations_bound_the_registry(self, stack):
         for _ in range(3):
@@ -243,11 +244,9 @@ class TestStaleReplica:
         stack.coordinator.rotate("scheduled")
         retired = stack.coordinator.finish(force=True)
         assert retired == [1]
-        # The stragglers' counter blobs and the never-resealed log
-        # snapshot are exactly what the retired epoch strands.
-        assert stranded_blobs(
-            stack.authority, stack.cluster.nodes, stack.inner
-        ) == [(0, 1), (1, 1), ("log", 1)]
+        # The never-resealed log snapshot is what the retired epoch
+        # strands (replicas leave nothing on disk).
+        assert stranded_blobs(stack.authority, stack.inner) == [("log", 1)]
         clone = InMemoryStorage()
         clone._blob = stack.inner._blob  # still sealed under epoch 1
         report = recover_log(
@@ -323,12 +322,15 @@ class TestRetiredEpochReplay:
         victim.crash()
         stack.coordinator.rotate("scheduled")
         victim.restart()
-        assert victim.epoch == 2
-        # The grace-window blob unsealed fine; the next write re-seals
-        # the counters under the new epoch.
-        assert SealedBlob.decode(victim.sealed_state).epoch == 1
+        stack.network.settle()
+        # The rejoiner comes back in the new epoch, confirmed by its
+        # peers, with their counters; the next write lands there too.
+        assert victim.epoch == 2 and victim.confirmed
+        committed = stack.cluster._committed["rotation-test"]
+        assert victim.counters == {"rotation-test": committed}
         stack.seed_activity(1)
-        assert SealedBlob.decode(victim.sealed_state).epoch == 2
+        assert victim.counters == {"rotation-test": committed + 1}
+        assert all(att.epoch == 2 for att in victim._state.values())
 
     def test_replica_restart_after_retirement_rejoins_empty(self, stack):
         victim = stack.cluster.nodes[3]
@@ -337,12 +339,11 @@ class TestRetiredEpochReplay:
         stack.coordinator.rotate("two")  # epoch 1 now past the grace window
         assert stack.authority.epoch_state(1) is EpochState.RETIRED
         victim.restart()
-        # The retired blob failed closed: no state adopted from disk.
-        assert victim.sealed_state is None or (
-            SealedBlob.decode(victim.sealed_state).epoch != 1
-        )
-        # Peer catch-up repopulates the counters once messages drain.
+        # Nothing is read back from disk: the replica rejoins empty...
+        assert victim.counters == {} and not victim.confirmed
+        # ...and peer catch-up repopulates the counters once messages drain.
         stack.network.settle()
+        assert victim.confirmed
         assert victim.counters.get("rotation-test") == stack.cluster._committed[
             "rotation-test"
         ]

@@ -5,11 +5,14 @@ import pytest
 from repro.audit.rote import RoteCluster
 from repro.audit.rote_replica import (
     LIE_SHAPES,
+    CatchupRequest,
     CounterAttestation,
+    IncrementRequest,
     LieModel,
+    RetrieveRequest,
     RoteReplica,
 )
-from repro.errors import SimulationError
+from repro.errors import QuorumUnavailableError, SimulationError
 from repro.sgx.sealing import SigningAuthority
 from repro.sim.network import SimNetwork
 
@@ -48,10 +51,6 @@ class TestCounterAttestation:
         assert not CounterAttestation("log", -1, b"\x00" * 32).verify(group_key)
         assert not CounterAttestation.sign(group_key, "log", 1 << 63).verify(group_key)
 
-    def test_json_round_trip(self, group_key):
-        att = CounterAttestation.sign(group_key, "log", 42)
-        assert CounterAttestation.from_json(att.to_json()) == att
-
 
 class TestReplicaLifecycle:
     def make_replica(self, authority):
@@ -61,23 +60,19 @@ class TestReplicaLifecycle:
         replica._accept(att)
         return net, replica
 
-    def test_crash_wipes_memory_but_keeps_sealed_state(self, authority):
+    def test_crash_wipes_memory_and_restart_reads_nothing_back(self, authority):
         _, replica = self.make_replica(authority)
         assert replica.counters == {"log": 5}
-        sealed = replica.sealed_state
-        assert sealed is not None
         replica.crash()
-        assert replica.crashed
+        assert replica.crashed and not replica.confirmed
         assert replica.counters == {}
-        assert replica.sealed_state == sealed
-
-    def test_restart_unseals_counters(self, authority):
-        _, replica = self.make_replica(authority)
-        replica.crash()
+        # No peers, nothing on disk: the replica comes back empty and
+        # unconfirmed.
         replica.restart()
         assert not replica.crashed
         assert replica.restarts == 1
-        assert replica.counters == {"log": 5}
+        assert replica.counters == {}
+        assert not replica.confirmed
 
     def test_crashed_replica_ignores_messages(self, authority):
         net, replica = self.make_replica(authority)
@@ -109,6 +104,112 @@ class TestReplicaLifecycle:
         cluster.crash(0)
         cluster.recover(0)
         assert all(cluster.nodes[i].catchups_served == 0 for i in (1, 2, 3))
+
+
+class TestConfirmation:
+    """A restarted replica serves nothing until 2f+1 peers vouched for it."""
+
+    SPLIT = "hide-peer"
+
+    def rejoin_missing_a_peer(self, authority):
+        """Restart replica 0 while peer 3 cannot hear it: 2f replies."""
+        cluster = RoteCluster(f=1, authority=authority, seed=14)
+        cluster.increment("log")
+        cluster.crash(0)
+        cluster.increment("log")
+        cluster.network.partition(
+            self.SPLIT, [[cluster.nodes[0].address], [cluster.nodes[3].address]]
+        )
+        cluster.recover(0)
+        return cluster, cluster.nodes[0]
+
+    def test_unconfirmed_replica_is_silent(self, authority):
+        cluster, replica = self.rejoin_missing_a_peer(authority)
+        assert not replica.confirmed
+        # Two peers' catch-up was merged, but it is not served.
+        assert replica.counters == {"log": 2}
+        received = []
+        cluster.network.register("probe", lambda msg, src: received.append(msg))
+        proposal = CounterAttestation.sign(
+            cluster.group_key, "log", 3, cluster.epoch
+        )
+        for message in (
+            IncrementRequest(1, "log", proposal),
+            RetrieveRequest(2, "log", cluster.epoch),
+            CatchupRequest(3),
+        ):
+            cluster.network.send("probe", replica.address, message)
+        cluster.network.settle()
+        assert received == []
+        assert replica.counters == {"log": 2}
+        assert not replica.confirmed  # peer 3 is still cut off
+        # A confirmed peer answers the same read.
+        cluster.network.send(
+            "probe", cluster.nodes[1].address, RetrieveRequest(4, "log", cluster.epoch)
+        )
+        cluster.network.settle()
+        assert [reply.value for reply in received] == [2]
+
+    def test_confirms_after_2f_plus_1_peers(self, authority):
+        cluster, replica = self.rejoin_missing_a_peer(authority)
+        cluster.network.heal(self.SPLIT)
+        replica.crash()
+        cluster.recover(0)  # all three peers answer this round
+        assert replica.confirmed
+        assert replica.counters == {"log": 2}
+        cluster.crash(1)  # the group now needs replica 0 for a quorum
+        assert cluster.increment("log") == 3
+        assert replica.counters == {"log": 3}
+
+    def test_confirms_once_the_missing_peer_is_heard(self, authority):
+        cluster, replica = self.rejoin_missing_a_peer(authority)
+        cluster.network.heal(self.SPLIT)
+        assert not replica.confirmed
+        # The next client request it silences re-sends the catch-up read
+        # to peer 3 alone; its reply is the third voucher.
+        served = replica.catchups_served, cluster.nodes[3].catchups_served
+        assert cluster.increment("log") == 3
+        assert replica.confirmed
+        assert cluster.nodes[3].catchups_served == served[1] + 1
+        assert all(cluster.nodes[i].catchups_served == 1 for i in (1, 2))
+        cluster.crash(1)
+        assert cluster.increment("log") == 4
+        assert replica.counters == {"log": 4}
+
+    def test_two_sequential_restarts_keep_the_quorum(self, authority):
+        # Replica 0 rejoins while peer 3 is cut off; the partition heals
+        # and replica 2 restarts before any client traffic, so 0 silences
+        # 2's catch-up. Client traffic then confirms 0, and 0 confirms 2.
+        cluster, replica = self.rejoin_missing_a_peer(authority)
+        cluster.network.heal(self.SPLIT)
+        cluster.crash(2)
+        cluster.recover(2)
+        assert not replica.confirmed and not cluster.nodes[2].confirmed
+        assert cluster.increment("log") == 3
+        assert cluster.retrieve("log") == 3
+        assert replica.confirmed and cluster.nodes[2].confirmed
+        cluster.crash(3)  # a quorum now needs both restarters
+        assert cluster.increment("log") == 4
+        assert cluster.retrieve("log") == 4
+
+    def test_rejoiners_do_not_re_ask_each_other(self, authority):
+        # More than f restarts: each rejoiner's retry reaches the other,
+        # which stays silent without answering with a retry of its own.
+        cluster = RoteCluster(f=1, authority=authority, max_retries=1)
+        cluster.increment("log")
+        for i in (0, 1):
+            cluster.crash(i)
+        for i in (0, 1):
+            cluster.recover(i)
+        sent = cluster.network.stats.sent
+        with pytest.raises(QuorumUnavailableError):
+            cluster.retrieve("log")
+        cluster.network.settle()
+        # Each of the two rounds: four requests, replies from replicas 2
+        # and 3, and one re-ask from each rejoiner (to the other).
+        assert cluster.network.stats.sent - sent == 2 * (4 + 2 + 2)
+        assert cluster.network.in_flight == 0
+        assert not cluster.nodes[0].confirmed and not cluster.nodes[1].confirmed
 
 
 class TestLieModels:

@@ -11,6 +11,10 @@ A steady-state disk seal fsyncs the intent sidecar, the snapshot's tmp
 file and the directory after the snapshot rename; the very first seal
 of a storage handle also fsyncs the directory once for the sidecar's new
 entry.
+
+The ROTE increment inside a seal costs the replicas nothing of the kind:
+they keep their counters in enclave memory, so accepting a value is no
+ecall and no ``AEAD.seal``.
 """
 
 import os
@@ -23,9 +27,11 @@ from repro.audit.persistence import InMemoryStorage, LogStorage
 from repro.audit.recovery import RecoveryOutcome, recover_log
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 from repro.core import LibSeal, LibSealConfig
+from repro.crypto.aead import AEAD
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ecdsa import EcdsaPrivateKey
 from repro.faults import FaultEvent, FaultPlan, InjectedCrash
+from repro.sgx.interface import EnclaveInterface
 from repro.sgx.sealing import SigningAuthority
 from tests.audit.test_group_sealing import PairSSM, drive
 
@@ -131,3 +137,28 @@ def test_disk_seal_fsyncs(tmp_path, key, monkeypatch):
         append_and_seal(log, 1, start=index)
         per_seal.append(fsyncs[0] - before)
     assert per_seal == [4, 3, 3, 3, 3]
+
+
+def test_accepted_increment_costs_replicas_no_ecall_and_no_seal(monkeypatch):
+    cluster = RoteCluster(f=1)
+    cluster.increment("log")
+    calls = {"ecall": 0, "seal": 0}
+    real_ecall, real_seal = EnclaveInterface.ecall, AEAD.seal
+
+    def ecall(self, *args, **kwargs):
+        calls["ecall"] += 1
+        return real_ecall(self, *args, **kwargs)
+
+    def seal(self, *args, **kwargs):
+        calls["seal"] += 1
+        return real_seal(self, *args, **kwargs)
+
+    monkeypatch.setattr(EnclaveInterface, "ecall", ecall)
+    monkeypatch.setattr(AEAD, "seal", seal)
+    accepted = [replica.writes_accepted for replica in cluster.nodes]
+    assert cluster.increment("log") == 2
+    assert [
+        replica.writes_accepted - before
+        for replica, before in zip(cluster.nodes, accepted)
+    ] == [1] * cluster.n
+    assert calls == {"ecall": 0, "seal": 0}

@@ -1,8 +1,8 @@
 """Golden signing vectors: public points and signature bytes are pinned.
 
 RFC 6979 makes every signature a function of the scalar arithmetic's
-result, and every ROTE attestation and sealed replica blob a function of
-the epoch's derived keys, so none of these bytes may move under a rewrite
+result, and every ROTE attestation a function of the epoch's derived
+keys, so none of these bytes may move under a rewrite
 of the fixed-base multiplier or of key derivation. The literals are the
 sha256 of each encoding, captured from the 4-bit fixed-base table and the
 per-call HKDF this module was written against, with::
@@ -12,8 +12,9 @@ per-call HKDF this module was written against, with::
 which prints the tables in the form they appear here. Scalars sit on the
 signed 8-bit digit edges (127, 128, 129, 255, 256), at ``n - 1`` and at
 three DRBG draws; the records are one signed log head, one seal intent's
-wire encoding and one ROTE counter attestation with its replica's sealed
-blob, taken across a key rotation. Every signature also verifies.
+wire encoding and one ROTE counter attestation, taken across a key
+rotation. Every signature also verifies. (Replicas no longer seal their
+counters, so the sealed replica blob once pinned next to it is gone.)
 
 The seal intent is the one vector not captured from that tree: its tag is
 an HMAC under a key derived from the record key's scalar (``INTENT2``,
@@ -82,8 +83,6 @@ SEAL_INTENT_SHA256 = "d40b0afd21513b8fb0596eead800ef3350b3eedfc976c34c9840921b91
 
 ATTESTATION_SHA256 = "7b62053ceee688b219b1b623249330750decdde75ed0a0c0895b5f976f39a4c8"
 
-REPLICA_BLOB_SHA256 = "8a35d1cb9fef8dcb3e5d879611889b170402ba2794b4326a7d93494cfe280b06"
-
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -114,12 +113,20 @@ def rote_after_rotation():
     for replica in cluster.nodes:
         replica.maybe_adopt(cluster.epoch)
     cluster.increment(LOG_ID)
-    replica = cluster.nodes[0]
-    return cluster, replica._state[LOG_ID], replica.sealed_state
+    return cluster, cluster.nodes[0]._state[LOG_ID]
 
 
 def attestation_bytes(attestation) -> bytes:
-    return json.dumps(attestation.to_json(), sort_keys=True).encode()
+    """The attestation's fields as the sorted JSON object first pinned."""
+    return json.dumps(
+        {
+            "epoch": attestation.epoch,
+            "log_id": attestation.log_id,
+            "mac": attestation.mac.hex(),
+            "value": attestation.value,
+        },
+        sort_keys=True,
+    ).encode()
 
 
 @pytest.mark.parametrize("name", list(scalars()))
@@ -144,11 +151,10 @@ def test_seal_intent_encoding_matches_golden():
     intent.verify(record_key())
 
 
-def test_rote_attestation_and_replica_blob_match_golden():
-    cluster, attestation, blob = rote_after_rotation()
+def test_rote_attestation_matches_golden():
+    cluster, attestation = rote_after_rotation()
     assert (attestation.value, attestation.epoch) == (3, 2)
     assert sha(attestation_bytes(attestation)) == ATTESTATION_SHA256
-    assert sha(blob) == REPLICA_BLOB_SHA256
     assert attestation.verify(cluster._keyring)
 
 
@@ -165,6 +171,5 @@ if __name__ == "__main__":
     head = signed_head()
     print(f'SIGNED_HEAD_SHA256 = "{sha(head.payload() + head.signature.encode())}"\n')
     print(f'SEAL_INTENT_SHA256 = "{sha(seal_intent().encode())}"\n')
-    _, attestation, blob = rote_after_rotation()
-    print(f'ATTESTATION_SHA256 = "{sha(attestation_bytes(attestation))}"\n')
-    print(f'REPLICA_BLOB_SHA256 = "{sha(blob)}"')
+    _, attestation = rote_after_rotation()
+    print(f'ATTESTATION_SHA256 = "{sha(attestation_bytes(attestation))}"')

@@ -165,6 +165,38 @@ class TestRotationFamilies:
         assert any(event[0] == "check_replay" for event in harness.trace)
 
 
+class TestRollbackRestartFamily:
+    """``rote-rollback-restart`` shows both sides of the confirmation rule.
+
+    f power-cycled replicas are confirmed through the group, so the stale
+    snapshot is rollback-detected; a power-cycled whole group is never
+    confirmed again, so recovery ends freshness-unverifiable.
+    """
+
+    @staticmethod
+    def outcomes(harness):
+        return [e[1] for e in harness.trace if e[0] == "recover_stale"]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stale_snapshot_never_resumes_clean(self, soak, seed):
+        harness = soak.passing("rote-rollback-restart", seed)
+        (cycle,) = [e for e in harness.trace if e[0] == "power_cycle"]
+        expected = (
+            "freshness-unverifiable"
+            if len(cycle[1]) > harness.cluster.f
+            else "rollback-detected"
+        )
+        assert self.outcomes(harness) == [expected]
+
+    def test_both_sides_of_the_rule_run(self, soak):
+        seen = {
+            outcome
+            for seed in SEEDS
+            for outcome in self.outcomes(soak.passing("rote-rollback-restart", seed))
+        }
+        assert seen == {"freshness-unverifiable", "rollback-detected"}
+
+
 class TestAttestationFamilies:
     """The three attestation families exercise what they claim to.
 
@@ -190,11 +222,13 @@ class TestAttestationFamilies:
         heads = {event[0] for event in harness.trace}
         assert "attest_outage" in heads and "attest_restore" in heads
         assert "check_outage" in heads
-        # After restoration the group healed: the victim rejoined with
-        # full mutual admission and caught up.
+        # After restoration the group healed without another restart: the
+        # victim's next dropped client request re-attested it (full
+        # mutual admission) and re-sent its catch-up, which confirmed it.
         outage_checks = [e for e in harness.trace if e[0] == "check_outage"]
         victim = harness.cluster.nodes[outage_checks[0][1]]
         assert victim.admission.admitted_addresses() != ()
+        assert victim.restarts == 1 and victim.confirmed
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_revoked_platform_evicted_mid_traffic(self, soak, seed):

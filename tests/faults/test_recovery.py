@@ -1,13 +1,14 @@
 """The crash-recovery protocol: every outcome class, plus LibSeal.recover."""
 
+import copy
 import os
 
 import pytest
 
 from repro import faults
 from repro.audit import AuditLog, RoteCluster, SealIntent
-from repro.audit.persistence import LogStorage
-from repro.audit.recovery import RecoveryOutcome, recover_log
+from repro.audit.persistence import InMemoryStorage, LogStorage
+from repro.audit.recovery import DETECTED_OUTCOMES, RecoveryOutcome, recover_log
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 from repro.core import LibSeal, LibSealConfig
 from repro.crypto.drbg import HmacDrbg
@@ -21,7 +22,10 @@ from repro.faults import FaultEvent, FaultPlan, InjectedCrash
 from repro.http import HttpRequest, HttpResponse
 from repro.sgx.sealing import SigningAuthority
 from repro.ssm.base import ServiceSpecificModule
+from repro.ssm.messaging import MessagingSSM
+from repro.workloads.messaging_traffic import MessagingWorkload
 from tests.audit.test_wal import v1_wire
+from tests.quorum_outage import cut_off, reconnect
 
 SCHEMA = "CREATE TABLE updates(time INTEGER, note TEXT)"
 
@@ -220,8 +224,7 @@ class TestRecoveryOutcomes:
         rote = RoteCluster(f=1)
         path = tmp_path / "log.bin"
         seal_epochs(make_log(LogStorage(path), key, rote), 2)
-        for node_id in range(rote.f + 1):
-            rote.crash(node_id)
+        cut_off(rote, range(rote.f + 1))
         report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.FRESHNESS_UNVERIFIABLE
         assert not report.detected and not report.recovered
@@ -229,8 +232,7 @@ class TestRecoveryOutcomes:
         assert report.log is not None
         assert report.entries == 2
         # Once the quorum heals, the same snapshot certifies clean.
-        for node_id in range(rote.f + 1):
-            rote.recover(node_id)
+        reconnect(rote)
         healed = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
         assert healed.outcome is RecoveryOutcome.CLEAN_RESUME
 
@@ -309,8 +311,7 @@ class TestLibSealRecover:
         libseal = LibSeal(PairSSM(), storage=LogStorage(path))
         drive(libseal, 3)
         rote = libseal.rote
-        for node_id in range(rote.f + 1):
-            rote.crash(node_id)
+        cut_off(rote, range(rote.f + 1))
         recovered, report = LibSeal.recover(
             PairSSM(),
             LogStorage(path),
@@ -325,8 +326,7 @@ class TestLibSealRecover:
         drive(recovered, 2, start=10)
         assert recovered.degraded.unsealed_pairs == 2
         # The quorum heals: one reseal covers the whole buffered tail.
-        for node_id in range(rote.f + 1):
-            rote.recover(node_id)
+        reconnect(rote)
         assert recovered.try_reseal()
         assert not recovered.degraded.active
         assert recovered.degraded.unsealed_pairs == 0
@@ -337,8 +337,7 @@ class TestLibSealRecover:
         config = LibSealConfig(max_unsealed_pairs=3)
         libseal = LibSeal(PairSSM(), config=config, storage=LogStorage(path))
         rote = libseal.rote
-        for node_id in range(rote.f + 1):
-            rote.crash(node_id)
+        cut_off(rote, range(rote.f + 1))
         drive(libseal, 3)
         assert libseal.degraded.active
         assert libseal.degraded.unsealed_pairs == 3
@@ -346,12 +345,80 @@ class TestLibSealRecover:
             drive(libseal, 1, start=3)
         # No audit record was dropped: the blocked pair never entered.
         assert libseal.audit_log.row_count("pairs") == 3
-        for node_id in range(rote.f + 1):
-            rote.recover(node_id)
+        reconnect(rote)
         drive(libseal, 1, start=4)
         assert not libseal.degraded.active
         assert libseal.audit_log.row_count("pairs") == 4
         libseal.verify_log()
+
+
+class StaleRestart:
+    """Messaging, f = 1: 10 pairs, the host keeps that snapshot, 10 more
+    pairs; then replicas power-cycle and LibSEAL restarts from the copy."""
+
+    def __init__(self):
+        self.libseal = LibSeal(MessagingSSM(), storage=InMemoryStorage())
+        self.rote = self.libseal.rote
+        workload = MessagingWorkload(
+            self.libseal, channels=1, members=2, fetch_ratio=0.0, seed=7
+        )
+        for _ in range(10):
+            workload.post_once()
+        self.kept = copy.deepcopy(self.libseal.storage)
+        for _ in range(10):
+            workload.post_once()
+
+    def power_cycle(self, nodes):
+        """Cut power to ``nodes`` together, then restart them all."""
+        for i in nodes:
+            self.rote.crash(i)
+        for i in nodes:
+            self.rote.recover(i)
+
+    def recover(self, keep_client_cache=False):
+        if not keep_client_cache:
+            # A restarted enclave keeps no client memory: the committed
+            # cache belonged to the old instance. Emptied by hand until
+            # recovery builds its own client (ROADMAP item 14).
+            self.rote._committed.clear()
+        _, report = LibSeal.recover(
+            MessagingSSM(),
+            self.kept,
+            signing_key=self.libseal.signing_key,
+            rote=self.rote,
+        )
+        return report.outcome
+
+
+class TestStaleSnapshotAfterReplicaPowerCycle:
+    """A stale snapshot never resumes clean, whatever the replicas lost."""
+
+    def test_whole_group_power_cycle_never_resumes_clean(self):
+        run = StaleRestart()
+        run.power_cycle(range(run.rote.n))
+        outcome = run.recover()
+        assert outcome is RecoveryOutcome.FRESHNESS_UNVERIFIABLE or (
+            outcome in DETECTED_OUTCOMES
+        ), outcome
+        assert not any(replica.confirmed for replica in run.rote.nodes)
+
+    def test_whole_group_power_cycle_with_old_client_cache(self):
+        run = StaleRestart()
+        run.power_cycle(range(run.rote.n))
+        outcome = run.recover(keep_client_cache=True)
+        assert outcome in (
+            RecoveryOutcome.FRESHNESS_UNVERIFIABLE,
+            RecoveryOutcome.ROLLBACK_DETECTED,
+        ), outcome
+
+    def test_control_replicas_intact(self):
+        run = StaleRestart()
+        assert run.recover() is RecoveryOutcome.ROLLBACK_DETECTED
+
+    def test_control_f_replicas_power_cycled(self):
+        run = StaleRestart()
+        run.power_cycle(range(run.rote.f))
+        assert run.recover() is RecoveryOutcome.ROLLBACK_DETECTED
 
 
 class TestDurabilityRegression:

@@ -19,6 +19,7 @@ from repro.errors import (
 from repro.shard import ShardPlane
 from repro.shard.instance import RangeTransfer, splice_head_of
 from repro.workloads.messaging_traffic import MessagingWorkload
+from tests.quorum_outage import cut_off, reconnect
 
 
 def make_plane(shards=("shard-0", "shard-1"), **kwargs):
@@ -242,16 +243,14 @@ class TestFailClosedTransfers:
         victim = plane.instances["shard-1"]
         # Take the victim's whole counter quorum down: its tail freshness
         # becomes unprovable and the merge must abort with the WAL held.
-        for node in victim.cluster.nodes:
-            victim.cluster.crash(node.node_id)
+        cut_off(victim.cluster, range(victim.cluster.n))
         with pytest.raises(FreshnessUnverifiableError):
             plane.rebalancer.merge("shard-1")
         assert plane.rebalancer.pending()
         assert plane.router.members == ("shard-0", "shard-1", "shard-2")
         assert plane.rebalancer.failclosed_aborts == 1
         # Quorum heals; the WAL replays to completion.
-        for node in victim.cluster.nodes:
-            victim.cluster.recover(node.node_id)
+        reconnect(victim.cluster)
         report = plane.rebalancer.resume()
         assert report is not None and report.completed
         assert plane.router.members == ("shard-0", "shard-2")
