@@ -1,14 +1,15 @@
 """Hash chain and epoch signatures over audit-log tuples.
 
-Every logged tuple becomes a :class:`ChainEntry`: its payload hash chained
-onto the previous entry (like PeerReview's tamper-evident logs, which §5.1
-cites). The chain head is periodically signed with the enclave's ECDSA key
-(created at provisioning), together with the current monotonic counter
-value, producing a :class:`SignedHead` that anchors both integrity and
-freshness.
+Every logged tuple's payload hash is chained onto the previous head (like
+PeerReview's tamper-evident logs, which §5.1 cites); the chain keeps only
+its head and length. The head is periodically signed with the enclave's
+ECDSA key (created at provisioning), together with the current monotonic
+counter value, producing a :class:`SignedHead` that anchors both
+integrity and freshness.
 
-Hashes are stored *separately* from the entries and associated by entry id
-— the paper does this so trimming need not rewrite every row (§5.1).
+Nothing stores the hashes: the paper keeps them apart from the tuples so
+trimming need not rewrite every row (§5.1), and here a trim recomputes the
+chain over the survivors and the image stores tuples only.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def encode_tuple(table: str, values: Sequence[object]) -> bytes:
 
 @dataclass(frozen=True)
 class ChainEntry:
-    """One link: ``chain_hash = H(prev_chain_hash || payload_hash)``."""
+    """One link, as :meth:`HashChain.append` returns it (not kept):
+    ``chain_hash = H(prev_chain_hash || payload_hash)``."""
 
     entry_id: int
     table: str
@@ -114,18 +116,18 @@ class SignedHead:
 class SealIntent(AuthenticatedIntent):
     """A MAC'd write-ahead marker: "a seal of this chain state is in flight".
 
-    Written to storage *before* the ROTE increment of each epoch seal.
-    After a crash between the increment and the snapshot write, the stored
-    log's counter is one behind the quorum — byte-identical to a one-epoch
-    rollback. A valid intent whose chain extends the stored snapshot
-    proves the gap came from the enclave's own in-flight seal, letting
-    recovery discard the unacknowledged pair instead of (wrongly) flagging
-    a rollback. Without it, any counter gap is treated as an attack.
+    Appended to the log image, inside an intent record, *before* the ROTE
+    increment of each epoch seal. After a crash between the increment and
+    the head record, the stored log's counter is one behind the quorum —
+    byte-identical to a one-epoch rollback. An intent record after the
+    last head, bound to it by the record chain, proves the gap came from
+    the enclave's own in-flight seal, letting recovery discard the
+    unacknowledged pair instead of (wrongly) flagging a rollback. Without
+    it, any counter gap is treated as an attack.
     """
 
     TAG = b"SEAL-INTENT"
     MAGIC = b"INTENT2"
-    SIDECAR = "intent"
     NOUN = "seal intent"
 
     log_id: str = intent_field(TEXT)
@@ -183,72 +185,44 @@ class MembershipIntent(AuthenticatedIntent):
 
 
 class HashChain:
-    """An append-only hash chain with rebuild support for trimming."""
+    """An append-only hash chain, kept as its head and length: a trim
+    rebuilds it over the surviving tuples (§5.1)."""
 
     def __init__(self) -> None:
-        self._entries: list[ChainEntry] = []
-        self._next_id = 1
-
-    @property
-    def entries(self) -> list[ChainEntry]:
-        return list(self._entries)
-
-    @property
-    def head(self) -> bytes:
-        return self._entries[-1].chain_hash if self._entries else GENESIS
+        self.head = GENESIS
+        self._length = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._length
 
     def append(self, table: str, values: Sequence[object]) -> ChainEntry:
-        """Chain one tuple; returns the new entry."""
+        """Chain one tuple; returns the new link."""
         payload_hash = sha256(encode_tuple(table, values))
-        chain_hash = sha256(self.head + payload_hash)
-        entry = ChainEntry(self._next_id, table, payload_hash, chain_hash)
-        self._next_id += 1
-        self._entries.append(entry)
-        return entry
+        self.head = sha256(self.head + payload_hash)
+        self._length += 1
+        return ChainEntry(self._length, table, payload_hash, self.head)
 
     def rebuild(self, surviving: Iterable[tuple[str, Sequence[object]]]) -> None:
-        """Recompute the chain over the entries surviving a trim (§5.1).
-
-        Entry ids are reassigned in order; the counter/signature anchor is
-        refreshed by the caller after rebuilding.
-        """
-        self._entries = []
-        self._next_id = 1
+        """Recompute the chain over the entries surviving a trim (§5.1);
+        the caller refreshes the counter/signature anchor."""
+        self.head, self._length = GENESIS, 0
         for table, values in surviving:
             self.append(table, values)
 
     def verify_payloads(
         self, payloads: Iterable[tuple[str, Sequence[object]]]
     ) -> None:
-        """Check the stored chain against claimed payload tuples.
+        """Check claimed payload tuples against the chain.
 
         Raises :class:`IntegrityError` if any tuple was modified, removed,
-        reordered or injected relative to the chained hashes.
+        reordered or injected: each changes the recomputed head or length.
         """
-        payload_list = list(payloads)
-        entries = self._entries
-        if len(payload_list) != len(entries):
+        replay = HashChain()
+        replay.rebuild(payloads)
+        if len(replay) != self._length:
             raise IntegrityError(
-                f"audit log length mismatch: {len(payload_list)} payloads "
-                f"for {len(entries)} chained entries"
+                f"audit log length mismatch: {len(replay)} payloads "
+                f"for {self._length} chained entries"
             )
-        previous = GENESIS
-        for (table, values), entry in zip(payload_list, entries):
-            payload_hash = sha256(encode_tuple(table, values))
-            if payload_hash != entry.payload_hash:
-                raise IntegrityError(
-                    f"audit entry {entry.entry_id} payload hash mismatch"
-                )
-            expected_chain = sha256(previous + payload_hash)
-            if expected_chain != entry.chain_hash:
-                raise IntegrityError(
-                    f"audit entry {entry.entry_id} chain hash mismatch"
-                )
-            if entry.table != table:
-                raise IntegrityError(
-                    f"audit entry {entry.entry_id} table mismatch"
-                )
-            previous = entry.chain_hash
+        if replay.head != self.head:
+            raise IntegrityError("audit log payloads do not reproduce the chain head")

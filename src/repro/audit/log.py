@@ -6,10 +6,18 @@ Composition (§5.1):
   invariants and trimming are plain SQL;
 - every appended tuple extends a hash chain; the head is signed together
   with a fresh ROTE counter value on each epoch seal;
-- the serialized log lands on untrusted storage; on load, everything is
-  re-verified — the chain recomputed over the payloads against the signed
-  head, and the claimed counter against the live ROTE quorum. The schema
-  and log id are the caller's: storage holds copies nothing signs.
+- the log lands on untrusted storage as one append-only *record image*:
+  ``IMAGE_MAGIC``, then framed records ``kind || content || MAC``, each
+  MAC an HMAC under :func:`~repro.audit.wal.intent_key` over the previous
+  record's MAC (the first's over the log id and schema, which storage
+  never holds), the kind and the content. An *intent record* (``I``)
+  holds a :class:`SealIntent` and every tuple (and row id) appended since
+  the last head record (a later one before the same head supersedes it);
+  a *head record* (``H``) the :class:`SignedHead` and the watermark
+  state. A seal appends one of each; a removal and the key-rotation
+  re-seal rewrite the image whole. Loading checks every MAC and
+  recomputes the chain against every head, but verifies only the last
+  head's signature.
 
 The log holds each tuple once: an ordered stream of ``(row_id, table,
 row)`` entries whose ``row`` *is* the list the SealDB table stores, so the
@@ -27,8 +35,8 @@ tracked for append-sortedness (and hinted to SealDB's planner), and
 checked". :meth:`AuditLog.rows_since` replays the appends past a
 watermark; a removal bumps ``trim_generation``, which invalidates every
 outstanding watermark so the checker conservatively re-scans once.
-Watermark bookkeeping survives ``serialize``/``load`` (and therefore
-sealing epochs and crash recovery).
+Watermark bookkeeping survives the image (and therefore sealing epochs
+and crash recovery).
 """
 
 from __future__ import annotations
@@ -40,10 +48,12 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.audit.hashchain import HashChain, SealIntent, SignedHead
-from repro.audit.persistence import LogStorage
+from repro.audit.persistence import LogStorage, frame, split_frames
 from repro.audit.rote import RoteCluster
+from repro.audit.wal import intent_key, valid_intent
 from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey, EcdsaSignature
-from repro.errors import IntegrityError, RollbackError
+from repro.crypto.hashing import HASH_LEN, constant_time_equal, hmac_sha256
+from repro.errors import IntegrityError, RollbackError, StorageError
 from repro.faults import hooks as _faults
 from repro.obs import hooks as _obs
 from repro.sim.costs import LOGGING_SEALDB_INSERT_CYCLES, SEAL_EPOCH_CYCLES
@@ -64,52 +74,70 @@ def _decode_value(value: object) -> SqlValue:
     return value  # type: ignore[return-value]
 
 
-def _stored_ids(state: object, count: int) -> tuple[Sequence[int], int]:
-    """The row ids a snapshot gives its ``count`` payloads, and its next id.
+#: The first bytes of every stored image: the format and its version.
+IMAGE_MAGIC = b"LIBSEAL-LOG/2\n"
+#: Why an image in another format is refused (the message is stable).
+UNSUPPORTED_SNAPSHOT = "unsupported snapshot format"
+INTENT_RECORD = b"I"
+HEAD_RECORD = b"H"
 
-    The snapshot lives on *untrusted* storage, so the ids are only
-    trusted as far as they cannot skip checking: they must be strictly
-    increasing and below ``next_row_id``. (A tampered id stream cannot
-    launder an unchecked tuple anyway — checker state is enclave-internal,
-    so a restarted checker always begins with a full scan — but validating
-    here keeps the invariant simple.) A pre-watermark snapshot (no state)
-    numbers its payloads 0..n-1.
-    """
-    if state is None:
-        return range(count), count
-    if not isinstance(state, dict):
-        raise IntegrityError("watermark state malformed")
-    ids = state["payload_ids"]
-    next_row_id = state["next_row_id"]
-    if len(ids) != count:
-        raise IntegrityError("watermark ids do not match payloads")
-    previous = -1
+
+def record_genesis(key: bytes, log_id: str, schema_sql: str) -> bytes:
+    """The MAC the first record of an image chains onto: the log's identity."""
+    return hmac_sha256(
+        key, b"LOG-RECORDS\x00" + log_id.encode() + b"\x00" + schema_sql.encode()
+    )
+
+
+def seal_record(
+    key: bytes, previous: bytes, kind: bytes, content: bytes
+) -> tuple[bytes, bytes]:
+    """One framed record chained onto the record MAC ``previous``, and its MAC."""
+    mac = hmac_sha256(key, previous + kind + content)
+    return frame(kind + content + mac), mac
+
+
+def open_record(key: bytes, previous: bytes, body: bytes) -> tuple[bytes, bytes, bytes]:
+    """``(kind, content, mac)`` of one framed record chained onto ``previous``."""
+    kind, content, mac = body[:1], body[1:-HASH_LEN], body[-HASH_LEN:]
+    if len(body) <= HASH_LEN or not constant_time_equal(
+        mac, hmac_sha256(key, previous + kind + content)
+    ):
+        raise IntegrityError("audit log record MAC invalid")
+    return kind, content, mac
+
+
+def _stored_ids(ids: object, count: int, previous: int) -> list[int]:
+    """The row ids an intent record gives its ``count`` tuples. Storage is
+    untrusted: they must increase strictly across the image (a tampered
+    id cannot launder an unchecked tuple anyway — a restarted checker
+    always begins with a full scan — but the invariant stays simple)."""
+    if not isinstance(ids, list) or len(ids) != count:
+        raise IntegrityError("stored row ids do not match the tuples")
     for row_id in ids:
-        if not isinstance(row_id, int) or row_id <= previous:
-            raise IntegrityError("watermark ids not strictly increasing")
+        if type(row_id) is not int or row_id <= previous:
+            raise IntegrityError("stored row ids not strictly increasing")
         previous = row_id
-    if not isinstance(next_row_id, int) or next_row_id <= previous:
-        raise IntegrityError("watermark next_row_id behind payload ids")
-    return ids, next_row_id
+    return ids
 
 
-def _stored_u64(head: dict, field: str) -> int:
-    value = head[field]
+def _stored_u64(fields: list, index: int, field: str) -> int:
+    value = fields[index]
     if type(value) is not int or not 0 <= value < 2**64:
         raise IntegrityError(f"signed head {field} is not a 64-bit unsigned integer")
     return value
 
 
-def _decode_head(head: object) -> SignedHead:
-    """The snapshot's signed head, its integer fields range-checked (the
+def _decode_head(fields: object) -> SignedHead:
+    """A head record's signed head, its integer fields range-checked (the
     signature covers them as 8-byte big-endian words)."""
-    if head is None:
-        raise IntegrityError("audit log snapshot lacks a signed head")
+    if not isinstance(fields, list) or len(fields) != 8:
+        raise IntegrityError("head record malformed")
     return SignedHead(
-        head_hash=bytes.fromhex(head["head_hash"]),
-        counter_value=_stored_u64(head, "counter"),
-        entry_count=_stored_u64(head, "count"),
-        signature=EcdsaSignature.decode(bytes.fromhex(head["signature"])),
+        head_hash=bytes.fromhex(fields[0]),
+        counter_value=_stored_u64(fields, 1, "counter"),
+        entry_count=_stored_u64(fields, 2, "count"),
+        signature=EcdsaSignature.decode(bytes.fromhex(fields[3])),
     )
 
 
@@ -170,6 +198,16 @@ class AuditLog:
         #: checking then permanently falls back to full re-scans.
         self.time_monotone = True
         self._time_columns: dict[str, int | None] = {}
+        # The stored image: the key its record MACs are made under, the
+        # MAC of its last record (None while storage holds no image of
+        # this log, so the next seal writes it whole), and how many stream
+        # entries its last head record covers.
+        self._record_key = intent_key(signing_key.d)
+        self._tail: bytes | None = None
+        self._stored = 0
+        #: True when the next seal must rewrite the image whole (a removal
+        #: rebuilt the chain; a key rotation re-seals every stored byte).
+        self.rewrite_pending = False
         self._install_schema()
 
     def _install_schema(self) -> None:
@@ -318,15 +356,19 @@ class AuditLog:
 
         Crash-tolerant protocol order:
 
-        1. durably write an authenticated :class:`SealIntent` for the new chain
-           state (write-ahead, so a crash after step 2 is distinguishable
-           from a rollback at recovery);
+        1. durably append an intent record (a :class:`SealIntent` and the
+           tuples since the last head record), which the record chain
+           binds to the head it follows — write-ahead, so a crash after
+           step 2 is distinguishable from a rollback at recovery;
         2. increment the ROTE counter (retries/backoff inside);
         3. sign the head against the fresh counter value;
-        4. atomically replace the snapshot on storage;
-        5. clear the intent.
+        4. durably append the head record (signed head, watermark state).
 
-        A failure in step 2 (``QuorumUnavailableError``) or 4
+        With :attr:`rewrite_pending` set, the intent record carries no
+        tuples and step 4 atomically replaces the image with the whole
+        log; a log storage holds no image of yet skips step 1.
+
+        A failure in step 2 (``QuorumUnavailableError``) or 1/4
         (``StorageError``) leaves the in-memory log intact; the caller may
         retry the seal later — the next successful seal covers every
         appended tuple.
@@ -340,11 +382,11 @@ class AuditLog:
 
         with _obs.span("audit.seal", cycles=SEAL_EPOCH_CYCLES):
             crash_at("crash_before_intent")
-            if self.storage is not None:
-                intent = SealIntent.seal(
-                    self._signing_key, self.log_id, self.chain.head, len(self.chain)
-                )
-                self.storage.save_intent(intent.encode(), SealIntent.SIDECAR)
+            storage = self.storage
+            appending = storage is not None and self._tail is not None
+            if appending:
+                pending = () if self.rewrite_pending else self._stream[self._stored :]
+                self._append_record(INTENT_RECORD, self._intent_content(pending))
             crash_at("crash_after_intent")
             counter_value = self.rote.increment(self.log_id)
             crash_at("crash_after_increment")
@@ -352,15 +394,48 @@ class AuditLog:
                 self._signing_key, self.chain.head, counter_value, len(self.chain)
             )
             self.epochs_sealed += 1
-            if self.storage is not None:
-                self.storage.save(self.serialize())
+            if storage is not None:
+                if appending and not self.rewrite_pending:
+                    self._append_record(HEAD_RECORD, self._head_content(), seals=True)
+                else:
+                    image = self.serialize()
+                    try:
+                        storage.save(image)
+                    except StorageError:
+                        self._tail = None  # what storage holds now is unknown
+                        raise
+                    self._tail = image[-HASH_LEN:]
+                    self.rewrite_pending = False
+                self._stored = len(self._stream)
                 crash_at("crash_after_save")
-                self.storage.clear_intent(SealIntent.SIDECAR)
             if _obs.ON:
                 _obs.active().metrics.counter(
                     "audit_seals_total", "Epoch seals completed"
                 ).inc()
             return self.signed_head
+
+    def _append_record(self, kind: bytes, content: bytes, seals: bool = False) -> None:
+        record, mac = seal_record(self._record_key, self._tail, kind, content)
+        self.storage.append(record, seals)
+        self._tail = mac
+
+    def _intent_content(self, entries) -> bytes:
+        intent = SealIntent.seal(
+            self._signing_key, self.log_id, self.chain.head, len(self.chain)
+        )
+        tuples = [
+            [row_id for row_id, _, _ in entries],
+            [[table, [_encode_value(v) for v in row]] for _, table, row in entries],
+        ]
+        return frame(intent.encode()) + frame(json.dumps(tuples).encode())
+
+    def _head_content(self) -> bytes:
+        head = self.signed_head
+        return json.dumps([
+            head.head_hash.hex(), head.counter_value, head.entry_count,
+            head.signature.encode().hex(), self.next_row_id,
+            self.trim_generation, self.latest_time, self.time_monotone,
+        ]).encode()
 
     # ------------------------------------------------------------------
     # Reading / checking
@@ -418,7 +493,8 @@ class AuditLog:
 
     def _retain(self) -> int:
         """The one removal primitive: drop the stream entries whose row has
-        left its table, rebuild the chain over the rest, seal a fresh epoch.
+        left its table, rebuild the chain over the rest, seal a fresh epoch
+        that rewrites the stored image (the one compaction point).
 
         Survival is decided by row *identity*: ``Table.delete_rows`` keeps
         the surviving list objects and ``update_row`` writes into them, so
@@ -436,6 +512,7 @@ class AuditLog:
         self._stream = kept
         self.chain.rebuild((table, row) for _, table, row in kept)
         self.trim_generation += 1
+        self.rewrite_pending = True
         self.seal_epoch()
         return removed
 
@@ -450,32 +527,19 @@ class AuditLog:
             yield table, tuple(row)
 
     def serialize(self) -> bytes:
-        """Serialize log state for untrusted storage."""
-        head = self.signed_head
-        doc = {
-            "log_id": self.log_id,
-            "schema": self.schema_sql,
-            "payloads": [
-                [table, [_encode_value(v) for v in row]]
-                for _, table, row in self._stream
-            ],
-            "watermark_state": {
-                "next_row_id": self.next_row_id,
-                "payload_ids": [row_id for row_id, _, _ in self._stream],
-                "trim_generation": self.trim_generation,
-                "latest_time": self.latest_time,
-                "time_monotone": self.time_monotone,
-            },
-            "head": None
-            if head is None
-            else {
-                "head_hash": head.head_hash.hex(),
-                "counter": head.counter_value,
-                "count": head.entry_count,
-                "signature": head.signature.encode().hex(),
-            },
-        }
-        return json.dumps(doc).encode()
+        """The whole log as a fresh record image: one intent record holding
+        every tuple, then (once sealed) the head record."""
+        key = self._record_key
+        intent, mac = seal_record(
+            key,
+            record_genesis(key, self.log_id, self.schema_sql),
+            INTENT_RECORD,
+            self._intent_content(self._stream),
+        )
+        if self.signed_head is None:
+            return IMAGE_MAGIC + intent
+        head, _ = seal_record(key, mac, HEAD_RECORD, self._head_content())
+        return IMAGE_MAGIC + intent + head
 
     @classmethod
     def load(
@@ -489,53 +553,109 @@ class AuditLog:
         storage: LogStorage | None = None,
         check_freshness: bool = True,
     ) -> "AuditLog":
-        """Load and fully verify a serialized log from untrusted storage.
+        """Load and fully verify a stored image (see :meth:`restore`).
 
-        One pass: each stored row enters its table (:meth:`_enter`), then
-        the chain is computed once over the stored rows and must reproduce
-        the signed head and entry count. The snapshot stores no hashes, so
-        that recomputation *is* the payload check. ``schema_sql`` and
-        ``log_id`` are the service's: the snapshot carries copies that no
-        chain or signature covers, and one that differs is refused.
+        ``blob`` need not be what ``storage`` holds, so the log's first
+        seal writes its image whole.
 
         Raises :class:`IntegrityError` on tampering and
         :class:`RollbackError` if the log is stale w.r.t. the ROTE quorum.
         ``check_freshness=False`` skips the quorum cross-check (structure
-        and signature are still verified); the crash-recovery protocol
-        uses this to run its own gap-tolerant freshness classification.
+        and signature are still verified).
         """
+        log = cls.restore(
+            blob, schema_sql, signing_key, public_key, rote, log_id, storage
+        )[0]
+        log._tail = None
+        if check_freshness:
+            log.verify_freshness()
+        return log
+
+    @classmethod
+    def restore(
+        cls,
+        blob: bytes,
+        schema_sql: str,
+        signing_key: EcdsaPrivateKey,
+        public_key: EcdsaPublicKey,
+        rote: RoteCluster,
+        log_id: str,
+        storage: LogStorage | None = None,
+    ) -> tuple["AuditLog", SealIntent | None, int]:
+        """Verify the image ``storage`` holds and rebuild the log its last
+        head seals; the log's next seal appends to that image.
+
+        One pass: every record MAC is checked; at each head record, its
+        intent record's tuples enter their tables (:meth:`_enter`) and
+        extend the chain, which must reproduce that head; only the last
+        head's signature is verified. ``schema_sql`` and ``log_id`` are the
+        service's and key the first MAC. Freshness is the caller's.
+
+        Returns the log, the valid :class:`SealIntent` of an intent record
+        after the last head (a seal in flight), and where the complete
+        records end (a torn tail follows). Raises :class:`IntegrityError`
+        on any tampering.
+        """
+        if not blob.startswith(IMAGE_MAGIC):
+            if blob[:1] == b"{":
+                raise IntegrityError(f"{UNSUPPORTED_SNAPSHOT}: a JSON snapshot")
+            raise IntegrityError("not an audit log image")
+        log = cls(schema_sql, signing_key, rote, log_id=log_id, storage=storage)
+        key = log._record_key
+        mac = record_genesis(key, log_id, schema_sql)
         try:
-            doc = json.loads(blob.decode())
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise IntegrityError(f"audit log snapshot unparsable: {exc}") from exc
-        try:
-            if doc.get("schema") != schema_sql:
-                raise IntegrityError("snapshot schema differs from the service's")
-            if doc.get("log_id") != log_id:
-                raise IntegrityError("snapshot log id differs from the service's")
-            log = cls(schema_sql, signing_key, rote, log_id=log_id, storage=storage)
-            payloads = doc["payloads"]
-            state = doc.get("watermark_state")
-            ids, log.next_row_id = _stored_ids(state, len(payloads))
-            for row_id, (table, values) in zip(ids, payloads):
-                log._enter(table, [_decode_value(v) for v in values], row_id)
-            if state is not None:
-                log.trim_generation = int(state["trim_generation"])
-                # The stored clock is outside the signature: it may only
-                # raise the one recomputed from the chained tuples (a trim
-                # can have removed the latest rows), never rewind it.
-                log.latest_time = max(log.latest_time, int(state["latest_time"]))
-                log.time_monotone = bool(state["time_monotone"]) and log.time_monotone
-            log.chain.rebuild((table, row) for _, table, row in log._stream)
-            log.signed_head = _decode_head(doc.get("head"))
-            log._verify_head(public_key)
+            bodies, end = split_frames(blob, len(IMAGE_MAGIC))
+            pending: bytes | None = None
+            fields = None
+            last_id = -1
+            for body in bodies:
+                kind, content, mac = open_record(key, mac, body)
+                if kind == INTENT_RECORD:
+                    pending = content
+                elif kind == HEAD_RECORD and pending is not None:
+                    last_id = log._enter_stored(pending, last_id)
+                    pending = None
+                    fields = json.loads(content)
+                    log.signed_head = _decode_head(fields)
+                    log._check_head()
+                else:
+                    raise IntegrityError(f"unexpected record kind {kind!r}")
+            if fields is None:
+                raise IntegrityError("audit log image lacks a signed head")
+            next_row_id, trim_generation, latest_time, time_monotone = fields[4:]
+            if type(next_row_id) is not int or next_row_id <= last_id:
+                raise IntegrityError("watermark next_row_id behind stored row ids")
+            log.next_row_id = next_row_id
+            log.trim_generation = int(trim_generation)
+            # The stored clock is outside the signature: it may only raise
+            # the one recomputed from the chained tuples (a trim can have
+            # removed the latest rows), never rewind it.
+            log.latest_time = max(log.latest_time, int(latest_time))
+            log.time_monotone = bool(time_monotone) and log.time_monotone
+            log.signed_head.verify(public_key)
+            intent = None
+            if pending is not None:
+                wire = split_frames(pending)[0][0]
+                intent = valid_intent(wire, SealIntent, signing_key, log_id)
         except IntegrityError:
             raise
         except Exception as exc:  # malformed fields, bad rows, wrong shapes
             raise IntegrityError(f"audit log snapshot malformed: {exc}") from exc
-        if check_freshness:
-            log.verify_freshness()
-        return log
+        log._tail = mac
+        log._stored = len(log._stream)
+        return log, intent, end
+
+    def _enter_stored(self, content: bytes, last_id: int) -> int:
+        """Enter and chain an intent record's tuples; returns the last row id."""
+        bodies, end = split_frames(content)
+        if len(bodies) != 2 or end != len(content):
+            raise IntegrityError("intent record malformed")
+        ids, payloads = json.loads(bodies[1])
+        ids = _stored_ids(ids, len(payloads), last_id)
+        for row_id, (table, values) in zip(ids, payloads):
+            row = self._enter(table, [_decode_value(v) for v in values], row_id)
+            self.chain.append(table, row)
+        return ids[-1] if ids else last_id
 
     def verify_structure(self, public_key: EcdsaPublicKey) -> None:
         """Verify chain and head signature (no quorum interaction)."""
@@ -547,6 +667,10 @@ class AuditLog:
         if head is None:
             raise IntegrityError("audit log has no signed head")
         head.verify(public_key)
+        self._check_head()
+
+    def _check_head(self) -> None:
+        head = self.signed_head
         if head.head_hash != self.chain.head:
             raise IntegrityError("signed head does not match the hash chain")
         if head.entry_count != len(self.chain):

@@ -6,33 +6,43 @@ chaos — and the paper's guarantees must survive the restart: every
 freshness violation by the (adversarial) storage provider is *detected*,
 and benign crashes never masquerade as attacks.
 
-:func:`recover_log` is the startup path. It loads the last snapshot from
-untrusted storage, re-verifies the hash chain and head signature,
-cross-checks freshness against the ROTE quorum (whose RPCs carry bounded
-retry/backoff), and classifies the outcome:
+:func:`recover_log` is the startup path. It loads the stored record image
+from untrusted storage, verifies every record MAC, re-verifies the hash
+chain and the last head's signature, cross-checks freshness against the
+ROTE quorum (whose RPCs carry bounded retry/backoff), and classifies the
+outcome:
 
 ==========================  ==================================================
 outcome                     meaning
 ==========================  ==================================================
 ``NO_SNAPSHOT``             nothing was ever sealed; fresh start
-``CLEAN_RESUME``            snapshot verified, counter matches the quorum
-``TORN_TAIL_TRUNCATED``     a crash mid-write left an orphaned ``.tmp``; the
-                            atomic-replace invariant preserved the previous
-                            snapshot, the torn tail is discarded
-``IN_FLIGHT_DISCARDED``     the counter is one behind the quorum *and* a valid
-                            authenticated seal intent proves the enclave was
-                            mid-seal: the unacknowledged in-flight pair is
-                            discarded and the gap closed by re-sealing
-``TAMPER_DETECTED``         chain/signature/ciphertext verification failed,
-                            or the stored schema/log id is not the service's
-``ROLLBACK_DETECTED``       the counter is behind the quorum with no valid
-                            intent to explain it — a stale snapshot was served
+``CLEAN_RESUME``            image verified, counter matches the quorum; an
+                            intent record after the last head (a crash
+                            before its increment) is superseded by the next
+                            seal's, and nothing is written
+``TORN_TAIL_TRUNCATED``     as ``CLEAN_RESUME``, but a crash mid-write left a
+                            strict prefix of one more record at the end of
+                            the image (cut off before anything is appended)
+                            or an orphaned ``.tmp`` of a crashed rewrite
+``IN_FLIGHT_DISCARDED``     the counter is one behind the quorum *and* an
+                            intent record follows the last head: the
+                            record chain binds it to that head, proving the
+                            enclave was mid-seal — whether that seal
+                            extended the chain or rewrote it (a trim). The
+                            unacknowledged tuples are discarded and the gap
+                            closed by re-sealing the verified state
+``TAMPER_DETECTED``         a record MAC, the chain, the signature or the
+                            ciphertext failed verification, the image is
+                            not the service's (log id, schema), or it is in
+                            an unsupported format (a JSON snapshot)
+``ROLLBACK_DETECTED``       the counter is behind the quorum with no intent
+                            record to explain it — a stale image was served
 ``FRESHNESS_UNVERIFIABLE``  structure verified, but no ROTE quorum answered
                             after retries; resume only in degraded mode
 ``STORAGE_UNAVAILABLE``     storage I/O failed; retryable, nothing proven
-``RETIRED_EPOCH``           the snapshot is sealed under a key epoch that a
+``RETIRED_EPOCH``           the image is sealed under a key epoch that a
                             later rotation retired; fail closed — resume on
-                            the re-sealed snapshot, never this one
+                            the re-sealed image, never this one
 ==========================  ==================================================
 
 The in-flight pair is always *discarded*, never replayed: in the
@@ -42,11 +52,12 @@ acknowledged and the client will retry — discarding is the deterministic,
 exactly-once-safe choice.
 
 **Last-epoch ambiguity.** A provider who rolls back exactly one epoch
-*and* serves the preserved intent file is indistinguishable from a benign
-crash between the counter increment and the snapshot write — an inherent
-limit of counter-based freshness shared with ROTE/Ariadne-class schemes.
-The damage is bounded to the single newest epoch, and the affected client
-holds the (signed) response header to dispute it.
+by cutting the final head record off the image (whole or in part) is
+indistinguishable from a benign crash between the counter increment and
+the head append — an inherent limit of counter-based freshness shared
+with ROTE/Ariadne-class schemes. The damage is bounded to the single
+newest epoch, and the affected client holds the (signed) response header
+to dispute it.
 """
 
 from __future__ import annotations
@@ -54,11 +65,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.audit.hashchain import SealIntent
 from repro.audit.log import AuditLog
 from repro.audit.persistence import LogStorage
 from repro.audit.rote import RoteCluster
-from repro.audit.wal import load_valid_intent
 from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey
 from repro.errors import (
     IntegrityError,
@@ -144,12 +153,14 @@ def recover_log(
     rote: RoteCluster,
     log_id: str = "libseal-log",
 ) -> RecoveryReport:
-    """Load, verify and classify the last audit-log snapshot.
+    """Load, verify and classify the stored audit-log image.
 
-    ``schema_sql`` (``ssm.schema_sql``) and ``log_id`` are the service's:
-    the snapshot's copies are not signed, so one that differs is
-    ``TAMPER_DETECTED``, never executed or adopted. ``signing_key``
-    authenticates the seal intent; ``public_key`` verifies the head.
+    ``schema_sql`` (``ssm.schema_sql``) and ``log_id`` are the service's
+    and key the record MACs: an image of another log or schema is
+    ``TAMPER_DETECTED``, never executed or adopted. ``signing_key`` keys
+    the record MACs and the seal intent; ``public_key`` verifies the head.
+    Writes nothing unless it cuts a torn tail or re-seals an in-flight
+    gap.
 
     Never raises for faults it can classify: every path returns a
     :class:`RecoveryReport` so the startup code can decide policy
@@ -180,140 +191,89 @@ def _recover_log(
     log_id: str,
 ) -> RecoveryReport:
     torn = bool(getattr(storage, "orphans_cleaned", []))
-    # A forged/corrupt/foreign intent buys the adversary nothing: it reads
-    # as absent, and a counter gap without an intent is a rollback.
-    intent = load_valid_intent(storage, SealIntent, signing_key, log_id)
-
+    report = RecoveryReport(RecoveryOutcome.NO_SNAPSHOT, torn_tmp_found=torn)
     if not storage.exists():
-        # Nothing was ever durably sealed. A leftover intent means the
-        # very first seal crashed before its snapshot write completed.
-        storage.clear_intent(SealIntent.SIDECAR)
-        return RecoveryReport(
-            outcome=RecoveryOutcome.NO_SNAPSHOT,
-            torn_tmp_found=torn,
-            intent_found=intent is not None,
-            detail="first seal in flight" if intent is not None else "",
-        )
+        return report  # the first seal writes the image whole, atomically
 
     try:
         blob = storage.load()
-    except StorageError as exc:
-        return RecoveryReport(
-            outcome=RecoveryOutcome.STORAGE_UNAVAILABLE,
-            torn_tmp_found=torn,
-            intent_found=intent is not None,
-            error=exc,
-            detail=str(exc),
+        log, intent, end = AuditLog.restore(
+            blob, schema_sql, signing_key, public_key, rote, log_id, storage=storage
         )
-    except RetiredEpochError as exc:
-        # The snapshot is sealed under a key epoch that has since been
-        # retired. Not *proven* tampered — but the rotation deliberately
-        # invalidated that lineage, so the enclave refuses to resume on
-        # it (fail closed). Distinct from TAMPER_DETECTED: the operator
-        # remedy is restoring the re-sealed snapshot, not forensics.
-        return RecoveryReport(
-            outcome=RecoveryOutcome.RETIRED_EPOCH,
-            torn_tmp_found=torn,
-            intent_found=intent is not None,
-            error=exc,
-            detail=str(exc),
-        )
-    except SealingError as exc:
-        # Sealed-at-rest snapshot that no longer unseals: the ciphertext
-        # was modified — integrity violation, not an availability fault.
-        return RecoveryReport(
-            outcome=RecoveryOutcome.TAMPER_DETECTED,
-            torn_tmp_found=torn,
-            intent_found=intent is not None,
-            error=exc,
-            detail=str(exc),
-        )
-
-    try:
-        log = AuditLog.load(
-            blob,
-            schema_sql,
-            signing_key,
-            public_key,
-            rote,
-            log_id,
-            storage=storage,
-            check_freshness=False,
-        )
-    except IntegrityError as exc:
-        return RecoveryReport(
-            outcome=RecoveryOutcome.TAMPER_DETECTED,
-            torn_tmp_found=torn,
-            intent_found=intent is not None,
-            error=exc,
-            detail=str(exc),
-        )
+    except (StorageError, SealingError, IntegrityError) as exc:
+        # I/O failed: retryable, nothing proven. A retired key epoch: not
+        # *proven* tampered, but the rotation invalidated that lineage, so
+        # fail closed — the remedy is the re-sealed image, not forensics.
+        # Anything else that does not unseal or verify is tampering.
+        if isinstance(exc, StorageError):
+            report.outcome = RecoveryOutcome.STORAGE_UNAVAILABLE
+        elif isinstance(exc, RetiredEpochError):
+            report.outcome = RecoveryOutcome.RETIRED_EPOCH
+        else:
+            report.outcome = RecoveryOutcome.TAMPER_DETECTED
+        report.error, report.detail = exc, str(exc)
+        return report
 
     head = log.signed_head
-    assert head is not None  # load() rejects headless snapshots
+    report.outcome = RecoveryOutcome.CLEAN_RESUME
+    report.log, report.entries, report.counter = log, len(log.chain), head.counter_value
+    report.intent_found = intent is not None
     try:
-        live = rote.retrieve(log_id)
+        report.live_counter = live = rote.retrieve(log_id)
     except QuorumUnavailableError as exc:
         # Structure verified but freshness cannot be certified. Resume is
         # the operator's call — LibSeal resumes in explicit degraded mode.
-        return RecoveryReport(
-            outcome=RecoveryOutcome.FRESHNESS_UNVERIFIABLE,
-            log=log,
-            entries=len(log.chain),
-            counter=head.counter_value,
-            torn_tmp_found=torn,
-            intent_found=intent is not None,
-            error=exc,
-            detail=str(exc),
+        report.outcome = RecoveryOutcome.FRESHNESS_UNVERIFIABLE
+        report.error, report.detail = exc, str(exc)
+        live = None
+
+    gap = 0 if live is None else live - head.counter_value
+    if gap > 1 or (gap == 1 and intent is None):
+        report.outcome, report.log = RecoveryOutcome.ROLLBACK_DETECTED, None
+        report.error = RollbackError(
+            f"stale audit log: counter {head.counter_value} < quorum value "
+            f"{live}" + (" (no seal intent)" if intent is None else f" (gap {gap})")
         )
+        report.detail = str(report.error)
+        return report
 
-    report = RecoveryReport(
-        outcome=RecoveryOutcome.CLEAN_RESUME,
-        log=log,
-        entries=len(log.chain),
-        counter=head.counter_value,
-        live_counter=live,
-        torn_tmp_found=torn,
-        intent_found=intent is not None,
-    )
+    if end < len(blob):
+        # A strict prefix of one more record: the crash hit mid-append.
+        # Cut it off before anything is appended after it.
+        report.detail = f"torn tail of {len(blob) - end} bytes cut"
+        try:
+            storage.save(blob[:end])
+        except StorageError as exc:
+            report.outcome, report.log, report.error = (
+                RecoveryOutcome.STORAGE_UNAVAILABLE, None, exc
+            )
+            report.detail += f"; cut failed: {exc}"
+            return report
+        torn = True
 
-    if head.counter_value >= live:
-        # Fully fresh. A lingering intent just means the crash hit after
-        # the snapshot write but before the intent clear — drop it.
-        storage.clear_intent(SealIntent.SIDECAR)
+    if live is None:
+        return report
+    if gap <= 0:
+        # Fully fresh. A trailing intent record just means the crash hit
+        # before its increment; the next seal's intent supersedes it.
         if torn:
             report.outcome = RecoveryOutcome.TORN_TAIL_TRUNCATED
-            report.detail = "orphaned tmp discarded; previous snapshot intact"
+            report.detail = report.detail or "orphaned tmp discarded; image intact"
         return report
 
-    gap = live - head.counter_value
-    if (
-        gap == 1
-        and intent is not None
-        and intent.entry_count >= head.entry_count
-    ):
-        # The enclave's own seal was in flight: counter advanced, snapshot
-        # write never landed. The pair was never acknowledged — discard it
-        # and close the gap by re-sealing the verified state.
-        report.outcome = RecoveryOutcome.IN_FLIGHT_DISCARDED
-        report.detail = f"counter gap 1 explained by seal intent (live {live})"
-        try:
-            log.seal_epoch()
-        except (QuorumUnavailableError, StorageError) as exc:
-            # Gap explained, but the closing re-seal could not complete
-            # right now; resume degraded and retry with normal traffic.
-            report.error = exc
-            report.detail += f"; re-seal deferred: {exc}"
-        else:
-            report.counter = log.signed_head.counter_value
-            report.resealed = True
-        return report
-
-    report.outcome = RecoveryOutcome.ROLLBACK_DETECTED
-    report.log = None
-    report.error = RollbackError(
-        f"stale audit log: counter {head.counter_value} < quorum value {live}"
-        + (" (no valid seal intent)" if intent is None else f" (gap {gap})")
-    )
-    report.detail = str(report.error)
+    # The enclave's own seal was in flight: counter advanced, head record
+    # never landed. The pair was never acknowledged — discard it and close
+    # the gap by re-sealing the verified state.
+    report.outcome = RecoveryOutcome.IN_FLIGHT_DISCARDED
+    report.detail = f"counter gap 1 explained by seal intent (live {live})"
+    try:
+        log.seal_epoch()
+    except (QuorumUnavailableError, StorageError) as exc:
+        # Gap explained, but the closing re-seal could not complete right
+        # now; resume degraded and retry with normal traffic.
+        report.error = exc
+        report.detail += f"; re-seal deferred: {exc}"
+    else:
+        report.counter = log.signed_head.counter_value
+        report.resealed = True
     return report

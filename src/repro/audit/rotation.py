@@ -6,7 +6,7 @@ invalidates every derived key at once — the remedy for suspected key
 exposure, scheduled hygiene, and enclave upgrades alike — but rotation
 is a *distributed, multi-step* state change: the authority's registry,
 the audit log (which records the rotation as a chained tuple), the
-sealed snapshot on untrusted storage, and every ROTE replica's
+sealed log image on untrusted storage, and every ROTE replica's
 in-memory counters must all cross to the new epoch. A crash in the middle
 must never leave the deployment split across two epochs, and a slow or
 partitioned replica must never be silently stranded on keys that stop
@@ -21,8 +21,8 @@ idempotent steps, run by the shared
 2. advance the authority's epoch registry (old epoch → grace window);
 3. append an audited ``key_rotation`` event to the log itself, so the
    rotation is part of the tamper-evident history an auditor replays;
-4. re-seal the log snapshot under the new epoch (the background
-   re-seal pass for sealed log segments);
+4. re-seal the log under the new epoch, rewriting its whole image so
+   no stored record stays sealed under the old one;
 5. announce the epoch to the replica group — replicas that can derive
    the new keys adopt them and re-MAC their counters;
 6. retire the old epoch once *every* replica has adopted the new one
@@ -44,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.audit.hashchain import RotationIntent
+from repro.audit.persistence import split_frames
 from repro.audit.wal import CheckpointedWal
 from repro.obs import hooks as _obs
 from repro.sgx.sealing import EpochState, SealedBlob
@@ -95,17 +96,21 @@ def retire_grace_epochs(authority) -> list[int]:
 def stranded_blobs(authority, storage) -> list[tuple]:
     """Sealed blobs the current key registry can no longer open.
 
-    Looks at the snapshot in ``storage`` — the *raw* store underneath a
-    sealed-at-rest log (replicas keep their counters in enclave memory
-    and leave nothing on disk). Returns ``("log", epoch)`` pairs; a
-    converged rotation leaves none.
+    Looks at every sealed frame of the image in ``storage`` — the *raw*
+    store underneath a sealed-at-rest log (replicas keep their counters
+    in enclave memory and leave nothing on disk). Returns ``("log",
+    epoch)`` pairs; a converged rotation, whose re-seal rewrote the
+    image under the new epoch, leaves none.
     """
     if not storage.exists():
         return []
-    epoch = SealedBlob.decode(storage.load()).epoch
-    if authority.epoch_state(epoch) in (EpochState.ACTIVE, EpochState.GRACE):
-        return []
-    return [("log", epoch)]
+    frames, _ = split_frames(storage.load())
+    epochs = sorted({SealedBlob.decode(sealed).epoch for sealed in frames})
+    return [
+        ("log", epoch)
+        for epoch in epochs
+        if authority.epoch_state(epoch) not in (EpochState.ACTIVE, EpochState.GRACE)
+    ]
 
 
 class KeyRotationCoordinator(CheckpointedWal):
@@ -201,9 +206,11 @@ class KeyRotationCoordinator(CheckpointedWal):
             self.audit_log.append_event("key_rotation", detail)
 
     def _reseal_log(self, intent: RotationIntent, report: RotationReport) -> None:
-        """Re-seal the log snapshot under the new epoch. An availability
+        """Re-seal the log under the new epoch: the seal rewrites the whole
+        image, so no stored byte stays under the old key. An availability
         fault defers the re-seal (degraded mode), it does not abort the
         rotation — the WAL survives until done."""
+        self.audit_log.rewrite_pending = True
         report.log_resealed = self.libseal._try_seal()
 
     def _announce(self, intent: RotationIntent, report: RotationReport) -> None:

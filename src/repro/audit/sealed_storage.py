@@ -8,14 +8,19 @@ remains readable by any LibSEAL enclave of the same authority — e.g.
 after migration to another machine (§2.5, §6.3).
 
 :func:`make_log_enclave` builds the small enclave whose only job is
-sealing/unsealing log snapshots; :class:`SealedLogStorage` is a drop-in
-:class:`~repro.audit.persistence.LogStorage` that routes every blob
-through it. The provider (holding the storage file) sees only ciphertext.
+sealing/unsealing log records; :class:`SealedLogStorage` is a drop-in
+:class:`~repro.audit.persistence.LogStorage` that routes every write
+through it. Each append is sealed on its own and a replace seals the whole
+image, each as one frame (:func:`~repro.audit.persistence.frame`) of the
+inner file; loading unseals every frame and concatenates the plaintexts.
+A strict prefix of a final frame (a torn append) is passed through as it
+is: its header claims more than follows, so the log reads it as a torn
+tail too. The provider (holding the storage file) sees only ciphertext.
 """
 
 from __future__ import annotations
 
-from repro.audit.persistence import LogStorage
+from repro.audit.persistence import LogStorage, frame, split_frames
 from repro.errors import SealingError
 from repro.faults import hooks as _faults
 from repro.sgx.enclave import Enclave, EnclaveConfig
@@ -61,8 +66,11 @@ class SealedLogStorage(LogStorage):
     # -- LogStorage interface -------------------------------------------
 
     def save(self, blob: bytes) -> None:
-        sealed = self.enclave.interface.ecall("seal_log", blob)
-        self.inner.save(sealed)
+        self.inner.save(frame(self.enclave.interface.ecall("seal_log", blob)))
+
+    def append(self, record: bytes, seals: bool = False) -> None:
+        sealed = self.enclave.interface.ecall("seal_log", record)
+        self.inner.append(frame(sealed), seals)
 
     def load(self) -> bytes:
         sealed = self.inner.load()
@@ -72,11 +80,13 @@ class SealedLogStorage(LogStorage):
                 injector.note_effect(event, "corrupted")
                 sealed = injector.corrupt(sealed)
         try:
-            return self.enclave.interface.ecall("unseal_log", sealed)
+            frames, end = split_frames(sealed)
+            plain = [self.enclave.interface.ecall("unseal_log", f) for f in frames]
         except SealingError:
             raise
-        except Exception as exc:  # malformed ciphertext and the like
+        except Exception as exc:  # malformed frames, ciphertext and the like
             raise SealingError(f"sealed log unreadable: {exc}") from exc
+        return b"".join(plain) + sealed[end:]
 
     def exists(self) -> bool:
         return self.inner.exists()
@@ -85,8 +95,7 @@ class SealedLogStorage(LogStorage):
         return self.inner.size_bytes()
 
     # Intent sidecars pass through unencrypted: each is an authenticated
-    # public artifact (chain head + count, epoch numbers, shard names),
-    # nothing confidential.
+    # public artifact (epoch numbers, shard names), nothing confidential.
     def save_intent(self, blob: bytes, kind: str) -> None:
         self.inner.save_intent(blob, kind)
 
@@ -96,31 +105,7 @@ class SealedLogStorage(LogStorage):
     def clear_intent(self, kind: str) -> None:
         self.inner.clear_intent(kind)
 
-    @property
-    def orphans_cleaned(self) -> list:
-        return self.inner.orphans_cleaned
-
-    # Accounting passthroughs.
-    @property
-    def flush_count(self) -> int:  # type: ignore[override]
-        return self.inner.flush_count
-
-    @flush_count.setter
-    def flush_count(self, value: int) -> None:
-        self.inner.flush_count = value
-
-    @property
-    def bytes_written(self) -> int:  # type: ignore[override]
-        return self.inner.bytes_written
-
-    @bytes_written.setter
-    def bytes_written(self, value: int) -> None:
-        self.inner.bytes_written = value
-
-    @property
-    def total_latency_ms(self) -> float:  # type: ignore[override]
-        return self.inner.total_latency_ms
-
-    @total_latency_ms.setter
-    def total_latency_ms(self, value: float) -> None:
-        self.inner.total_latency_ms = value
+    # The inner storage's evidence and accounting, read through.
+    orphans_cleaned = property(lambda self: self.inner.orphans_cleaned)
+    flush_count = property(lambda self: self.inner.flush_count)
+    bytes_written = property(lambda self: self.inner.bytes_written)

@@ -3,31 +3,34 @@
 Three protocols in this repo change durable state in more than one step
 over *untrusted* storage: the epoch seal (:meth:`AuditLog.seal_epoch`),
 key rotation (:mod:`repro.audit.rotation`) and shard membership change
-(:mod:`repro.shard.rebalance`). Each persists an authenticated intent in
-a sidecar file *before* the first step, so a crash at any later point is
+(:mod:`repro.shard.rebalance`). Each persists an authenticated intent
+*before* the first step — the seal as a record of the log image itself,
+the others in a sidecar file — so a crash at any later point is
 distinguishable from an attack and can be replayed to completion.
 
 This module is the single implementation of what they share:
 
 - :class:`AuthenticatedIntent` — the codec. A concrete intent is a
   frozen dataclass that declares a payload tag, a wire magic, its
-  sidecar kind and an ordered list of typed fields; ``payload``/``seal``/
+  sidecar kind (if any) and an ordered list of typed fields; ``payload``/``seal``/
   ``verify``/``encode``/``decode`` are derived from that declaration.
-- :func:`load_valid_intent` — the validator: decode, HMAC tag, owner id, and
+- :func:`valid_intent` — the validator: decode, HMAC tag, owner id, and
   *currency* (an intent the protocol has already moved past is a replay
-  by the storage provider, not a crash to resume).
+  by the storage provider, not a crash to resume);
+  :func:`load_valid_intent` applies it to a sidecar.
 - :class:`CheckpointedWal` — the coordinator base: write-ahead save,
   ``pending()``, validate-or-discard, the fault site between steps, and
   an ordered step table run with a checkpoint after every step.
 
-The seal path shares the codec, the sidecar and the validator only; its
-named ``audit.seal`` crash points and the recovery classification stay
-in :mod:`repro.audit.log` and :mod:`repro.audit.recovery`.
+The seal path shares the codec and the validator only; its intent record, its named
+``audit.seal`` crash points and the recovery classification stay in
+:mod:`repro.audit.log` and :mod:`repro.audit.recovery`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Any, Callable, ClassVar
 
 from repro.crypto.hashing import constant_time_equal, hkdf, hmac_sha256
@@ -38,10 +41,12 @@ from repro.faults import hooks as _faults
 UNSUPPORTED_VERSION = "unsupported intent version"
 
 
+@lru_cache(maxsize=16)
 def intent_key(d: int) -> bytes:
     """The intent MAC key of the enclave whose signing scalar is ``d``:
     only the enclave that wrote an intent reads it back, and only it
-    holds ``d`` (an epoch's group key is shared by every enclave)."""
+    holds ``d`` (an epoch's group key is shared by every enclave).
+    Memoised: every seal MACs under it."""
     return hkdf(d.to_bytes(32, "big"), salt=b"LibSEAL intent MAC", info=b"v2")
 
 
@@ -132,7 +137,7 @@ class AuthenticatedIntent:
 
     TAG: ClassVar[bytes]  #: domain-separation prefix of the payload
     MAGIC: ClassVar[bytes]  #: first wire element (format + version)
-    SIDECAR: ClassVar[str]  #: the storage sidecar this intent is kept in
+    SIDECAR: ClassVar[str]  #: the storage sidecar a coordinator keeps it in
     NOUN: ClassVar[str]  #: how error messages name it
     FIELDS: ClassVar[tuple[tuple[str, FieldCodec], ...]]
 
@@ -187,14 +192,14 @@ class AuthenticatedIntent:
 # ----------------------------------------------------------------------
 
 
-def load_valid_intent(
-    storage,
+def valid_intent(
+    blob: bytes,
     intent_type: type[AuthenticatedIntent],
     signing_key,
     owner_id: str,
     still_current: Callable[[Any], bool] = lambda intent: True,
 ):
-    """The stored intent, or None if absent or not to be acted on.
+    """``blob`` as an intent, or None if it is not to be acted on.
 
     Storage is adversarial, so an intent counts only if it parses (in
     the current wire version), carries a tag minted under this enclave's
@@ -203,12 +208,8 @@ def load_valid_intent(
     has long completed, and replaying that would redo a finished change
     against today's state. A rejected intent buys the adversary nothing
     — the worst outcome is that the operator re-issues a genuine
-    in-flight change. This function never clears the sidecar; the
-    caller decides.
+    in-flight change.
     """
-    blob = storage.load_intent(intent_type.SIDECAR)
-    if blob is None:
-        return None
     try:
         intent = intent_type.decode(blob)
         intent.verify(signing_key)
@@ -217,6 +218,22 @@ def load_valid_intent(
     if intent.owner_id != owner_id or not still_current(intent):
         return None
     return intent
+
+
+def load_valid_intent(
+    storage,
+    intent_type: type[AuthenticatedIntent],
+    signing_key,
+    owner_id: str,
+    still_current: Callable[[Any], bool] = lambda intent: True,
+):
+    """The intent in ``intent_type``'s sidecar, or None if absent or not
+    to be acted on (:func:`valid_intent`). This function never clears
+    the sidecar; the caller decides."""
+    blob = storage.load_intent(intent_type.SIDECAR)
+    if blob is None:
+        return None
+    return valid_intent(blob, intent_type, signing_key, owner_id, still_current)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """End-to-end tests for :class:`AuditLog`: append, seal, trim, tamper, roll back."""
 
-import json
-
 import pytest
 
 from repro.audit import AuditLog, RoteCluster
@@ -9,6 +7,7 @@ from repro.audit.persistence import InMemoryStorage, LogStorage
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ecdsa import EcdsaPrivateKey
 from repro.errors import IntegrityError, RollbackError
+from tests.audit.records import decode, encode
 
 SCHEMA = """
 CREATE TABLE updates(time INTEGER, repo TEXT, branch TEXT, cid TEXT, type TEXT);
@@ -46,6 +45,11 @@ def fill(log, n=5):
 
 def load(blob, key, rote):
     return AuditLog.load(blob, SCHEMA, key, key.public_key(), rote, "libseal-log")
+
+
+def doc_of(log, key):
+    """The stored image's document view (tests/audit/records.py)."""
+    return decode(log.storage.load(), key, schema=SCHEMA)
 
 
 class TestAppendQuery:
@@ -101,42 +105,48 @@ class TestLoadAndTamper:
 
     def test_modified_row_detected(self, key, rote, log):
         fill(log)
-        doc = json.loads(log.storage.load())
+        doc = doc_of(log, key)
         doc["payloads"][0][1][3] = "cFORGED"  # change a commit id
         with pytest.raises(IntegrityError):
-            load(json.dumps(doc).encode(), key, rote)
+            load(encode(doc, key), key, rote)
 
     def test_deleted_row_detected(self, key, rote, log):
         fill(log)
-        doc = json.loads(log.storage.load())
+        doc = doc_of(log, key)
         del doc["payloads"][2]
         with pytest.raises(IntegrityError):
-            load(json.dumps(doc).encode(), key, rote)
+            load(encode(doc, key), key, rote)
 
     def test_injected_row_detected(self, key, rote, log):
         fill(log)
-        doc = json.loads(log.storage.load())
+        doc = doc_of(log, key)
         doc["payloads"].append(["updates", [99, "r", "b", "c99", "update"]])
         with pytest.raises(IntegrityError):
-            load(json.dumps(doc).encode(), key, rote)
+            load(encode(doc, key), key, rote)
 
     def test_forged_head_detected(self, key, rote, log):
         fill(log)
-        doc = json.loads(log.storage.load())
-        doc["head"]["counter"] += 1
+        doc = doc_of(log, key)
+        doc["head"]["counter"] += 1  # a forged, re-MAC'd head
         with pytest.raises(IntegrityError):
-            load(json.dumps(doc).encode(), key, rote)
+            load(encode(doc, key), key, rote)
 
     def test_garbage_blob_detected(self, key, rote):
         with pytest.raises(IntegrityError):
             load(b"not json at all", key, rote)
 
+    def test_unforged_edit_fails_the_record_mac(self, key, rote, log):
+        fill(log)
+        blob = log.storage.load().replace(b"c3", b"cX")
+        with pytest.raises(IntegrityError, match="record MAC invalid"):
+            load(blob, key, rote)
+
     def test_missing_head_detected(self, key, rote, log):
         fill(log)
-        doc = json.loads(log.storage.load())
+        doc = doc_of(log, key)
         doc["head"] = None
         with pytest.raises(IntegrityError):
-            load(json.dumps(doc).encode(), key, rote)
+            load(encode(doc, key), key, rote)
 
     def test_rollback_detected(self, key, rote, log):
         # Seal epoch 1, keep the old snapshot, then advance to epoch 2.

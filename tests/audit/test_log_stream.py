@@ -2,13 +2,13 @@
 
 The rows queries see, the rows the hash chain covers and the rows a
 snapshot carries are the same objects, and removal decides survival by
-row identity. So no sequence of appends, trims, range retirements and
-reloads may ever make the three disagree — in particular not values that
+row identity. So no sequence of appends, seals, trims, range
+retirements, reloads and crashes inside a seal (recovered from the
+stored image) may ever make the three disagree — in particular not values that
 column affinity rewrites on insert, exact duplicates, or rows a trimming
 ``UPDATE`` touched, all of which a by-value match loses.
 """
 
-import json
 import os
 from collections import Counter
 
@@ -19,9 +19,13 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.audit import AuditLog, HashChain, RoteCluster, SignedHead
 from repro.audit.log import Watermark
 from repro.audit.persistence import InMemoryStorage
+from repro.audit.recovery import RecoveryOutcome, recover_log
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ecdsa import EcdsaPrivateKey
 from repro.errors import IntegrityError
+from repro import faults
+from repro.faults import FaultEvent, FaultPlan, InjectedCrash
+from tests.audit.records import encode
 
 KEY = EcdsaPrivateKey.generate(HmacDrbg(seed=b"stream-key"))
 
@@ -198,6 +202,13 @@ class TestTrimMatchesByIdentity:
             "log_id": "libseal-log",
             "schema": schema,
             "payloads": [["t", [1, "a", "5"]]],
+            "watermark_state": {
+                "next_row_id": 1,
+                "payload_ids": [0],
+                "trim_generation": 0,
+                "latest_time": 1,
+                "time_monotone": True,
+            },
             "head": {
                 "head_hash": head.head_hash.hex(),
                 "counter": head.counter_value,
@@ -207,8 +218,7 @@ class TestTrimMatchesByIdentity:
         }
         with pytest.raises(IntegrityError, match="signed head does not match"):
             AuditLog.load(
-                json.dumps(doc).encode(), schema, KEY, KEY.public_key(), rote,
-                "libseal-log",
+                encode(doc, KEY), schema, KEY, KEY.public_key(), rote, "libseal-log"
             )
 
 
@@ -227,6 +237,14 @@ u_values = st.tuples(
     st.one_of(st.integers(0, 3), st.sampled_from([0.5, 2.5]), st.just("1.5")),
     st.one_of(st.integers(0, 3), st.sampled_from(["n", "7"]), st.binary(max_size=3)),
 )
+
+#: A crash inside a seal, and how recovery classifies it.
+CRASHES = {
+    "crash_before_intent": RecoveryOutcome.CLEAN_RESUME,
+    "crash_after_intent": RecoveryOutcome.CLEAN_RESUME,
+    "crash_after_increment": RecoveryOutcome.IN_FLIGHT_DISCARDED,
+    "crash_after_save": RecoveryOutcome.CLEAN_RESUME,
+}
 
 TRIMS = [
     "DELETE FROM t WHERE k = 'old'",
@@ -282,6 +300,38 @@ class LogMachine(RuleBasedStateMachine):
     def continue_from_a_reload(self):
         self.seal_if_dirty()
         self.log = reload(self.log)
+
+    @rule()
+    def seal(self):
+        self.log.seal_epoch()
+        self.dirty = False
+
+    @rule(
+        crash=st.sampled_from(sorted(CRASHES)),
+        queries=st.none() | st.lists(st.sampled_from(TRIMS), min_size=1, max_size=2),
+    )
+    def crash_and_recover(self, crash, queries):
+        """A crash inside a seal (a trim's, when ``queries``), then recovery
+        from the stored image: the last completed seal's state, or the
+        crashed seal's once its head landed. (The completed seal first
+        also writes the image whole if the log came from a reload, whose
+        image storage does not hold.)"""
+        self.seal()
+        before = ids_of(self.log)
+        with faults.inject(FaultPlan([FaultEvent("audit.seal", crash)])):
+            with pytest.raises(InjectedCrash):
+                if queries is None:
+                    self.log.seal_epoch()
+                else:
+                    self.log.trim(queries)
+        after = ids_of(self.log)
+        report = recover_log(
+            self.log.storage, self.log.schema_sql, KEY, KEY.public_key(),
+            self.log.rote, self.log.log_id,
+        )
+        assert report.outcome is CRASHES[crash], report.describe()
+        assert ids_of(report.log) == (after if crash == "crash_after_save" else before)
+        self.log = report.log
 
     def seal_if_dirty(self):
         if self.dirty or self.log.signed_head is None:

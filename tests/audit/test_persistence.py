@@ -6,24 +6,27 @@ or the new one, never a torn mixture. This suite drives every injected
 fault kind the ``storage.save`` / ``storage.load`` hook points support,
 at every crash site around the write → fsync → rename → fsync sequence,
 and checks the invariant plus the orphan-``.tmp`` cleanup that a
-restart performs.
+restart performs. A seal's closing append is the same fault site; what it
+can leave behind is at most one torn record at the end of the image
+(every crash state of it: ``tests/audit/test_crash_states.py``).
 """
-
-import os
-import stat
-from pathlib import Path
 
 import pytest
 
-from repro.audit import AuditLog, RoteCluster
-from repro.audit.persistence import SIDECAR_KINDS, InMemoryStorage, LogStorage
+from repro.audit.log import IMAGE_MAGIC, INTENT_RECORD
+from repro.audit.persistence import (
+    SIDECAR_KINDS,
+    InMemoryStorage,
+    LogStorage,
+    split_frames,
+)
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
-from repro.crypto.drbg import HmacDrbg
-from repro.crypto.ecdsa import EcdsaPrivateKey
+from repro.audit import persistence
 from repro.errors import StorageError
 from repro.faults import hooks as _faults
 from repro.faults.plan import FaultEvent, FaultPlan, InjectedCrash
 from repro.sgx.sealing import SigningAuthority
+from tests.audit.crash_states import LOG, DiskModel, record_run
 
 
 @pytest.fixture
@@ -98,7 +101,6 @@ class TestSaveCrashMatrix:
         store.path = target
         store.flush_count = 0
         store.bytes_written = 0
-        store.total_latency_ms = 0.0
         store.orphans_cleaned = []
         with pytest.raises(StorageError, match="cannot write"):
             store.save(NEW)
@@ -116,6 +118,62 @@ class TestSaveCrashMatrix:
         store.save(NEW)
         assert store.load() == NEW
         assert not store._tmp_path.exists()
+
+
+class TestAppendCrashMatrix:
+    """The seal-closing append (``seals=True``) under each fault kind."""
+
+    RECORD = b"head-record-bytes"
+
+    @pytest.mark.parametrize(
+        "kind, lands",
+        [
+            ("torn_write", "prefix"),
+            ("crash_before_replace", "all"),  # written, never fsynced
+            ("crash_after_replace", "all"),
+            ("corrupt_then_crash", "corrupted"),
+        ],
+    )
+    def test_crash_leaves_at_most_one_record(self, store, kind, lands):
+        store.save(OLD)
+        with _faults.inject(crash_plan("storage.save", kind)):
+            with pytest.raises(InjectedCrash):
+                store.append(self.RECORD, seals=True)
+        on_disk = store.load()
+        assert on_disk.startswith(OLD)
+        tail = on_disk[len(OLD) :]
+        if lands == "prefix":
+            assert 0 < len(tail) < len(self.RECORD) and self.RECORD.startswith(tail)
+        elif lands == "all":
+            assert tail == self.RECORD
+        else:
+            assert len(tail) == len(self.RECORD) and tail != self.RECORD
+
+    def test_io_error_writes_nothing(self, store):
+        store.save(OLD)
+        with _faults.inject(crash_plan("storage.save", "io_error")):
+            with pytest.raises(StorageError, match="injected I/O error"):
+                store.append(self.RECORD, seals=True)
+        assert store.load() == OLD
+
+    def test_write_ahead_append_is_no_fault_site(self, store):
+        store.save(OLD)
+        with _faults.inject(crash_plan("storage.save", "io_error")) as injector:
+            store.append(self.RECORD)
+        assert not injector.fired
+        assert store.load() == OLD + self.RECORD
+
+    def test_failed_append_is_truncated_back(self, store, monkeypatch):
+        store.save(OLD)
+
+        def failing_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(persistence.fs, "fsync", failing_fsync)
+        with pytest.raises(StorageError, match="cannot append"):
+            store.append(self.RECORD)
+        monkeypatch.undo()
+        assert store.load() == OLD
 
 
 class TestOrphanCleanup:
@@ -143,11 +201,11 @@ class TestOrphanCleanup:
         path = tmp_path / "audit.log"
         first = LogStorage(path)
         first.save(OLD)
-        first.save_intent(b"intent", "intent")
+        first.save_intent(b"rotation", "rotation")
         first.save_intent(b"membership", "membership")
         second = LogStorage(path)
         assert second.orphans_cleaned == []
-        assert second.load_intent("intent") == b"intent"
+        assert second.load_intent("rotation") == b"rotation"
         assert second.load_intent("membership") == b"membership"
 
 
@@ -187,8 +245,8 @@ class TestLoadFaults:
 
 
 class SidecarContract:
-    """The write-ahead sidecar contract, one kind per protocol (seal
-    intent, rotation, membership), that every storage class honours.
+    """The write-ahead sidecar contract, one kind per coordinator
+    (rotation, membership), that every storage class honours.
     Subclasses supply the ``store`` fixture and :meth:`reopen`."""
 
     def reopen(self, store):
@@ -211,7 +269,6 @@ class SidecarContract:
             store.save_intent(kind.encode(), kind)
         store.clear_intent("rotation")
         assert {kind: store.load_intent(kind) for kind in SIDECAR_KINDS} == {
-            "intent": b"intent",
             "rotation": None,
             "membership": b"membership",
         }
@@ -264,7 +321,7 @@ class TestSealedSidecars(SidecarContract):
 
     @pytest.mark.parametrize("kind", SIDECAR_KINDS)
     def test_sidecar_passes_through_unencrypted(self, store, kind):
-        # Intents are authenticated public artifacts; only snapshots are sealed.
+        # Intents are authenticated public artifacts; only the image is sealed.
         store.save_intent(b"wal-entry", kind)
         assert store.inner.load_intent(kind) == b"wal-entry"
         store.save(OLD)
@@ -272,75 +329,33 @@ class TestSealedSidecars(SidecarContract):
 
 
 class TestSidecarEntryDurability:
-    """Under the power-loss model (a new or removed directory entry is
-    durable only once its directory is fsynced), the seal intent must be
-    durable — contents *and* entry — before the ROTE counter moves, or a
-    benign crash right after the increment reads as a rollback."""
+    """Under the power-loss model (a new or replaced directory entry is
+    durable only once its directory is fsynced; an unsynced write may be
+    lost), the seal's intent record must be durable — the image's entry
+    *and* the record — before the ROTE counter moves, or a benign crash
+    right after the increment reads as a rollback. Checked on every call
+    the storage seam records (``tests/audit/crash_states.py``)."""
 
-    def test_intent_entry_is_durable_before_every_increment(
-        self, tmp_path, monkeypatch
-    ):
-        ops = []  # the recorded os.open/fsync/replace/unlink sequence
-        durable: set[str] = set()  # entries listed at the last dir fsync
-        changed: set[str] = set()  # entries created/replaced/removed since
-        names = ("open", "fsync", "replace", "unlink")
-        real = {name: getattr(os, name) for name in names}
-
-        def recorded_open(path, flags, *args, **kwargs):
-            if flags & os.O_CREAT and not os.path.exists(path):
-                changed.add(Path(path).name)
-            ops.append(("open", Path(path).name))
-            return real["open"](path, flags, *args, **kwargs)
-
-        def recorded_fsync(fd):
-            real["fsync"](fd)
-            if stat.S_ISDIR(os.fstat(fd).st_mode):
-                ops.append(("fsync-dir",))
-                durable.clear()
-                durable.update(os.listdir(tmp_path))
-                changed.clear()
-            else:
-                ops.append(("fsync",))
-
-        def recorded_replace(src, dst, *args, **kwargs):
-            real["replace"](src, dst, *args, **kwargs)
-            ops.append(("replace", Path(dst).name))
-            changed.update({Path(src).name, Path(dst).name})
-
-        def recorded_unlink(path, *args, **kwargs):
-            real["unlink"](path, *args, **kwargs)
-            ops.append(("unlink", Path(path).name))
-            changed.add(Path(path).name)
-
-        for name, wrapper in (
-            ("open", recorded_open),
-            ("fsync", recorded_fsync),
-            ("replace", recorded_replace),
-            ("unlink", recorded_unlink),
-        ):
-            monkeypatch.setattr(os, name, wrapper)
-
-        rote = RoteCluster(f=1)
-        key = EcdsaPrivateKey.generate(HmacDrbg(seed=b"sidecar-durability"))
-        storage = LogStorage(tmp_path / "log.bin")
-        log = AuditLog("CREATE TABLE t(time INTEGER)", key, rote, storage=storage)
-        real_increment = rote.increment
-        increments = []
-
-        def checked_increment(log_id):
-            sidecar = "log.bin.intent"
-            assert sidecar in durable and sidecar not in changed, (
-                f"increment {len(increments) + 1}: intent entry not durable; "
-                f"ops so far {ops}"
-            )
-            increments.append(log_id)
-            return real_increment(log_id)
-
-        monkeypatch.setattr(rote, "increment", checked_increment)
-        for time in range(4):
-            log.append("t", (time,))
-            log.seal_epoch()
-        assert len(increments) == 4
+    def test_intent_entry_is_durable_before_every_increment(self, tmp_path):
+        ops = record_run(tmp_path)
+        model = DiskModel()
+        increments = 0
+        for op in ops:
+            if op[0] == "increment":
+                increments += 1
+                # The first seal has no image to append to: it writes
+                # the image whole, and a crash before that is NO_SNAPSHOT.
+                if increments > 1:
+                    image = model.settled(LOG)
+                    assert image is not None, (
+                        f"increment {increments}: image entry or bytes not durable"
+                    )
+                    last = split_frames(image, len(IMAGE_MAGIC))[0][-1]
+                    assert last[:1] == INTENT_RECORD, (
+                        f"increment {increments}: no durable intent record"
+                    )
+            model.apply(op)
+        assert increments >= 6
 
 
 class TestInMemoryParity:

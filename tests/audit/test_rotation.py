@@ -226,7 +226,7 @@ class TestStaleReplica:
         self._strand(stack)
         stack.coordinator.rotate("scheduled")
         clone = InMemoryStorage()
-        clone._blob = stack.inner._blob
+        clone.save(stack.inner.load())
         clone._sidecars = dict(stack.inner._sidecars)
         report = recover_log(
             SealedLogStorage(clone, stack.log_enclave),
@@ -248,7 +248,7 @@ class TestStaleReplica:
         # strands (replicas leave nothing on disk).
         assert stranded_blobs(stack.authority, stack.inner) == [("log", 1)]
         clone = InMemoryStorage()
-        clone._blob = stack.inner._blob  # still sealed under epoch 1
+        clone.save(stack.inner.load())  # still sealed under epoch 1
         report = recover_log(
             SealedLogStorage(clone, stack.log_enclave),
             stack.libseal.ssm.schema_sql,

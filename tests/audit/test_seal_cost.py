@@ -1,4 +1,4 @@
-"""What one epoch seal costs: one ECDSA signature, three disk fsyncs.
+"""What one epoch seal costs: one ECDSA signature, two disk fsyncs.
 
 The write-ahead seal intent is authenticated by an HMAC
 (:mod:`repro.audit.wal`), so the signed head is the only signature a
@@ -7,10 +7,13 @@ every storage class and on every path that seals: a closing group-seal
 window, a trim's re-seal, and the re-seal that closes an
 ``IN_FLIGHT_DISCARDED`` counter gap.
 
-A steady-state disk seal fsyncs the intent sidecar, the snapshot's tmp
-file and the directory after the snapshot rename; the very first seal
-of a storage handle also fsyncs the directory once for the sidecar's new
-entry.
+A steady-state disk seal appends two records to the log image and
+fsyncs each: the intent record before the increment, the head record
+after the signature — no rename, no directory fsync. The first seal of a
+log writes the whole image (the tmp file's fsync and the directory's after
+the rename), and so does a compaction (a trim), after appending its
+intent record: three fsyncs. The bytes a steady seal writes are those of
+the tuples it covers, not of the log, so they stay flat as the log grows.
 
 The ROTE increment inside a seal costs the replicas nothing of the kind:
 they keep their counters in enclave memory, so accepting a value is no
@@ -136,7 +139,55 @@ def test_disk_seal_fsyncs(tmp_path, key, monkeypatch):
         before = fsyncs[0]
         append_and_seal(log, 1, start=index)
         per_seal.append(fsyncs[0] - before)
-    assert per_seal == [4, 3, 3, 3, 3]
+    assert per_seal == [2, 2, 2, 2, 2]
+    before = fsyncs[0]
+    log.trim(["DELETE FROM updates WHERE time < 2"])
+    assert fsyncs[0] - before == 3  # intent append, tmp file, directory
+    before = fsyncs[0]
+    append_and_seal(log, 1, start=5)
+    assert fsyncs[0] - before == 2
+
+
+def test_steady_seal_bytes_stay_flat_as_the_log_grows(tmp_path, key):
+    storage = LogStorage(tmp_path / "log.bin")
+    log = AuditLog(SCHEMA, key, RoteCluster(f=1), storage=storage)
+
+    def bytes_of_one_seal(index):
+        before = storage.bytes_written
+        append_and_seal(log, 1, start=index)
+        return storage.bytes_written - before
+
+    append_and_seal(log, 10)
+    small = bytes_of_one_seal(10)
+    append_and_seal(log, 90, start=11)
+    assert storage.size_bytes() > 9 * 10 * small
+    assert bytes_of_one_seal(101) <= small + 8  # wider decimal ids, no more
+
+
+def test_an_image_rewritten_behind_the_handle_is_re_read(tmp_path, key):
+    """What the wall harness's negative control does: take the image, let
+    the log grow, write the old image back through the file, and recover
+    through the *same* storage handle. Nothing about the file is cached:
+    the rollback is seen, and once the live image is restored, the next
+    append lands after it."""
+    rote = RoteCluster(f=1)
+    storage = LogStorage(tmp_path / "log.bin")
+    log = AuditLog(SCHEMA, key, rote, storage=storage)
+    append_and_seal(log, 2)
+    stale = storage.load()
+    append_and_seal(log, 2, start=2)
+    live = storage.load()
+    storage.path.write_bytes(stale)
+    report = recover_log(storage, SCHEMA, key, key.public_key(), rote)
+    assert report.outcome is RecoveryOutcome.ROLLBACK_DETECTED
+    storage.path.write_bytes(live)
+    report = recover_log(storage, SCHEMA, key, key.public_key(), rote)
+    assert report.outcome is RecoveryOutcome.CLEAN_RESUME
+    append_and_seal(report.log, 1, start=4)
+    assert storage.load().startswith(live)
+    again = recover_log(storage, SCHEMA, key, key.public_key(), rote)
+    assert again.outcome is RecoveryOutcome.CLEAN_RESUME
+    assert again.entries == 5
 
 
 def test_accepted_increment_costs_replicas_no_ecall_and_no_seal(monkeypatch):

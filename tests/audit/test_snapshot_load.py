@@ -8,7 +8,6 @@ must not grow with the log (SQL statements) or must equal it exactly
 loaded tables, their sorted hints and the log's clock must equal.
 """
 
-import json
 import random
 
 import pytest
@@ -20,6 +19,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ecdsa import EcdsaPrivateKey
 from repro.errors import IntegrityError
 from repro.sealdb import Database
+from tests.audit.records import decode, encode
 
 KEY = EcdsaPrivateKey.generate(HmacDrbg(seed=b"snapshot-load"))
 
@@ -131,14 +131,14 @@ class TestOnePass:
 
     def test_duplicate_primary_key_fails_closed(self, n):
         log = sealed_log(n)
-        doc = json.loads(log.storage.load())
+        doc = decode(log.storage.load(), KEY, log.log_id, SCHEMA)
         first_p = next(entry for entry in doc["payloads"] if entry[0] == "p")
         doc["payloads"].append(first_p)
         state = doc["watermark_state"]
         state["payload_ids"].append(state["next_row_id"])
         state["next_row_id"] += 1
         with pytest.raises(IntegrityError, match="PRIMARY KEY"):
-            load(log, json.dumps(doc).encode())
+            load(log, encode(doc, KEY))  # a forged, re-MAC'd image
 
 
 class TestRecoverBuildsOnce:

@@ -1,24 +1,46 @@
 """Snapshot tamper matrix: every edit a storage provider can make fails closed.
 
-An audit-log snapshot on untrusted storage is adversary-controlled JSON.
-This matrix edits each field of a sealed snapshot — identity (log id,
-schema), each payload's table, arity, value types and order, the
-watermark bookkeeping, every signed-head field, and the encoding itself —
-and asserts that :func:`recover_log` *classifies* the result as a
-detection (never raises, never resumes) and that :meth:`LibSeal.recover`
-refuses to hand back a running instance.
+An audit-log image on untrusted storage is adversary-controlled bytes:
+framed records, each MAC'd over its predecessor's MAC. Two matrices run
+here. The *byte* matrix flips one byte in every complete record and cuts
+the image at every record boundary and inside every record, and wants
+each result classified — a flip is ``TAMPER_DETECTED``; a cut is a torn
+tail, whose outcome depends on what it removed (an older head is a
+rollback, a cut into the final head the documented last-epoch
+ambiguity) — never an exception. The *field* matrix goes behind the
+MACs: holding the key, it forges images whose records all verify but
+whose fields were edited — identity (log id, schema), each payload's
+table, arity, value types and order, the watermark bookkeeping, every
+signed-head field — and asserts that :func:`recover_log` *classifies* the
+result as a detection (never raises, never resumes) and that
+:meth:`LibSeal.recover` refuses to hand back a running instance.
 
-Not every byte is meaningful. Two kinds of edit are harmless and are
-pinned as such at the bottom: a value the column affinity coerces back to
-the sealed row, and watermark bookkeeping that cannot launder a tuple (a
-restarted checker always begins with a full scan).
+Not every byte behind the MACs is meaningful. Two kinds of edit are
+harmless and are pinned as such at the bottom: a value the column
+affinity coerces back to the sealed row, and watermark bookkeeping that
+cannot launder a tuple (a restarted checker always begins with a full
+scan).
+
+``PARENT_JSON_SNAPSHOT`` is a snapshot in the JSON format the record
+image replaced, kept as a refusal vector. It was captured from a tree
+that still wrote that format (commit 1f242a8), at its root, with::
+
+    PYTHONPATH=src:. python -c "
+    from repro.audit.persistence import InMemoryStorage
+    from repro.core import LibSeal
+    from repro.http import HttpRequest, HttpResponse
+    from tests.audit.test_snapshot_tamper import BodySSM
+    libseal = LibSeal(BodySSM(), storage=InMemoryStorage())
+    libseal.log_pair(HttpRequest('POST', '/p/0'), HttpResponse(200))
+    print(libseal.storage.load())"
 """
 
 import copy
-import json
 
 import pytest
 
+from repro.audit.hashchain import RotationIntent, SealIntent
+from repro.audit.log import INTENT_RECORD, UNSUPPORTED_SNAPSHOT
 from repro.audit.persistence import InMemoryStorage
 from repro.audit.recovery import RecoveryOutcome, recover_log
 from repro.core import LibSeal
@@ -26,9 +48,25 @@ from repro.http import HttpRequest, HttpResponse
 from repro.ssm import GitSSM
 from repro.ssm.base import ServiceSpecificModule
 from repro.workloads import GitReplayWorkload
+from tests.audit.records import (
+    decode,
+    encode,
+    image,
+    intent_content,
+    record_spans,
+    records,
+)
 
 TAMPER = RecoveryOutcome.TAMPER_DETECTED
 ROLLBACK = RecoveryOutcome.ROLLBACK_DETECTED
+#: How recovery may classify a cut or flipped image; anything else (or an
+#: exception) fails the byte matrix.
+CLASSIFIED = {
+    TAMPER,
+    ROLLBACK,
+    RecoveryOutcome.IN_FLIGHT_DISCARDED,
+    RecoveryOutcome.TORN_TAIL_TRUNCATED,
+}
 
 
 class BodySSM(ServiceSpecificModule):
@@ -50,8 +88,18 @@ def drive(libseal, start, count):
         libseal.log_pair(request, HttpResponse(200))
 
 
-@pytest.fixture(scope="module")
-def sealed():
+PARENT_JSON_SNAPSHOT = (
+    b'{"log_id": "libseal-log", "schema": "CREATE TABLE pairs(time INTEGER, path'
+    b' TEXT, body)", "payloads": [["pairs", [1, "/p/0", null]]], "watermark_state":'
+    b' {"next_row_id": 1, "payload_ids": [0], "trim_generation": 0, "latest_time":'
+    b' 1, "time_monotone": true}, "head": {"head_hash": "6deb0e96710bcdf110dd00ede8'
+    b'2572a47a6252b2b47e367dc8622f0795806f30", "counter": 1, "count": 1, "signatur'
+    b'e": "c016563a82b630178926c7f902e5437bd53a5fa0efdfa6e941736515c7ef951c67f4aeb'
+    b'bd0153eb2147adae198b1e9db5b54db8b63500f4affb06080d83e4d27"}}'
+)
+
+
+def six_pairs():
     """A six-pair log sealed per pair, plus its snapshot after pair three."""
     libseal = LibSeal(BodySSM(), storage=InMemoryStorage())
     drive(libseal, 0, 3)
@@ -60,10 +108,23 @@ def sealed():
     return libseal, older, libseal.storage.load()
 
 
-def restart(libseal, blob):
-    """Serve ``blob`` to both recovery entry points; return the report."""
+@pytest.fixture(scope="module")
+def sealed():
+    """:func:`six_pairs`, shared by the tests that cannot move its counter."""
+    return six_pairs()
+
+
+def restart(libseal, blob, once=False):
+    """Serve ``blob`` to both recovery entry points; return the report.
+
+    ``once``: only to :meth:`LibSeal.recover` — an in-flight re-seal moves
+    the counter, so a second recovery would classify another state."""
     storage = InMemoryStorage()
     storage.save(blob)
+    if once:
+        return LibSeal.recover(
+            BodySSM(), storage, signing_key=libseal.signing_key, rote=libseal.rote
+        )
     report = recover_log(
         storage,
         libseal.ssm.schema_sql,
@@ -79,10 +140,13 @@ def restart(libseal, blob):
     return recovered, report
 
 
-def edited(blob, edit):
-    doc = json.loads(blob)
+def edited(libseal, blob, edit):
+    """``blob`` with ``edit`` applied to its document view, every record
+    re-MAC'd (a forgery only the enclave's key can make)."""
+    key = libseal.signing_key
+    doc = decode(blob, key, libseal.config.log_id, libseal.ssm.schema_sql)
     edit(doc)
-    return json.dumps(doc).encode()
+    return encode(doc, key)
 
 
 def payload(doc, index):
@@ -210,7 +274,7 @@ class TestTamperMatrix:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_field_edit_is_detected(self, sealed, name):
         libseal, _, current = sealed
-        recovered, report = restart(libseal, edited(current, CASES[name]))
+        recovered, report = restart(libseal, edited(libseal, current, CASES[name]))
         assert report.outcome is TAMPER, report.describe()
         assert recovered is None and report.log is None
 
@@ -227,10 +291,21 @@ class TestTamperMatrix:
 
     @pytest.mark.parametrize("keep", [0.5, 0.99])
     def test_truncated_snapshot_is_detected(self, sealed, keep):
-        libseal, _, current = sealed
-        recovered, report = restart(libseal, current[: int(len(current) * keep)])
-        assert report.outcome is TAMPER
-        assert recovered is None
+        # A cut is a torn tail; what it removed decides. Half the image
+        # loses signed heads the counter covers: a rollback. A cut into
+        # the final head leaves its intent record: the last-epoch
+        # ambiguity (recovery.py), resumed on the previous head.
+        # The ambiguity's re-seal moves the counter: a log of its own.
+        libseal, _, current = sealed if keep == 0.5 else six_pairs()
+        recovered, report = restart(
+            libseal, current[: int(len(current) * keep)], once=keep != 0.5
+        )
+        if keep == 0.5:
+            assert report.outcome is ROLLBACK
+            assert recovered is None
+        else:
+            assert report.outcome is RecoveryOutcome.IN_FLIGHT_DISCARDED
+            assert report.entries == len(libseal.audit_log.chain) - 1
 
     def test_older_signed_snapshot_is_a_rollback(self, sealed):
         # The counter lowered the only way storage can lower it: by serving
@@ -242,8 +317,12 @@ class TestTamperMatrix:
 
     def test_older_head_on_current_payloads_is_detected(self, sealed):
         libseal, older, current = sealed
-        head = json.loads(older)["head"]
-        recovered, report = restart(libseal, edited(current, setitem(["head"], head)))
+        head = decode(
+            older, libseal.signing_key, libseal.config.log_id, libseal.ssm.schema_sql
+        )["head"]
+        recovered, report = restart(
+            libseal, edited(libseal, current, setitem(["head"], head))
+        )
         assert report.outcome is TAMPER
         assert recovered is None
 
@@ -252,6 +331,101 @@ class TestTamperMatrix:
         recovered, report = restart(libseal, current)
         assert report.outcome is RecoveryOutcome.CLEAN_RESUME
         assert list(recovered.audit_log.tuples()) == list(libseal.audit_log.tuples())
+
+
+class TestByteMatrix:
+    """Raw edits, no forging: a one-byte flip in every complete record, a
+    cut at every record boundary and inside every record."""
+
+    @staticmethod
+    def spans():
+        _, _, current = six_pairs()
+        return record_spans(current)
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_flipped_byte_in_every_record_is_tamper(self, sealed, index):
+        libseal, _, current = sealed
+        start, end = record_spans(current)[index]
+        for offset in (start, start + 4, start + 8, (start + end) // 2, end - 1):
+            blob = bytearray(current)
+            blob[offset] ^= 0x01
+            recovered, report = restart(libseal, bytes(blob))
+            assert report.outcome is TAMPER, (offset, report.describe())
+            assert recovered is None
+
+    @pytest.mark.parametrize("index", range(12))
+    @pytest.mark.parametrize("where", ["boundary", "inside"])
+    def test_cut_is_classified(self, index, where):
+        # Each case gets its own log: an in-flight re-seal moves the counter.
+        libseal, _, current = six_pairs()
+        start, end = record_spans(current)[index]
+        cut = start if where == "boundary" else (start + end) // 2
+        recovered, report = restart(libseal, current[:cut], once=True)
+        assert report.outcome in CLASSIFIED, report.describe()
+        # An image without a complete head was never written (the first
+        # seal replaces the image whole). A cut reaching back past a head
+        # the counter covers is a rollback; only cutting into the final
+        # head (record 11) or exactly at its start leaves the last-epoch
+        # ambiguity.
+        if index < 2:
+            assert report.outcome is TAMPER, report.describe()
+        elif index < 11:
+            assert report.outcome is ROLLBACK, report.describe()
+        else:
+            assert report.outcome is RecoveryOutcome.IN_FLIGHT_DISCARDED
+            assert recovered is not None
+
+    def test_torn_tail_after_a_head_is_cut_and_resumed(self):
+        libseal, _, current = six_pairs()
+        start, end = record_spans(current)[-1]
+        recovered, report = restart(libseal, current + current[start : end - 9], once=True)
+        assert report.outcome is RecoveryOutcome.TORN_TAIL_TRUNCATED
+        assert report.entries == len(libseal.audit_log.chain)
+        assert recovered.storage.load() == current  # cut off before appending
+
+    def test_parent_json_snapshot_is_refused_with_a_stable_reason(self, sealed):
+        libseal, _, _ = sealed
+        recovered, report = restart(libseal, PARENT_JSON_SNAPSHOT)
+        assert report.outcome is TAMPER
+        assert UNSUPPORTED_SNAPSHOT in report.detail
+        assert recovered is None
+
+
+class TestInFlightIntentRecord:
+    """The trailing intent record is what turns a counter gap of one into
+    ``IN_FLIGHT_DISCARDED``; a forged one (MAC-valid, so only the key
+    could write it) whose seal intent does not verify reads as absent."""
+
+    def gap_of_one(self, wire=None):
+        libseal, _, current = six_pairs()
+        key = libseal.signing_key
+        schema = libseal.ssm.schema_sql
+        recs = records(current, key, schema=schema)
+        if wire is not None:
+            recs[-2] = (INTENT_RECORD, intent_content(wire, [], []))
+        return libseal, image(recs[:-1], key, schema=schema)  # no final head
+
+    def test_genuine_intent_explains_the_gap(self):
+        libseal, blob = self.gap_of_one()
+        recovered, report = restart(libseal, blob, once=True)
+        assert report.outcome is RecoveryOutcome.IN_FLIGHT_DISCARDED
+        assert report.intent_found and report.resealed
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda key: SealIntent.seal(key, "another-log", bytes(32), 5).encode(),
+            lambda key: SealIntent.seal(key, "libseal-log", bytes(32), 5).encode()[:-2],
+            lambda key: RotationIntent.seal(key, "libseal-log", 1, 2, "x").encode(),
+            lambda key: b"INTENT1\x00libseal-log",
+        ],
+        ids=["foreign-log", "tag-cut", "rotation-intent", "v1"],
+    )
+    def test_invalid_intent_is_a_rollback(self, forge):
+        libseal, blob = self.gap_of_one(forge(LibSeal(BodySSM()).signing_key))
+        recovered, report = restart(libseal, blob)
+        assert report.outcome is ROLLBACK
+        assert not report.intent_found and recovered is None
 
 
 class TestSignedHeadFields:
@@ -266,7 +440,7 @@ class TestSignedHeadFields:
     def test_malformed_field_is_classified(self, sealed, field, value):
         libseal, _, current = sealed
         recovered, report = restart(
-            libseal, edited(current, setitem(["head", field], value))
+            libseal, edited(libseal, current, setitem(["head", field], value))
         )
         assert report.outcome is TAMPER
         assert "64-bit" in report.detail
@@ -274,7 +448,7 @@ class TestSignedHeadFields:
 
     def test_boolean_counter_is_not_an_integer(self, sealed):
         libseal, _, current = sealed
-        blob = edited(current, setitem(["head", "counter"], True))
+        blob = edited(libseal, current, setitem(["head", "counter"], True))
         report = restart(libseal, blob)[1]
         assert report.outcome is TAMPER
 
@@ -293,13 +467,22 @@ class TestStoredSchemaIsNotExecuted:
             "VIOLATIONS completeness=1"
         )
         # The provider neuters the branchcnt view the completeness
-        # invariant reads, leaving payloads and signed head untouched.
-        doc = json.loads(libseal.storage.load())
-        assert "WHERE u.type != 'delete'" in doc["schema"]
-        doc["schema"] = doc["schema"].replace(
-            "WHERE u.type != 'delete'", "WHERE 0 AND u.type != 'delete'"
+        # invariant reads, leaving payloads and signed head untouched —
+        # even re-MAC'ing every record under the neutered schema.
+        schema = libseal.ssm.schema_sql
+        assert "WHERE u.type != 'delete'" in schema
+        libseal.storage.save(
+            edited(
+                libseal,
+                libseal.storage.load(),
+                setitem(
+                    ["schema"],
+                    schema.replace(
+                        "WHERE u.type != 'delete'", "WHERE 0 AND u.type != 'delete'"
+                    ),
+                ),
+            )
         )
-        libseal.storage.save(json.dumps(doc).encode())
         recovered, report = LibSeal.recover(
             GitSSM(),
             libseal.storage,
@@ -308,7 +491,7 @@ class TestStoredSchemaIsNotExecuted:
         )
         assert recovered is None
         assert report.outcome is TAMPER
-        assert report.detail == "snapshot schema differs from the service's"
+        assert report.detail == "audit log record MAC invalid"
 
 
 class TestHarmlessEdits:
@@ -321,7 +504,7 @@ class TestHarmlessEdits:
             values = payload(doc, 1)[1]
             values[0] = str(values[0])
 
-        recovered, report = restart(libseal, edited(current, time_as_text))
+        recovered, report = restart(libseal, edited(libseal, current, time_as_text))
         assert report.outcome is RecoveryOutcome.CLEAN_RESUME
         assert list(recovered.audit_log.tuples()) == list(libseal.audit_log.tuples())
 
@@ -329,7 +512,7 @@ class TestHarmlessEdits:
         libseal, _, current = sealed
         recovered, report = restart(
             libseal,
-            edited(current, setitem(["watermark_state", "latest_time"], -5)),
+            edited(libseal, current, setitem(["watermark_state", "latest_time"], -5)),
         )
         assert report.outcome is RecoveryOutcome.CLEAN_RESUME
         assert recovered.audit_log.latest_time == libseal.audit_log.latest_time

@@ -7,8 +7,6 @@ watermark; a trim invalidates every outstanding watermark (generation
 bump) so a checker can never silently skip rows it has not seen.
 """
 
-import json
-
 import pytest
 
 from repro.audit import AuditLog, RoteCluster
@@ -19,6 +17,7 @@ from repro.crypto.ecdsa import EcdsaPrivateKey
 from repro.errors import IntegrityError
 from repro.ssm import DropboxSSM, GitSSM
 from repro.workloads import DropboxOpsWorkload, GitReplayWorkload
+from tests.audit.records import decode, encode
 
 SCHEMA = """
 CREATE TABLE updates(time INTEGER, repo TEXT, branch TEXT, cid TEXT, type TEXT);
@@ -116,18 +115,19 @@ class TestWatermarkPersistence:
         log = make_log(key, rote, storage)
         append_n(log, 6)
         log.trim(["DELETE FROM updates WHERE time > 3"])
-        doc = json.loads(log.serialize().decode())
+        doc = decode(log.serialize(), key, log.log_id, SCHEMA)
         # A trim removed the latest rows: the stored clock stays ahead.
         assert doc["watermark_state"]["latest_time"] == 5
         loaded = AuditLog.load(
-            json.dumps(doc).encode(), SCHEMA, key, key.public_key(), rote, log.log_id
+            encode(doc, key), SCHEMA, key, key.public_key(), rote, log.log_id
         )
         assert loaded.latest_time == 5
-        # The field is outside the signature; lowering it must not rewind
-        # the clock below what the chained tuples prove.
+        # The field is outside the signature; lowering it (in a record
+        # re-MAC'd with the key) must not rewind the clock below what the
+        # chained tuples prove.
         doc["watermark_state"]["latest_time"] = 0
         loaded = AuditLog.load(
-            json.dumps(doc).encode(), SCHEMA, key, key.public_key(), rote, log.log_id
+            encode(doc, key), SCHEMA, key, key.public_key(), rote, log.log_id
         )
         assert loaded.latest_time == 3
 
@@ -136,9 +136,9 @@ class TestWatermarkPersistence:
         log = make_log(key, rote, storage)
         append_n(log, 3)
         log.seal_epoch()
-        doc = json.loads(log.serialize().decode())
+        doc = decode(log.serialize(), key, log.log_id, SCHEMA)
         doc["watermark_state"]["payload_ids"] = [0, 0, 1]  # not increasing
-        blob = json.dumps(doc).encode()
+        blob = encode(doc, key)
         with pytest.raises(IntegrityError):
             AuditLog.load(
                 blob, SCHEMA, key, key.public_key(), rote, log.log_id, storage=storage

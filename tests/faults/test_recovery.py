@@ -7,7 +7,8 @@ import pytest
 
 from repro import faults
 from repro.audit import AuditLog, RoteCluster, SealIntent
-from repro.audit.persistence import InMemoryStorage, LogStorage
+from repro.audit.log import HEAD_RECORD, INTENT_RECORD
+from repro.audit.persistence import InMemoryStorage, LogStorage, frame
 from repro.audit.recovery import DETECTED_OUTCOMES, RecoveryOutcome, recover_log
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 from repro.core import LibSeal, LibSealConfig
@@ -24,6 +25,13 @@ from repro.sgx.sealing import SigningAuthority
 from repro.ssm.base import ServiceSpecificModule
 from repro.ssm.messaging import MessagingSSM
 from repro.workloads.messaging_traffic import MessagingWorkload
+from tests.audit.records import (
+    image,
+    intent_content,
+    intent_parts,
+    record_spans,
+    records,
+)
 from tests.audit.test_wal import v1_wire
 from tests.quorum_outage import cut_off, reconnect
 
@@ -37,6 +45,11 @@ def key():
 
 def make_log(storage, key, rote):
     return AuditLog(SCHEMA, key, rote, storage=storage)
+
+
+def last_record(path, key):
+    """The kind of the last record of the image at ``path``."""
+    return records(path.read_bytes(), key, schema=SCHEMA)[-1][0]
 
 
 def seal_epochs(log, count, start=0):
@@ -90,16 +103,17 @@ class TestRecoveryOutcomes:
         with pytest.raises(InjectedCrash):
             with faults.inject(plan):
                 seal_epochs(log, 1, start=2)
-        # Counter advanced to 3, snapshot still holds epoch 2, intent durable.
+        # Counter advanced to 3, the image's last head is epoch 2's and an
+        # intent record follows it.
         storage = LogStorage(path)
-        assert storage.load_intent("intent") is not None
+        assert last_record(path, key) == INTENT_RECORD
         report = recover_log(storage, SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.IN_FLIGHT_DISCARDED
         assert report.intent_found
         assert report.resealed
-        # The closing re-seal caught the counter up and cleared the intent.
+        # The closing re-seal caught the counter up with a head of its own.
         assert report.counter == rote.retrieve("libseal-log")
-        assert storage.load_intent("intent") is None
+        assert last_record(path, key) == HEAD_RECORD
         assert report.entries == 2  # the unacknowledged pair is discarded
         report.log.verify(key.public_key())
 
@@ -151,10 +165,11 @@ class TestRecoveryOutcomes:
                 FaultPlan([FaultEvent("audit.seal", "crash_after_increment")])
             ):
                 seal_epochs(log, 1, start=1)
-        # An adversary suppressing the intent file cannot turn the gap
+        # An adversary cutting the intent record off cannot turn the gap
         # into a silent resume: without the exculpatory evidence the
         # conservative classification is rollback.
-        path.with_suffix(".bin.intent").unlink()
+        path.write_bytes(path.read_bytes()[: record_spans(path.read_bytes())[-1][0]])
+        assert last_record(path, key) == HEAD_RECORD
         report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.ROLLBACK_DETECTED
 
@@ -168,14 +183,20 @@ class TestRecoveryOutcomes:
                 FaultPlan([FaultEvent("audit.seal", "crash_after_increment")])
             ):
                 seal_epochs(log, 1, start=1)
-        path.with_suffix(".bin.intent").write_bytes(b"INTENT2\x00forged")
+        # A forged intent record carries no valid record MAC: the image is
+        # refused outright, and nothing resumes on it.
+        blob = path.read_bytes()
+        start = record_spans(blob)[-1][0]
+        forged = frame(INTENT_RECORD + b"INTENT2\x00forged" + bytes(32))
+        path.write_bytes(blob[:start] + forged)
         report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
-        assert report.outcome is RecoveryOutcome.ROLLBACK_DETECTED
+        assert report.outcome is RecoveryOutcome.TAMPER_DETECTED
+        assert report.detected and report.log is None
 
     def test_counter_gap_with_v1_intent_is_rollback(self, tmp_path, key):
-        """The one-time cost of upgrading across an in-flight seal: the
-        version-1 intent the old build left (ECDSA-signed for exactly
-        this state) is refused, so the gap cannot be explained."""
+        """A version-1 seal intent (ECDSA-signed for exactly this state)
+        is refused even inside a record whose MAC verifies, so the gap
+        cannot be explained."""
         rote = RoteCluster(f=1)
         path = tmp_path / "log.bin"
         log = make_log(LogStorage(path), key, rote)
@@ -185,8 +206,11 @@ class TestRecoveryOutcomes:
                 FaultPlan([FaultEvent("audit.seal", "crash_after_increment")])
             ):
                 seal_epochs(log, 1, start=1)
-        sidecar = path.with_suffix(".bin.intent")
-        sidecar.write_bytes(v1_wire(SealIntent.decode(sidecar.read_bytes()), key))
+        recs = records(path.read_bytes(), key, schema=SCHEMA)
+        wire, (ids, payloads) = intent_parts(recs[-1][1])
+        old = v1_wire(SealIntent.decode(wire), key)
+        recs[-1] = (INTENT_RECORD, intent_content(old, ids, payloads))
+        path.write_bytes(image(recs, key, schema=SCHEMA))
         report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
         assert report.outcome is RecoveryOutcome.ROLLBACK_DETECTED
         assert not report.intent_found
@@ -452,10 +476,64 @@ class TestDurabilityRegression:
 
     def test_intent_sidecar_roundtrip(self, tmp_path):
         storage = LogStorage(tmp_path / "log.bin")
-        assert storage.load_intent("intent") is None
-        storage.save_intent(b"intent bytes", "intent")
-        assert storage.load_intent("intent") == b"intent bytes"
+        assert storage.load_intent("rotation") is None
+        storage.save_intent(b"intent bytes", "rotation")
+        assert storage.load_intent("rotation") == b"intent bytes"
         # Survives a restart (it is a durable write-ahead marker) ...
-        assert LogStorage(tmp_path / "log.bin").load_intent("intent") == b"intent bytes"
-        storage.clear_intent("intent")
-        assert storage.load_intent("intent") is None
+        assert LogStorage(tmp_path / "log.bin").load_intent("rotation") == b"intent bytes"
+        storage.clear_intent("rotation")
+        assert storage.load_intent("rotation") is None
+
+
+class TestRemovalCrash:
+    """A benign crash inside a removal's re-seal — after its ROTE
+    increment, before the image is replaced — is the enclave's own seal
+    in flight, not a rollback: the removal seals a *shorter* chain, but
+    its intent record is bound to the head it follows. The pre-removal
+    state is resealed and the removal runs again at its next interval."""
+
+    @pytest.mark.parametrize("removal", ["trim", "remove_where"])
+    def test_crash_after_increment_is_in_flight(self, tmp_path, key, removal):
+        rote = RoteCluster(f=1)
+        path = tmp_path / "log.bin"
+        log = make_log(LogStorage(path), key, rote)
+        seal_epochs(log, 4)
+        with pytest.raises(InjectedCrash):
+            with faults.inject(
+                FaultPlan([FaultEvent("audit.seal", "crash_after_increment")])
+            ):
+                if removal == "trim":
+                    log.trim(["DELETE FROM updates WHERE time < 2"])
+                else:
+                    log.remove_where(lambda table, values: values[0] < 2)
+        report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
+        assert report.outcome is RecoveryOutcome.IN_FLIGHT_DISCARDED, report.describe()
+        assert report.entries == 4 and report.resealed
+        assert report.counter == rote.retrieve("libseal-log") == 6
+        recovered, again = LibSeal.recover(
+            RemovalSSM(), LogStorage(path), signing_key=key, rote=rote
+        )
+        assert again.outcome is RecoveryOutcome.CLEAN_RESUME
+        assert recovered.trim() == 2  # the removal runs again
+
+    def test_crash_after_the_image_replace_keeps_the_removal(self, tmp_path, key):
+        rote = RoteCluster(f=1)
+        path = tmp_path / "log.bin"
+        log = make_log(LogStorage(path), key, rote)
+        seal_epochs(log, 4)
+        with pytest.raises(InjectedCrash):
+            with faults.inject(FaultPlan([FaultEvent("audit.seal", "crash_after_save")])):
+                log.trim(["DELETE FROM updates WHERE time < 2"])
+        report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
+        assert report.outcome is RecoveryOutcome.CLEAN_RESUME
+        assert report.entries == 2
+
+
+class RemovalSSM(ServiceSpecificModule):
+    name = "removal"
+    schema_sql = SCHEMA
+    invariants = {}
+    trimming_queries = ["DELETE FROM updates WHERE time < 2"]
+
+    def log(self, request, response, emit, time):
+        emit("updates", (time, request.path))
