@@ -41,6 +41,13 @@ class ColumnRef(Expr):
 
     table: str | None
     column: str
+    #: ``(qualifier, name)`` lower-cased: what a layout's resolution map
+    #: is keyed by, computed once per node.
+    key: tuple[str | None, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        table = self.table.lower() if self.table else None
+        object.__setattr__(self, "key", (table, self.column.lower()))
 
 
 @dataclass(frozen=True)

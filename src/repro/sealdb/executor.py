@@ -60,8 +60,10 @@ class ColumnInfo:
 
 _AMBIGUOUS = -1
 
-#: What :meth:`Executor._probe` returns when the subquery must run as a SELECT.
+#: What :meth:`Executor._probe_answer` returns when the SELECT must run.
 _DECLINED = object()
+#: A correlation-memo miss (a stored answer may be None).
+_MISS = object()
 
 
 class ColumnLayout(list):
@@ -103,7 +105,9 @@ class Relation:
 
 
 class Scope:
-    """Column-resolution environment for one row, chained to outer scopes."""
+    """Column-resolution environment for one row, chained to outer scopes.
+    :meth:`resolve` is the one walk outward and the one place "ambiguous"
+    and "no such column" are raised."""
 
     __slots__ = ("columns", "row", "parent")
 
@@ -111,18 +115,17 @@ class Scope:
         self,
         columns: ColumnLayout,
         row: Sequence[SqlValue],
-        parent: "Scope | GroupScope | None" = None,
+        parent: "Scope | None" = None,
     ):
         self.columns = columns
         self.row = row
         self.parent = parent
 
-    def resolve(self, table: str | None, column: str) -> SqlValue:
-        key = (table.lower() if table else None, column.lower())
-        scope: "Scope | GroupScope" = self
+    def resolve(self, key: tuple[str | None, str], table: str | None, column: str) -> SqlValue:
+        """The value ``key`` names here or in the nearest enclosing scope;
+        ``table``/``column`` are the reference as written, for errors."""
+        scope = self
         while True:
-            if isinstance(scope, GroupScope):
-                scope = scope.representative()
             index = scope.columns.resolution().get(key)
             if index is not None:
                 if index == _AMBIGUOUS:
@@ -132,14 +135,14 @@ class Scope:
             if parent is None:
                 qualified = f"{table}.{column}" if table else column
                 raise SQLExecutionError(f"no such column: {qualified}")
-            if not isinstance(parent, (Scope, GroupScope)):
-                # Foreign scope type (e.g. the recording wrapper used for
-                # subquery memoisation): delegate to its own resolve.
-                return parent.resolve(table, column)
+            if type(scope) is _Recorder:
+                value = parent.resolve(key, table, column)
+                scope.recorded[key] = value
+                return value
             scope = parent
 
 
-class GroupScope:
+class GroupScope(Scope):
     """Resolution environment for one *group* of rows (aggregate queries).
 
     Non-aggregate column references resolve against a representative row
@@ -150,37 +153,69 @@ class GroupScope:
     (all-NULL for an empty group).
     """
 
-    __slots__ = ("columns", "rows", "parent", "_pick", "_representative")
+    __slots__ = ("rows", "_pick", "_representative")
 
     def __init__(
         self,
         columns: ColumnLayout,
         rows: list[Sequence[SqlValue]],
-        parent: "Scope | GroupScope | None" = None,
+        parent: Scope | None = None,
         pick=None,
     ):
         self.columns = columns
         self.rows = rows
         self.parent = parent
         self._pick = pick
-        self._representative: Scope | None = None
+        self._representative: Sequence[SqlValue] | None = None
 
-    def representative(self) -> Scope:
+    @property
+    def row(self) -> Sequence[SqlValue]:
+        """The representative row, chosen on first use."""
         if self._representative is None:
             if not self.rows:
-                row: Sequence[SqlValue] = [None] * len(self.columns)
+                self._representative = [None] * len(self.columns)
             elif self._pick is None:
-                row = self.rows[0]
+                self._representative = self.rows[0]
             else:
-                row = self._pick(self)
-            self._representative = Scope(self.columns, row, self.parent)
+                self._representative = self._pick(self)
         return self._representative
-
-    def resolve(self, table: str | None, column: str) -> SqlValue:
-        return self.representative().resolve(table, column)
 
     def row_scopes(self) -> list[Scope]:
         return [Scope(self.columns, row, self.parent) for row in self.rows]
+
+
+class _Recorder(Scope):
+    """The boundary between a subquery and the scope it is evaluated in:
+    no columns of its own, and every key resolved through it is recorded
+    with its value. That is how the correlation memo learns which outer
+    columns a subquery run read (:meth:`Executor._memoised`)."""
+
+    __slots__ = ("recorded",)
+
+    def __init__(self, outer: Scope):
+        self.columns = _NO_COLUMNS
+        self.row = ()
+        self.parent = outer
+        self.recorded: dict[tuple[str | None, str], SqlValue] = {}
+
+
+#: The layout of a scope with no columns (never extended).
+_NO_COLUMNS = ColumnLayout()
+
+
+def _column_reader(key: tuple[str | None, str], table: str | None, column: str):
+    """The compiled form of a column reference (``key`` is its
+    :attr:`~repro.sealdb.ast.ColumnRef.key`): ``fn(scope, params)`` that
+    reads the slot its layout's map binds ``key`` to, and walks outward
+    (:meth:`Scope.resolve`) only when the key is not local."""
+
+    def read(scope, params):
+        index = scope.columns.resolution().get(key)
+        if index is not None and index >= 0:
+            return scope.row[index]
+        return scope.resolve(key, table, column)
+
+    return read
 
 
 @dataclass
@@ -235,36 +270,13 @@ class Result:
         return f"Result(columns={self.columns!r}, rows={len(self.rows)})"
 
 
-class _RecordingScope:
-    """Wraps an outer scope, recording every resolution made through it.
-
-    Used to discover a subquery's correlation variables: the first
-    evaluation records which outer columns it reads; later evaluations
-    can then be served from a cache keyed by those columns' values.
-    """
-
-    __slots__ = ("_inner", "recorded")
-
-    def __init__(self, inner: Scope | GroupScope):
-        self._inner = inner
-        self.recorded: dict[tuple[str | None, str], SqlValue] = {}
-
-    def resolve(self, table: str | None, column: str) -> SqlValue:
-        value = self._inner.resolve(table, column)
-        self.recorded[(table.lower() if table else None, column.lower())] = value
-        return value
-
-
 class Executor:
     """Executes parsed statements against a :class:`Database` catalog."""
 
     def __init__(self, database: "Database"):
         self._db = database
-        # Per-statement memo: id(subquery AST) -> {(names, values): result}.
-        # Table contents are stable while one statement evaluates (DML
-        # applies mutations only after predicate evaluation), so caching
-        # by correlation values is sound within a statement.
-        self._subquery_cache: dict[int, dict] = {}
+        # Per-statement correlation memos by id(subquery AST).
+        self._subquery_cache: dict[int, _Memo] = {}
         # Executor-lifetime memo of compiled expression closures.
         self._compiled: dict[int, tuple] = {}
         self.stats = ScanStats()
@@ -280,9 +292,9 @@ class Executor:
         # Batch-predicate memo per predicate node (None = proven
         # unbatchable, also worth remembering).
         self._batch_plans: dict[int, tuple[ast.Expr, vector.BatchPredicate | None]] = {}
-        # Probe plans per subquery node (None = not a probe shape), pinned
-        # with the table and its schema they were classified against.
-        self._probe_plans: dict[int, tuple] = {}
+        # Probe plans per subquery node, pinned with the table and its
+        # schema they were classified against.
+        self._probe_plans: dict[int, _Probe] = {}
 
     # ------------------------------------------------------------------
     # Statement dispatch
@@ -389,21 +401,23 @@ class Executor:
         out_rows: list[list[SqlValue]] = []
         order_keys: list[list[SqlValue]] = []
 
+        item_fns = [self._compile(item.expr) for item in items]
+        order_fns = [self._compile(e) for e in order_exprs]
         if aggregated:
             groups = self._group_rows(select, source, params, outer, items, names)
             pick = self._extreme_row_picker(select, items, order_exprs, params)
+            having = None if select.having is None else self._compile(select.having)
             for group in groups:
                 scope = GroupScope(source.columns, group, outer, pick)
-                if select.having is not None:
-                    if sql_truth(self._eval(select.having, scope, params)) is not True:
-                        continue
-                out_rows.append([self._eval(item.expr, scope, params) for item in items])
-                order_keys.append([self._eval(e, scope, params) for e in order_exprs])
+                if having is not None and sql_truth(having(scope, params)) is not True:
+                    continue
+                out_rows.append([fn(scope, params) for fn in item_fns])
+                order_keys.append([fn(scope, params) for fn in order_fns])
         else:
             for row in source.rows:
                 scope = Scope(source.columns, row, outer)
-                out_rows.append([self._eval(item.expr, scope, params) for item in items])
-                order_keys.append([self._eval(e, scope, params) for e in order_exprs])
+                out_rows.append([fn(scope, params) for fn in item_fns])
+                order_keys.append([fn(scope, params) for fn in order_fns])
 
         if select.distinct:
             out_rows, order_keys = _distinct_rows(out_rows, order_keys)
@@ -470,11 +484,13 @@ class Executor:
     ) -> list[list[list[SqlValue]]]:
         if not select.group_by:
             return [source.rows]
-        group_exprs = [self._order_expr(e, items, names) for e in select.group_by]
+        group_fns = [
+            self._compile(self._order_expr(e, items, names)) for e in select.group_by
+        ]
         buckets: dict[tuple, list[list[SqlValue]]] = {}
         for row in source.rows:
             scope = Scope(source.columns, row, outer)
-            key = tuple(self._eval(expr, scope, params) for expr in group_exprs)
+            key = tuple([fn(scope, params) for fn in group_fns])
             buckets.setdefault(key, []).append(row)
         return list(buckets.values())
 
@@ -534,7 +550,7 @@ class Executor:
     ) -> None:
         if select.limit is None:
             return
-        empty_scope = Scope(ColumnLayout(), [], outer)
+        empty_scope = Scope(_NO_COLUMNS, [], outer)
         limit = self._eval(select.limit, empty_scope, params)
         offset = 0
         if select.offset is not None:
@@ -674,11 +690,11 @@ class Executor:
                 return rows
             return [row for row in rows if all(pred(row) for pred in preds)]
         kept = []
+        predicate_fn = self._compile(predicate)
         for row in rows:
             if lead is not None and not lead(row):
                 continue
-            scope = Scope(columns, row, outer)
-            if sql_truth(self._eval(predicate, scope, params)) is True:
+            if sql_truth(predicate_fn(Scope(columns, row, outer), params)) is True:
                 kept.append(row)
         return kept
 
@@ -696,7 +712,7 @@ class Executor:
         plan, full_predicate = self._scan_plan(ref, table, alias, conjuncts)
         columns = ColumnLayout(ColumnInfo(alias, c.name) for c in table.columns)
         rows = table.rows
-        empty_scope = Scope(ColumnLayout(), [], outer)
+        empty_scope = Scope(_NO_COLUMNS, [], outer)
 
         positions: Sequence[int] = range(len(rows))
         checks: list[tuple[planner.SortedBound, SqlValue]] = []
@@ -867,13 +883,14 @@ class Executor:
         right_width = len(right.columns)
         self.stats.rows_scanned += len(left.rows) * len(right.rows)
         self.stats.nested_loop_joins += 1
+        condition = None if pair_condition is None else self._compile(pair_condition)
         for left_row in left.rows:
             matched = False
             for right_row in right.rows:
                 combined = list(left_row) + list(right_row)
-                if pair_condition is not None:
+                if condition is not None:
                     scope = Scope(combined_columns, combined, outer)
-                    if sql_truth(self._eval(pair_condition, scope, params)) is not True:
+                    if sql_truth(condition(scope, params)) is not True:
                         continue
                 rows.append(combined)
                 matched = True
@@ -896,8 +913,7 @@ class Executor:
             mapping = columns.resolution()
 
             def resolve(ref: ast.ColumnRef) -> int | None:
-                key = (ref.table.lower() if ref.table else None, ref.column.lower())
-                index = mapping.get(key)
+                index = mapping.get(ref.key)
                 return None if index in (None, _AMBIGUOUS) else index
 
             return resolve
@@ -998,6 +1014,8 @@ class Executor:
         # as vectorized: kept and unknown-verdict pairings still pay the
         # Scope walk for the unbatchable remainder.
         decided = 0
+        residual_fn = None if residual is None else self._compile(residual)
+        rest_fn = None if rest is None else self._compile(rest)
         for left_row in left.rows:
             key = tuple(left_row[i] for i in left_keys)
             candidates = empty if None in key else buckets.get(key, empty)
@@ -1016,10 +1034,10 @@ class Executor:
                 if verdict is False:
                     decided += 1
                     continue
-                owed = residual if verdict is None else rest
+                owed = residual_fn if verdict is None else rest_fn
                 if owed is not None:
                     scope = Scope(combined_columns, combined, outer)
-                    if sql_truth(self._eval(owed, scope, params)) is not True:
+                    if sql_truth(owed(scope, params)) is not True:
                         continue
                 rows.append(combined)
                 matched = True
@@ -1149,7 +1167,7 @@ class Executor:
                 table.insert_row(build_full_row(list(row)))
                 inserted += 1
         else:
-            scope = Scope(ColumnLayout(), [])
+            scope = Scope(_NO_COLUMNS, [])
             for value_exprs in stmt.rows:
                 values = [self._eval(e, scope, params) for e in value_exprs]
                 table.insert_row(build_full_row(values))
@@ -1167,9 +1185,9 @@ class Executor:
         # subqueries over the same table see a consistent snapshot.
         self.stats.rows_scanned += len(table.rows)
         keep_mask = []
+        where = self._compile(stmt.where)
         for row in list(table.rows):
-            scope = Scope(columns, row)
-            keep_mask.append(sql_truth(self._eval(stmt.where, scope, params)) is not True)
+            keep_mask.append(sql_truth(where(Scope(columns, row), params)) is not True)
         deleted = table.delete_rows(keep_mask)
         return Result([], [], rowcount=deleted)
 
@@ -1177,18 +1195,18 @@ class Executor:
         table = self._db.lookup_table(stmt.table)
         columns = ColumnLayout(ColumnInfo(stmt.table, c.name) for c in table.columns)
         assignments = [
-            (table.column_index(name), expr) for name, expr in stmt.assignments
+            (table.column_index(name), self._compile(expr))
+            for name, expr in stmt.assignments
         ]
+        where = None if stmt.where is None else self._compile(stmt.where)
         pending: list[tuple[int, dict[int, SqlValue]]] = []
         self.stats.rows_scanned += len(table.rows)
         for index, row in enumerate(table.rows):
             scope = Scope(columns, row)
-            if stmt.where is not None:
-                if sql_truth(self._eval(stmt.where, scope, params)) is not True:
-                    continue
+            if where is not None and sql_truth(where(scope, params)) is not True:
+                continue
             new_values = {
-                col_index: self._eval(expr, scope, params)
-                for col_index, expr in assignments
+                col_index: fn(scope, params) for col_index, fn in assignments
             }
             pending.append((index, new_values))
         for index, new_values in pending:
@@ -1203,7 +1221,9 @@ class Executor:
     # signature ``fn(scope, params) -> SqlValue``; evaluation then avoids
     # per-row type dispatch entirely. Compiled closures are memoised for
     # the executor's lifetime (AST nodes are immutable and pinned by the
-    # entry, so id() reuse is detected with an identity check).
+    # entry, so id() reuse is detected with an identity check) — except a
+    # bare column reference, whose reader is as cheap to build as to look
+    # up, and which star expansion builds afresh for every statement.
 
     def _eval(
         self,
@@ -1214,6 +1234,8 @@ class Executor:
         return self._compile(expr)(scope, params)
 
     def _compile(self, expr: ast.Expr):
+        if isinstance(expr, ast.ColumnRef):
+            return _column_reader(expr.key, expr.table, expr.column)
         entry = self._compiled.get(id(expr))
         if entry is not None and entry[0] is expr:
             return entry[1]
@@ -1239,9 +1261,6 @@ class Executor:
                 return params[index]
 
             return param_fn
-        if isinstance(expr, ast.ColumnRef):
-            table, column = expr.table, expr.column
-            return lambda scope, params: scope.resolve(table, column)
         if isinstance(expr, ast.Unary):
             return self._build_unary(expr)
         if isinstance(expr, ast.Binary):
@@ -1300,6 +1319,10 @@ class Executor:
                 sql_not(sql_truth(operand(scope, params)))
             )
         op = expr.op
+        literal = expr.operand
+        if isinstance(literal, ast.Literal) and type(literal.value) in (int, float):
+            value = arithmetic(op, 0, literal.value)  # a signed number: fold it
+            return lambda scope, params: value
 
         def sign_fn(scope, params):
             value = operand(scope, params)
@@ -1380,14 +1403,16 @@ class Executor:
         select = expr.select
         negated = expr.negated
 
-        def in_select_fn(scope, params):
-            def run_in(outer) -> list[SqlValue]:
-                relation, names = self.run_select(select, params, outer=outer)
-                if len(names) != 1:
-                    raise SQLExecutionError("IN subquery must return one column")
-                return [row[0] for row in relation.rows]
+        def run_in(outer, params) -> list[SqlValue]:
+            relation, names = self.run_select(select, params, outer=outer)
+            if len(names) != 1:
+                raise SQLExecutionError("IN subquery must return one column")
+            return [row[0] for row in relation.rows]
 
-            values = self._cached_subquery(select, scope, run_in)
+        subquery = self._memoised(select, None, run_in)
+
+        def in_select_fn(scope, params):
+            values = subquery(scope, params)
             return self._eval_in(operand(scope, params), values, negated)
 
         return in_select_fn
@@ -1395,21 +1420,13 @@ class Executor:
     def _build_scalar_select(self, expr: ast.ScalarSelect):
         select = expr.select
 
-        def scalar_select_fn(scope, params):
-            def run_scalar(outer) -> SqlValue:
-                probed = self._probe(select, False, outer, params)
-                if probed is not _DECLINED:
-                    return probed
-                relation, names = self.run_select(select, params, outer=outer)
-                if len(names) != 1:
-                    raise SQLExecutionError(
-                        "scalar subquery must return one column"
-                    )
-                return relation.rows[0][0] if relation.rows else None
+        def run_scalar(outer, params) -> SqlValue:
+            relation, names = self.run_select(select, params, outer=outer)
+            if len(names) != 1:
+                raise SQLExecutionError("scalar subquery must return one column")
+            return relation.rows[0][0] if relation.rows else None
 
-            return self._cached_subquery(select, scope, run_scalar)
-
-        return scalar_select_fn
+        return self._memoised(select, False, run_scalar)
 
     def _build_exists(self, expr: ast.ExistsSelect):
         select = expr.select
@@ -1419,76 +1436,64 @@ class Executor:
             # EXISTS only needs one row; short-circuit the scan.
             probe = replace(probe, limit=ast.Literal(1))
 
-        def exists_fn(scope, params):
-            def run_exists(outer) -> bool:
-                probed = self._probe(select, True, outer, params)
-                if probed is not _DECLINED:
-                    return probed
-                relation, _ = self.run_select(probe, params, outer=outer)
-                return bool(relation.rows)
+        def run_exists(outer, params) -> bool:
+            relation, _ = self.run_select(probe, params, outer=outer)
+            return bool(relation.rows)
 
-            exists = self._cached_subquery(select, scope, run_exists)
-            return bool_to_sql(not exists if negated else exists)
+        exists = self._memoised(select, True, run_exists)
+        return lambda scope, params: bool_to_sql(exists(scope, params) != negated)
 
-        return exists_fn
+    def _probe_entry(self, select: ast.Select, exists: bool) -> "_Probe | None":
+        """The probe (:func:`repro.sealdb.planner.plan_probe`) that answers
+        ``select`` now, or None: no probe shape, not a base table (the
+        SELECT says what it is), or a lost sorted hint."""
+        source = select.source
+        if not isinstance(source, ast.NamedTable):
+            return None
+        try:
+            table = self._db.lookup_table(source.name)
+        except SQLExecutionError:
+            return None
+        entry = self._probe_plans.get(id(select))
+        if (
+            entry is None
+            or entry.select is not select
+            or entry.table is not table
+            or entry.schema is not table.columns  # replan if the schema changed
+        ):
+            entry = _Probe(
+                select, table, planner.plan_probe(select, table, exists), self._compile
+            )
+            if len(self._probe_plans) > 8192:
+                self._probe_plans.clear()
+            self._probe_plans[id(select)] = entry
+        plan = entry.plan
+        if plan is None:
+            return None
+        column = plan.sorted_column
+        if column is not None and not table.is_sorted(column):
+            return None
+        return entry
 
-    def _probe(
-        self,
-        select: ast.Select,
-        exists: bool,
-        outer,
-        params: tuple[SqlValue, ...],
-    ):
-        """Answer a subquery the planner classified as a probe
-        (:func:`repro.sealdb.planner.plan_probe`): one index lookup, one
-        bisect of the ascending bucket on the sorted column, at most one
-        row read. Returns :data:`_DECLINED` — and the caller runs the
-        SELECT — whenever the answer cannot be proven that way: no probe
-        shape, a key or bound that fails to evaluate, a NULL or non-real
-        bound, or a sorted hint the table has lost.
+    def _probe_answer(self, entry: "_Probe", inputs: Sequence[SqlValue]):
+        """Answer a probe from its lookup values and bound: one index
+        lookup, one bisect of the ascending bucket on the sorted column,
+        at most one row read. :data:`_DECLINED` — and the SELECT runs —
+        on a NULL or non-real bound.
 
         Among rows sharing the top value the first-stored one answers:
         the SELECT's stable sort puts it first, and ``MAX`` replaces its
         running best only on a strictly greater value."""
-        source = select.source
-        if not isinstance(source, ast.NamedTable):
-            return _DECLINED
-        try:
-            table = self._db.lookup_table(source.name)
-        except SQLExecutionError:
-            return _DECLINED  # a view, or no such table: the SELECT says which
-        entry = self._probe_plans.get(id(select))
-        if (
-            entry is None
-            or entry[0] is not select
-            or entry[1] is not table
-            or entry[2] is not table.columns  # replan if the schema changed
-        ):
-            plan = planner.plan_probe(select, table, exists)
-            cols = plan and tuple(l.column_index for l in plan.lookups)
-            if len(self._probe_plans) > 8192:
-                self._probe_plans.clear()
-            entry = (select, table, table.columns, plan, cols)
-            self._probe_plans[id(select)] = entry
-        plan, cols = entry[3], entry[4]
-        if plan is None:
-            return _DECLINED
+        plan, table = entry.plan, entry.table
         column = plan.sorted_column
-        if column is not None and not table.is_sorted(column):
-            return _DECLINED
-        try:
-            key = tuple(self._eval(l.value, outer, params) for l in plan.lookups)
-            if plan.bound is not None:
-                bound = self._eval(plan.bound.bound, outer, params)
-        except SQLExecutionError:
-            return _DECLINED
-        positions = table.lookup(cols, key)
+        positions = table.lookup(entry.cols, tuple(inputs[: len(entry.cols)]))
         end: int | None = len(positions)
         if plan.bound is not None:
-            end = table.sorted_cut(column, positions, bound, plan.bound.bisect_right)
+            end = table.sorted_cut(column, positions, inputs[-1], plan.bound.bisect_right)
             if end is None:
                 return _DECLINED  # NULL or not a real number
         self.stats.index_probes += 1
+        exists = plan.kind == "exists"
         if not end:
             return False if exists else None
         # The one row read is a flat positional access, priced like the
@@ -1580,32 +1585,113 @@ class Executor:
             result = False
         return bool_to_sql(sql_not(result) if negated else result)
 
-    def _cached_subquery(self, select: ast.Select, scope, runner):
-        """Evaluate a subquery with correlation-value memoisation.
+    def _memoised(self, select: ast.Select, exists: bool | None, run):
+        """Compile a subquery: ``fn(scope, params)`` answering ``run(outer,
+        params)``, or its probe when ``exists`` names a probe shape (None:
+        none), memoised by correlation values for the statement.
 
-        The first run records which outer columns the subquery reads; all
-        runs are cached under (recorded names, their values). Uncorrelated
-        subqueries collapse to a single cached evaluation.
-        """
-        memo = self._subquery_cache.setdefault(id(select), {"names": None, "hits": {}})
-        names = memo["names"]
-        if names is not None:
+        A run sees the scope through a :class:`_Recorder`, which learns
+        the outer columns it read; later evaluations read them with
+        compiled readers and key each value with its type (SQL tells
+        ``1`` from ``1.0``; Python's ``==`` does not). When those columns
+        are exactly the probe's inputs, a miss is answered from the
+        values just read, without a recorder."""
+        ident = id(select)
+
+        def subquery_fn(scope, params):
+            memo = self._subquery_cache.get(ident)
+            if memo is None:
+                memo = self._subquery_cache[ident] = _Memo(
+                    None if exists is None else self._probe_entry(select, exists)
+                )
+            values = None
+            if memo.readers is not None:
+                try:
+                    values = [read(scope, params) for read in memo.readers]
+                except SQLExecutionError:
+                    values = None
+                else:
+                    key = (*values, *map(type, values))
+                    hit = memo.hits.get(key, _MISS)
+                    if hit is not _MISS:
+                        return hit
+            entry = memo.probe
+            if values is not None and entry is not None and memo.names is entry.names:
+                answer = self._probe_answer(entry, [values[i] for i in entry.slots])
+                if answer is not _DECLINED:
+                    memo.hits[key] = answer
+                    return answer
+            # A run through the recorder; a probe declined above declines
+            # again here, having read its inputs in the same order.
+            recorder = _Recorder(scope)
+            answer = _DECLINED
+            if entry is not None:
+                try:
+                    inputs = [fn(recorder, params) for fn in entry.inputs]
+                except SQLExecutionError:
+                    pass
+                else:
+                    answer = self._probe_answer(entry, inputs)
+            if answer is _DECLINED:
+                answer = run(recorder, params)
+            names = tuple(recorder.recorded)
+            if names != memo.names:
+                memo.learn(entry.names if entry and entry.names == names else names)
+            values = recorder.recorded.values()
             try:
-                key = (names, tuple(scope.resolve(t, c) for t, c in names))
-            except SQLExecutionError:
-                key = None
-            if key is not None and key in memo["hits"]:
-                return memo["hits"][key]
-        recorder = _RecordingScope(scope)
-        result = runner(recorder)
-        recorded_names = tuple(recorder.recorded.keys())
-        memo["names"] = recorded_names
-        key = (recorded_names, tuple(recorder.recorded.values()))
-        try:
-            memo["hits"][key] = result
-        except TypeError:
-            pass  # unhashable correlation value: skip caching
-        return result
+                memo.hits[(*values, *map(type, values))] = answer
+            except TypeError:
+                pass  # unhashable correlation value: skip caching
+            return answer
+
+        return subquery_fn
+
+
+class _Memo:
+    """One subquery's correlation memo for one statement: table contents,
+    hence its ``probe``, are stable while a statement evaluates (DML
+    mutates only after evaluating). ``hits`` holds the answers by typed
+    values of ``names``, the outer columns the latest run read;
+    ``by_names`` keeps those learned under other names."""
+
+    __slots__ = ("probe", "names", "readers", "hits", "by_names")
+
+    def __init__(self, probe: "_Probe | None"):
+        self.probe = probe
+        self.names: tuple | None = None
+        self.readers: list | None = None
+        self.hits: dict = {}
+        self.by_names: dict[tuple, dict] = {}
+
+    def learn(self, names: tuple) -> None:
+        self.names = names
+        self.readers = [_column_reader(key, *key) for key in names]
+        self.hits = self.by_names.setdefault(names, {})
+
+
+class _Probe:
+    """A :class:`~repro.sealdb.planner.ProbePlan` (None: no probe shape)
+    pinned to the table and schema it was classified against, with its
+    ``inputs`` (lookup values, then the bound) compiled. When every input
+    is a column reference, a probe run reads exactly the outer columns
+    ``names`` (each once, in order) and ``slots`` places each input in
+    them; otherwise ``names`` is None."""
+
+    __slots__ = ("select", "table", "schema", "plan", "cols", "inputs", "names", "slots")
+
+    def __init__(self, select, table, plan: planner.ProbePlan | None, compile_expr):
+        self.select, self.table, self.schema, self.plan = select, table, table.columns, plan
+        self.names = None
+        if plan is None:
+            return
+        self.cols = tuple(l.column_index for l in plan.lookups)
+        exprs = [l.value for l in plan.lookups]
+        if plan.bound is not None:
+            exprs.append(plan.bound.bound)
+        self.inputs = [compile_expr(expr) for expr in exprs]
+        if all(isinstance(expr, ast.ColumnRef) for expr in exprs):
+            self.names = tuple(dict.fromkeys(expr.key for expr in exprs))
+            self.slots = [self.names.index(expr.key) for expr in exprs]
 
 
 # --------------------------------------------------------------------------

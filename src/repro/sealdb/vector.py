@@ -86,10 +86,7 @@ def _operand_spec(expr: ast.Expr) -> tuple[str, object] | None:
     if isinstance(expr, ast.Parameter):
         return (_PARAM, expr.index)
     if isinstance(expr, ast.ColumnRef):
-        return (
-            _COL,
-            (expr.table.lower() if expr.table else None, expr.column.lower()),
-        )
+        return (_COL, expr.key)
     return None
 
 
@@ -118,7 +115,6 @@ def _fetch(
         return lambda row, index=index: row[index]
     if outer is None:
         return None  # unresolvable and nowhere to fall back to
-    qualifier, name = payload
     cell: list[SqlValue] = []
 
     def fetch_outer(row):
@@ -128,7 +124,7 @@ def _fetch(
         # raises the same SQLExecutionError the row path would raise on
         # its first candidate row.
         if not cell:
-            cell.append(outer.resolve(qualifier, name))
+            cell.append(outer.resolve(payload, *payload))
         return cell[0]
 
     return fetch_outer

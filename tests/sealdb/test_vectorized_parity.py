@@ -288,9 +288,9 @@ class TestBatchCompiler:
             def __init__(self):
                 self.calls = 0
 
-            def resolve(self, table, column):
+            def resolve(self, key, table, column):
                 self.calls += 1
-                assert (table, column) == ("a", "time")
+                assert key == (table, column) == ("a", "time")
                 return 30
 
         plan = compile_batch(self._conjuncts(
