@@ -25,7 +25,7 @@ Commands
     ``--json``/``--prom`` for machine-readable output).
 ``bench-compare``
     Compare benchmark result summaries against the committed CI baseline
-    (``benchmarks/baselines/ci_baseline.json``) and write ``BENCH_ci.json``.
+    (``benchmarks/baselines/ci_baseline.json``); write the verdicts to ``--output``.
     Exit status 1 on any regression or missing metric.
 ``chaos``
     Run the seeded chaos-soak scenario suite against the distributed
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--results", default="benchmarks/results")
     compare.add_argument("--baseline",
                          default="benchmarks/baselines/ci_baseline.json")
-    compare.add_argument("--output", default="BENCH_ci.json")
+    compare.add_argument("--output", default="benchmarks/results/BENCH_ci.json")
     compare.add_argument("--update-baseline", action="store_true",
                          help="rewrite every baseline value from the "
                               "current summaries (canonical form; modes "

@@ -21,11 +21,9 @@ forge, modify, delete or *roll back* log state. Defences, as in the paper:
 
 from repro.audit.admission import AdmissionController
 from repro.audit.hashchain import (
-    ChainEntry,
     HashChain,
     MembershipIntent,
     RotationIntent,
-    SealIntent,
     SignedHead,
 )
 from repro.audit.log import AuditLog
@@ -51,11 +49,9 @@ from repro.audit.rote_replica import (
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
 
 __all__ = [
-    "ChainEntry",
     "HashChain",
     "MembershipIntent",
     "RotationIntent",
-    "SealIntent",
     "SignedHead",
     "KeyRotationCoordinator",
     "RotationReport",

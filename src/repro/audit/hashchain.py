@@ -18,9 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.audit.wal import (
-    DIGEST,
     TEXT,
-    TRAILING_TEXT,
     U32,
     U64,
     AuthenticatedIntent,
@@ -45,9 +43,8 @@ def encode_tuple(table: str, values: Sequence[object]) -> bytes:
     parts = [b"T", table.encode(), b"\x00"]
     for value in values:
         # Exact str and int are tested first: they are every value the
-        # logging wall workloads hash, and a restart encodes each stored
-        # tuple twice. Subclasses (bool, enums, a str with its own
-        # __str__) fall through to the isinstance checks below.
+        # logging wall workloads hash. Subclasses (bool, enums, a str with
+        # its own __str__) fall through to the isinstance checks below.
         kind = type(value)
         if kind is str:
             encoded = value.encode()
@@ -70,15 +67,50 @@ def encode_tuple(table: str, values: Sequence[object]) -> bytes:
     return b"".join(parts)
 
 
-@dataclass(frozen=True)
-class ChainEntry:
-    """One link, as :meth:`HashChain.append` returns it (not kept):
-    ``chain_hash = H(prev_chain_hash || payload_hash)``."""
-
-    entry_id: int
-    table: str
-    payload_hash: bytes
-    chain_hash: bytes
+def decode_tuple(data: bytes) -> tuple[str, list[object]]:
+    """``(table, values)`` back from :func:`encode_tuple`'s bytes; raises
+    :class:`IntegrityError` on anything it cannot produce (an unknown tag, a
+    non-canonical numeral, a bad length or terminator, invalid UTF-8)."""
+    try:
+        if data[:1] != b"T":
+            raise ValueError("missing table tag")
+        pos = data.index(0)
+        table = data[1:pos].decode()
+        values: list[object] = []
+        append = values.append  # the loop runs once per value of a restart
+        pos, size = pos + 1, len(data)
+        while pos < size:
+            tag = data[pos]
+            if tag == 0x53 or tag == 0x59:  # S, Y: 4-byte length, body, NUL
+                start = pos + 5
+                pos = start + int.from_bytes(data[pos + 1 : start], "big")
+                if pos >= size or data[pos]:
+                    raise ValueError("bad length")
+                append(data[start:pos].decode() if tag == 0x53 else data[start:pos])
+            else:
+                stop = data.index(0, pos)
+                body = data[pos + 1 : stop]
+                if tag == 0x49:  # I
+                    value = int(body)
+                    if b"%d" % value != body:  # one canonical numeral per value
+                        raise ValueError(f"non-canonical integer {body!r}")
+                    append(value)
+                elif tag == 0x4E and not body:  # N
+                    append(None)
+                elif tag == 0x42 and body in (b"0", b"1"):  # B
+                    append(body == b"1")
+                elif tag == 0x46:  # F
+                    value = float(body)
+                    if repr(value).encode() != body:
+                        raise ValueError(f"non-canonical float {body!r}")
+                    append(value)
+                else:
+                    raise ValueError(f"bad value tag {bytes([tag])!r}")
+                pos = stop
+            pos += 1
+        return table, values
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise IntegrityError(f"stored tuple malformed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -113,30 +145,6 @@ class SignedHead:
 
 
 @authenticated_intent
-class SealIntent(AuthenticatedIntent):
-    """A MAC'd write-ahead marker: "a seal of this chain state is in flight".
-
-    Appended to the log image, inside an intent record, *before* the ROTE
-    increment of each epoch seal. After a crash between the increment and
-    the head record, the stored log's counter is one behind the quorum —
-    byte-identical to a one-epoch rollback. An intent record after the
-    last head, bound to it by the record chain, proves the gap came from
-    the enclave's own in-flight seal, letting recovery discard the
-    unacknowledged pair instead of (wrongly) flagging a rollback. Without
-    it, any counter gap is treated as an attack.
-    """
-
-    TAG = b"SEAL-INTENT"
-    MAGIC = b"INTENT2"
-    NOUN = "seal intent"
-
-    log_id: str = intent_field(TEXT)
-    head_hash: bytes = intent_field(DIGEST)
-    entry_count: int = intent_field(U64)
-    tag: bytes
-
-
-@authenticated_intent
 class RotationIntent(AuthenticatedIntent):
     """A MAC'd write-ahead marker: "a key rotation to ``to_epoch`` is in flight".
 
@@ -147,14 +155,14 @@ class RotationIntent(AuthenticatedIntent):
     """
 
     TAG = b"ROTATE-INTENT"
-    MAGIC = b"ROTATE2"
+    MAGIC = b"ROTATE3"
     SIDECAR = "rotation"
     NOUN = "rotation intent"
 
     log_id: str = intent_field(TEXT)
     from_epoch: int = intent_field(U32)
     to_epoch: int = intent_field(U32)
-    reason: str = intent_field(TRAILING_TEXT)
+    reason: str = intent_field(TEXT)
     tag: bytes
 
 
@@ -169,7 +177,7 @@ class MembershipIntent(AuthenticatedIntent):
     """
 
     TAG = b"SHARD-INTENT"
-    MAGIC = b"SHARD2"
+    MAGIC = b"SHARD3"
     SIDECAR = "membership"
     NOUN = "membership intent"
 
@@ -195,12 +203,14 @@ class HashChain:
     def __len__(self) -> int:
         return self._length
 
-    def append(self, table: str, values: Sequence[object]) -> ChainEntry:
-        """Chain one tuple; returns the new link."""
-        payload_hash = sha256(encode_tuple(table, values))
-        self.head = sha256(self.head + payload_hash)
+    def append(self, table: str, values: Sequence[object]) -> None:
+        """Chain one tuple."""
+        self.append_encoded(encode_tuple(table, values))
+
+    def append_encoded(self, payload: bytes) -> None:
+        """Chain one tuple's :func:`encode_tuple` bytes: H(head || H(bytes))."""
+        self.head = sha256(self.head + sha256(payload))
         self._length += 1
-        return ChainEntry(self._length, table, payload_hash, self.head)
 
     def rebuild(self, surviving: Iterable[tuple[str, Sequence[object]]]) -> None:
         """Recompute the chain over the entries surviving a trim (§5.1);

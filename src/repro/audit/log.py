@@ -11,18 +11,20 @@ Composition (§5.1):
   MAC an HMAC under :func:`~repro.audit.wal.intent_key` over the previous
   record's MAC (the first's over the log id and schema, which storage
   never holds), the kind and the content. An *intent record* (``I``)
-  holds a :class:`SealIntent` and every tuple (and row id) appended since
-  the last head record (a later one before the same head supersedes it);
-  a *head record* (``H``) the :class:`SignedHead` and the watermark
-  state. A seal appends one of each; a removal and the key-rotation
-  re-seal rewrite the image whole. Loading checks every MAC and
-  recomputes the chain against every head, but verifies only the last
+  holds every tuple appended since the last head record as its row id
+  and the :func:`encode_tuple` bytes the chain hashed (a later one before
+  the same head supersedes it); a *head record* (``H``) the
+  :class:`SignedHead` and the watermark state, in fixed-width fields. A
+  seal appends one of each; a removal and the key-rotation re-seal
+  rewrite the image whole. Loading checks every MAC and hashes the stored
+  bytes into the chain against every head, but verifies only the last
   head's signature.
 
 The log holds each tuple once: an ordered stream of ``(row_id, table,
 row)`` entries whose ``row`` *is* the list the SealDB table stores, so the
 rows queries see, the rows the chain covers and the rows a snapshot
-carries cannot differ. Removal — SQL trimming and shard range retirement
+carries cannot differ; :meth:`AuditLog.append` encodes it once, for the
+chain and the next seal's intent record. Removal — SQL trimming and shard range retirement
 alike — deletes rows from the tables and then keeps the stream entries
 whose row object is still in a table (identity, never value), rebuilds the
 chain over them and seals a fresh epoch (the paper stores hashes
@@ -41,16 +43,17 @@ and crash recovery).
 
 from __future__ import annotations
 
-import json
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from repro.audit.hashchain import HashChain, SealIntent, SignedHead
+from repro.audit.hashchain import HashChain, SignedHead, decode_tuple, encode_tuple
 from repro.audit.persistence import LogStorage, frame, split_frames
 from repro.audit.rote import RoteCluster
-from repro.audit.wal import intent_key, valid_intent
+from repro.audit.wal import intent_key
+from repro.codec import Reader
 from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey, EcdsaSignature
 from repro.crypto.hashing import HASH_LEN, constant_time_equal, hmac_sha256
 from repro.errors import IntegrityError, RollbackError, StorageError
@@ -62,20 +65,8 @@ from repro.sealdb.executor import Result
 from repro.sealdb.table import SqlValue, Table
 
 
-def _encode_value(value: SqlValue) -> object:
-    if isinstance(value, bytes):
-        return {"__bytes__": value.hex()}
-    return value
-
-
-def _decode_value(value: object) -> SqlValue:
-    if isinstance(value, dict) and "__bytes__" in value:
-        return bytes.fromhex(value["__bytes__"])
-    return value  # type: ignore[return-value]
-
-
 #: The first bytes of every stored image: the format and its version.
-IMAGE_MAGIC = b"LIBSEAL-LOG/2\n"
+IMAGE_MAGIC = b"LIBSEAL-LOG/3\n"
 #: Why an image in another format is refused (the message is stable).
 UNSUPPORTED_SNAPSHOT = "unsupported snapshot format"
 INTENT_RECORD = b"I"
@@ -107,38 +98,25 @@ def open_record(key: bytes, previous: bytes, body: bytes) -> tuple[bytes, bytes,
     return kind, content, mac
 
 
-def _stored_ids(ids: object, count: int, previous: int) -> list[int]:
-    """The row ids an intent record gives its ``count`` tuples. Storage is
-    untrusted: they must increase strictly across the image (a tampered
-    id cannot launder an unchecked tuple anyway — a restarted checker
-    always begins with a full scan — but the invariant stays simple)."""
-    if not isinstance(ids, list) or len(ids) != count:
-        raise IntegrityError("stored row ids do not match the tuples")
-    for row_id in ids:
-        if type(row_id) is not int or row_id <= previous:
-            raise IntegrityError("stored row ids not strictly increasing")
-        previous = row_id
-    return ids
+#: An intent record's entry header: the row id, the tuple's byte length.
+_ENTRY = struct.Struct(">QI")
 
 
-def _stored_u64(fields: list, index: int, field: str) -> int:
-    value = fields[index]
-    if type(value) is not int or not 0 <= value < 2**64:
-        raise IntegrityError(f"signed head {field} is not a 64-bit unsigned integer")
-    return value
+def stored_entry(row_id: int, encoded: bytes) -> bytes:
+    """One tuple as an intent record holds it: row id, then its bytes."""
+    return _ENTRY.pack(row_id, len(encoded)) + encoded
 
 
-def _decode_head(fields: object) -> SignedHead:
-    """A head record's signed head, its integer fields range-checked (the
-    signature covers them as 8-byte big-endian words)."""
-    if not isinstance(fields, list) or len(fields) != 8:
-        raise IntegrityError("head record malformed")
-    return SignedHead(
-        head_hash=bytes.fromhex(fields[0]),
-        counter_value=_stored_u64(fields, 1, "counter"),
-        entry_count=_stored_u64(fields, 2, "count"),
-        signature=EcdsaSignature.decode(bytes.fromhex(fields[3])),
-    )
+def _decode_head(content: bytes) -> tuple[SignedHead, tuple[int, int, int, int]]:
+    """A head record's signed head and watermark state (fixed-width fields)."""
+    reader = Reader(content, IntegrityError, "head record")
+    fixed, uint = reader.read_fixed, reader.read_uint
+    head = SignedHead(fixed(HASH_LEN), uint(8), uint(8), EcdsaSignature.decode(fixed(64)))
+    state = (uint(8), uint(8), uint(8, signed=True), uint(1))
+    reader.expect_end()
+    if state[3] > 1:
+        raise IntegrityError("head record time_monotone is not a boolean")
+    return head, state
 
 
 TIME_COLUMN = "time"
@@ -200,11 +178,11 @@ class AuditLog:
         self._time_columns: dict[str, int | None] = {}
         # The stored image: the key its record MACs are made under, the
         # MAC of its last record (None while storage holds no image of
-        # this log, so the next seal writes it whole), and how many stream
-        # entries its last head record covers.
+        # this log, so the next seal writes it whole), and the last
+        # stream entries, appended since the last seal, as stored entries.
         self._record_key = intent_key(signing_key.d)
         self._tail: bytes | None = None
-        self._stored = 0
+        self._unsealed: list[bytes] = []
         #: True when the next seal must rewrite the image whole (a removal
         #: rebuilt the chain; a key rotation re-seals every stored byte).
         self.rewrite_pending = False
@@ -238,9 +216,12 @@ class AuditLog:
         The chain (and everything downstream of it) covers the row as the
         table stores it — affinity-coerced, the representation queries see.
         """
-        row = self._enter(table, values, self.next_row_id)
+        row_id = self.next_row_id
+        row = self._enter(table, values, row_id)
         self.next_row_id += 1
-        self.chain.append(table, row)
+        encoded = encode_tuple(table, row)
+        self.chain.append_encoded(encoded)
+        self._unsealed.append(stored_entry(row_id, encoded))
         self.appends += 1
         if _obs.ON:
             _obs.active().metrics.counter(
@@ -356,10 +337,10 @@ class AuditLog:
 
         Crash-tolerant protocol order:
 
-        1. durably append an intent record (a :class:`SealIntent` and the
-           tuples since the last head record), which the record chain
-           binds to the head it follows — write-ahead, so a crash after
-           step 2 is distinguishable from a rollback at recovery;
+        1. durably append an intent record (the bytes the chain hashed for
+           the tuples since the last seal), which the record chain binds to
+           the head it follows — write-ahead, so a crash after step 2 is
+           distinguishable from a rollback at recovery;
         2. increment the ROTE counter (retries/backoff inside);
         3. sign the head against the fresh counter value;
         4. durably append the head record (signed head, watermark state).
@@ -385,8 +366,8 @@ class AuditLog:
             storage = self.storage
             appending = storage is not None and self._tail is not None
             if appending:
-                pending = () if self.rewrite_pending else self._stream[self._stored :]
-                self._append_record(INTENT_RECORD, self._intent_content(pending))
+                pending = () if self.rewrite_pending else self._unsealed
+                self._append_record(INTENT_RECORD, b"".join(pending))
             crash_at("crash_after_intent")
             counter_value = self.rote.increment(self.log_id)
             crash_at("crash_after_increment")
@@ -406,7 +387,8 @@ class AuditLog:
                         raise
                     self._tail = image[-HASH_LEN:]
                     self.rewrite_pending = False
-                self._stored = len(self._stream)
+            self._unsealed = []
+            if storage is not None:
                 crash_at("crash_after_save")
             if _obs.ON:
                 _obs.active().metrics.counter(
@@ -419,23 +401,16 @@ class AuditLog:
         self.storage.append(record, seals)
         self._tail = mac
 
-    def _intent_content(self, entries) -> bytes:
-        intent = SealIntent.seal(
-            self._signing_key, self.log_id, self.chain.head, len(self.chain)
-        )
-        tuples = [
-            [row_id for row_id, _, _ in entries],
-            [[table, [_encode_value(v) for v in row]] for _, table, row in entries],
-        ]
-        return frame(intent.encode()) + frame(json.dumps(tuples).encode())
-
     def _head_content(self) -> bytes:
         head = self.signed_head
-        return json.dumps([
-            head.head_hash.hex(), head.counter_value, head.entry_count,
-            head.signature.encode().hex(), self.next_row_id,
-            self.trim_generation, self.latest_time, self.time_monotone,
-        ]).encode()
+        return b"".join((
+            head.head_hash,
+            *(n.to_bytes(8, "big") for n in (head.counter_value, head.entry_count)),
+            head.signature.encode(),
+            *(n.to_bytes(8, "big") for n in (self.next_row_id, self.trim_generation)),
+            self.latest_time.to_bytes(8, "big", signed=True),
+            bytes([self.time_monotone]),
+        ))
 
     # ------------------------------------------------------------------
     # Reading / checking
@@ -510,6 +485,7 @@ class AuditLog:
             raise IntegrityError("tables hold rows the hash chain never covered")
         removed = len(self._stream) - len(kept)
         self._stream = kept
+        self._unsealed = []
         self.chain.rebuild((table, row) for _, table, row in kept)
         self.trim_generation += 1
         self.rewrite_pending = True
@@ -530,11 +506,13 @@ class AuditLog:
         """The whole log as a fresh record image: one intent record holding
         every tuple, then (once sealed) the head record."""
         key = self._record_key
+        sealed = self._stream[: len(self._stream) - len(self._unsealed)]
+        content = b"".join(
+            [stored_entry(row_id, encode_tuple(table, row)) for row_id, table, row in sealed]
+            + self._unsealed
+        )
         intent, mac = seal_record(
-            key,
-            record_genesis(key, self.log_id, self.schema_sql),
-            INTENT_RECORD,
-            self._intent_content(self._stream),
+            key, record_genesis(key, self.log_id, self.schema_sql), INTENT_RECORD, content
         )
         if self.signed_head is None:
             return IMAGE_MAGIC + intent
@@ -581,24 +559,27 @@ class AuditLog:
         rote: RoteCluster,
         log_id: str,
         storage: LogStorage | None = None,
-    ) -> tuple["AuditLog", SealIntent | None, int]:
+    ) -> tuple["AuditLog", bool, int]:
         """Verify the image ``storage`` holds and rebuild the log its last
         head seals; the log's next seal appends to that image.
 
         One pass: every record MAC is checked; at each head record, its
-        intent record's tuples enter their tables (:meth:`_enter`) and
-        extend the chain, which must reproduce that head; only the last
-        head's signature is verified. ``schema_sql`` and ``log_id`` are the
-        service's and key the first MAC. Freshness is the caller's.
+        intent record's stored tuple bytes extend the chain, which must
+        reproduce that head, and decode (:func:`decode_tuple`) into their
+        tables (:meth:`_enter`); only the last head's signature is
+        verified. ``schema_sql`` and ``log_id`` are the service's and key
+        the first MAC. Freshness is the caller's.
 
-        Returns the log, the valid :class:`SealIntent` of an intent record
-        after the last head (a seal in flight), and where the complete
-        records end (a torn tail follows). Raises :class:`IntegrityError`
-        on any tampering.
+        Returns the log, whether an intent record follows the last head (a
+        seal in flight: its chained MAC is the proof), and where the
+        complete records end (a torn tail follows). Raises
+        :class:`IntegrityError` on any tampering.
         """
         if not blob.startswith(IMAGE_MAGIC):
             if blob[:1] == b"{":
                 raise IntegrityError(f"{UNSUPPORTED_SNAPSHOT}: a JSON snapshot")
+            if blob.startswith(IMAGE_MAGIC[:-2]):  # another version
+                raise IntegrityError(f"{UNSUPPORTED_SNAPSHOT}: {blob[:13]!r}")
             raise IntegrityError("not an audit log image")
         log = cls(schema_sql, signing_key, rote, log_id=log_id, storage=storage)
         key = log._record_key
@@ -606,7 +587,7 @@ class AuditLog:
         try:
             bodies, end = split_frames(blob, len(IMAGE_MAGIC))
             pending: bytes | None = None
-            fields = None
+            state = None
             last_id = -1
             for body in bodies:
                 kind, content, mac = open_record(key, mac, body)
@@ -615,47 +596,51 @@ class AuditLog:
                 elif kind == HEAD_RECORD and pending is not None:
                     last_id = log._enter_stored(pending, last_id)
                     pending = None
-                    fields = json.loads(content)
-                    log.signed_head = _decode_head(fields)
+                    log.signed_head, state = _decode_head(content)
                     log._check_head()
                 else:
                     raise IntegrityError(f"unexpected record kind {kind!r}")
-            if fields is None:
+            if state is None:
                 raise IntegrityError("audit log image lacks a signed head")
-            next_row_id, trim_generation, latest_time, time_monotone = fields[4:]
-            if type(next_row_id) is not int or next_row_id <= last_id:
+            next_row_id, trim_generation, latest_time, time_monotone = state
+            if next_row_id <= last_id:
                 raise IntegrityError("watermark next_row_id behind stored row ids")
             log.next_row_id = next_row_id
-            log.trim_generation = int(trim_generation)
+            log.trim_generation = trim_generation
             # The stored clock is outside the signature: it may only raise
             # the one recomputed from the chained tuples (a trim can have
             # removed the latest rows), never rewind it.
-            log.latest_time = max(log.latest_time, int(latest_time))
+            log.latest_time = max(log.latest_time, latest_time)
             log.time_monotone = bool(time_monotone) and log.time_monotone
             log.signed_head.verify(public_key)
-            intent = None
-            if pending is not None:
-                wire = split_frames(pending)[0][0]
-                intent = valid_intent(wire, SealIntent, signing_key, log_id)
         except IntegrityError:
             raise
         except Exception as exc:  # malformed fields, bad rows, wrong shapes
             raise IntegrityError(f"audit log snapshot malformed: {exc}") from exc
         log._tail = mac
-        log._stored = len(log._stream)
-        return log, intent, end
+        return log, pending is not None, end
 
     def _enter_stored(self, content: bytes, last_id: int) -> int:
-        """Enter and chain an intent record's tuples; returns the last row id."""
-        bodies, end = split_frames(content)
-        if len(bodies) != 2 or end != len(content):
-            raise IntegrityError("intent record malformed")
-        ids, payloads = json.loads(bodies[1])
-        ids = _stored_ids(ids, len(payloads), last_id)
-        for row_id, (table, values) in zip(ids, payloads):
-            row = self._enter(table, [_decode_value(v) for v in values], row_id)
-            self.chain.append(table, row)
-        return ids[-1] if ids else last_id
+        """Chain an intent record's stored tuple bytes and enter the tuples
+        they decode to, exactly as stored and with row ids strictly
+        increasing; returns the last row id. (A restart's hottest loop.)"""
+        pos, size = 0, len(content)
+        while pos < size:
+            if pos + _ENTRY.size > size:
+                raise IntegrityError("truncated intent record (missing entry header)")
+            row_id, length = _ENTRY.unpack_from(content, pos)
+            if row_id <= last_id:
+                raise IntegrityError("stored row ids not strictly increasing")
+            pos += _ENTRY.size + length
+            if pos > size:
+                raise IntegrityError("truncated intent record (missing tuple)")
+            encoded = content[pos - length : pos]
+            table, values = decode_tuple(encoded)
+            if self._enter(table, values, row_id) != values:
+                raise IntegrityError("stored tuple is not the row its table holds")
+            self.chain.append_encoded(encoded)
+            last_id = row_id
+        return last_id
 
     def verify_structure(self, public_key: EcdsaPublicKey) -> None:
         """Verify chain and head signature (no quorum interaction)."""

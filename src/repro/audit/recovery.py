@@ -158,7 +158,7 @@ def recover_log(
     ``schema_sql`` (``ssm.schema_sql``) and ``log_id`` are the service's
     and key the record MACs: an image of another log or schema is
     ``TAMPER_DETECTED``, never executed or adopted. ``signing_key`` keys
-    the record MACs and the seal intent; ``public_key`` verifies the head.
+    the record MACs; ``public_key`` verifies the head.
     Writes nothing unless it cuts a torn tail or re-seals an in-flight
     gap.
 
@@ -197,7 +197,7 @@ def _recover_log(
 
     try:
         blob = storage.load()
-        log, intent, end = AuditLog.restore(
+        log, in_flight, end = AuditLog.restore(
             blob, schema_sql, signing_key, public_key, rote, log_id, storage=storage
         )
     except (StorageError, SealingError, IntegrityError) as exc:
@@ -217,7 +217,7 @@ def _recover_log(
     head = log.signed_head
     report.outcome = RecoveryOutcome.CLEAN_RESUME
     report.log, report.entries, report.counter = log, len(log.chain), head.counter_value
-    report.intent_found = intent is not None
+    report.intent_found = in_flight
     try:
         report.live_counter = live = rote.retrieve(log_id)
     except QuorumUnavailableError as exc:
@@ -228,11 +228,11 @@ def _recover_log(
         live = None
 
     gap = 0 if live is None else live - head.counter_value
-    if gap > 1 or (gap == 1 and intent is None):
+    if gap > 1 or (gap == 1 and not in_flight):
         report.outcome, report.log = RecoveryOutcome.ROLLBACK_DETECTED, None
         report.error = RollbackError(
             f"stale audit log: counter {head.counter_value} < quorum value "
-            f"{live}" + (" (no seal intent)" if intent is None else f" (gap {gap})")
+            f"{live}" + (f" (gap {gap})" if in_flight else " (no seal intent)")
         )
         report.detail = str(report.error)
         return report

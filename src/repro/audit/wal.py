@@ -4,16 +4,17 @@ Three protocols in this repo change durable state in more than one step
 over *untrusted* storage: the epoch seal (:meth:`AuditLog.seal_epoch`),
 key rotation (:mod:`repro.audit.rotation`) and shard membership change
 (:mod:`repro.shard.rebalance`). Each persists an authenticated intent
-*before* the first step — the seal as a record of the log image itself,
-the others in a sidecar file — so a crash at any later point is
-distinguishable from an attack and can be replayed to completion.
-
-This module is the single implementation of what they share:
+*before* the first step, so a crash at any later point is
+distinguishable from an attack and can be replayed to completion. The
+seal's is an intent record of the log image (:mod:`repro.audit.log`),
+MAC'd under :func:`intent_key`; the other two live in sidecar files, and
+this module is the single implementation of what they share:
 
 - :class:`AuthenticatedIntent` — the codec. A concrete intent is a
   frozen dataclass that declares a payload tag, a wire magic, its
-  sidecar kind (if any) and an ordered list of typed fields; ``payload``/``seal``/
-  ``verify``/``encode``/``decode`` are derived from that declaration.
+  sidecar kind and an ordered list of typed :mod:`repro.codec` fields;
+  ``payload``/``seal``/``verify``/``encode``/``decode`` are derived
+  from that declaration.
 - :func:`valid_intent` — the validator: decode, HMAC tag, owner id, and
   *currency* (an intent the protocol has already moved past is a replay
   by the storage provider, not a crash to resume);
@@ -21,10 +22,6 @@ This module is the single implementation of what they share:
 - :class:`CheckpointedWal` — the coordinator base: write-ahead save,
   ``pending()``, validate-or-discard, the fault site between steps, and
   an ordered step table run with a checkpoint after every step.
-
-The seal path shares the codec and the validator only; its intent record, its named
-``audit.seal`` crash points and the recovery classification stay in
-:mod:`repro.audit.log` and :mod:`repro.audit.recovery`.
 """
 
 from __future__ import annotations
@@ -33,7 +30,8 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Any, Callable, ClassVar
 
-from repro.crypto.hashing import constant_time_equal, hkdf, hmac_sha256
+from repro.codec import Reader, encode_bytes
+from repro.crypto.hashing import HASH_LEN, constant_time_equal, hkdf, hmac_sha256
 from repro.errors import IntegrityError
 from repro.faults import hooks as _faults
 
@@ -54,49 +52,22 @@ def intent_key(d: int) -> bytes:
 # Field codecs
 # ----------------------------------------------------------------------
 
-
 @dataclass(frozen=True)
 class FieldCodec:
-    """How one intent field enters the authenticated payload and the wire form."""
+    """How one intent field is written, and read back strictly: the same
+    bytes in the authenticated payload and on the wire."""
 
-    to_payload: Callable[[Any], bytes]
-    to_wire: Callable[[Any], bytes]
-    from_wire: Callable[[bytes], Any]
-
-
-def _hex(data: bytes) -> bytes:
-    return data.hex().encode()
+    encode: Callable[[Any], bytes]
+    read: Callable[[Reader], Any]
 
 
-def _unhex(wire: bytes) -> bytes:
-    return bytes.fromhex(wire.decode())
-
-
-def _uint(width: int) -> FieldCodec:
-    def from_wire(wire: bytes) -> int:
-        value = int(wire)
-        if not 0 <= value < 1 << (8 * width):
-            raise ValueError(f"integer {value} out of range")
-        return value
-
-    return FieldCodec(
-        lambda value: value.to_bytes(width, "big"),
-        lambda value: str(value).encode(),
-        from_wire,
-    )
-
-
-#: NUL-terminated text in the payload, raw text on the wire (identifiers).
-TEXT = FieldCodec(lambda s: s.encode() + b"\x00", str.encode, bytes.decode)
-#: Free text closing the payload unterminated; hex on the wire (may hold NULs).
-TRAILING_TEXT = FieldCodec(
-    str.encode, lambda s: _hex(s.encode()), lambda w: _unhex(w).decode()
+#: Length-prefixed UTF-8, at most 4 KiB (identifiers, free text with NULs).
+TEXT = FieldCodec(
+    lambda s: encode_bytes(s.encode()), lambda r: r.read_bytes(4096).decode()
 )
-#: Fixed-length raw bytes in the payload, hex on the wire (hashes).
-DIGEST = FieldCodec(bytes, _hex, _unhex)
-#: Big-endian fixed-width in the payload, decimal on the wire.
-U32 = _uint(4)
-U64 = _uint(8)
+#: Big-endian fixed width.
+U32 = FieldCodec(lambda value: value.to_bytes(4, "big"), lambda r: r.read_uint(4))
+U64 = FieldCodec(lambda value: value.to_bytes(8, "big"), lambda r: r.read_uint(8))
 
 
 def intent_field(codec: FieldCodec):
@@ -128,11 +99,10 @@ class AuthenticatedIntent:
     payload under :func:`intent_key`). The first field scopes the intent
     to its owner (a log id, a plane id).
 
-    The authenticated payload is ``TAG NUL field...``; the wire form is
-    ``MAGIC``, each field and the hex tag joined by NULs. Both are
-    on-disk formats a crashed deployment resumes from. ``MAGIC``'s last
-    byte is the format version: a blob of the same format at another
-    version is refused as :data:`UNSUPPORTED_VERSION`.
+    The payload is ``TAG NUL fields``, the wire (an on-disk format a
+    crashed deployment resumes from) ``MAGIC NUL fields tag``: the same
+    field bytes. ``MAGIC``'s last byte is the format version: a blob of the
+    same format at another version is refused as :data:`UNSUPPORTED_VERSION`.
     """
 
     TAG: ClassVar[bytes]  #: domain-separation prefix of the payload
@@ -145,10 +115,11 @@ class AuthenticatedIntent:
     def owner_id(self) -> str:
         return getattr(self, self.FIELDS[0][0])
 
+    def _fields(self) -> bytes:
+        return b"".join(codec.encode(getattr(self, n)) for n, codec in self.FIELDS)
+
     def payload(self) -> bytes:
-        return self.TAG + b"\x00" + b"".join(
-            codec.to_payload(getattr(self, name)) for name, codec in self.FIELDS
-        )
+        return self.TAG + b"\x00" + self._fields()
 
     @classmethod
     def seal(cls, signing_key, *args, **kwargs):
@@ -162,11 +133,7 @@ class AuthenticatedIntent:
             raise IntegrityError(f"{self.NOUN} tag invalid")
 
     def encode(self) -> bytes:
-        return b"\x00".join(
-            [self.MAGIC]
-            + [codec.to_wire(getattr(self, name)) for name, codec in self.FIELDS]
-            + [_hex(self.tag)]
-        )
+        return self.MAGIC + b"\x00" + self._fields() + self.tag
 
     @classmethod
     def decode(cls, blob: bytes):
@@ -174,17 +141,15 @@ class AuthenticatedIntent:
         if magic != cls.MAGIC and magic[:-1] == cls.MAGIC[:-1]:
             raise IntegrityError(f"{cls.NOUN}: {UNSUPPORTED_VERSION} {magic!r}")
         try:
-            magic, *wire, tag_hex = blob.split(b"\x00")
             if magic != cls.MAGIC:
-                raise ValueError("bad magic")
-            if len(wire) != len(cls.FIELDS):
-                raise ValueError(f"expected {len(cls.FIELDS)} fields, got {len(wire)}")
-            values = [
-                codec.from_wire(part) for (_, codec), part in zip(cls.FIELDS, wire)
-            ]
-            return cls(*values, _unhex(tag_hex))
-        except (ValueError, UnicodeDecodeError) as exc:
+                raise IntegrityError("bad magic")
+            reader = Reader(blob[len(magic) + 1 :], IntegrityError, cls.NOUN)
+            values = [codec.read(reader) for _, codec in cls.FIELDS]
+            tag = reader.read_fixed(HASH_LEN)
+            reader.expect_end()
+        except (IntegrityError, UnicodeDecodeError) as exc:
             raise IntegrityError(f"{cls.NOUN} unparsable: {exc}") from exc
+        return cls(*values, tag)
 
 
 # ----------------------------------------------------------------------

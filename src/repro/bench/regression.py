@@ -43,8 +43,8 @@ in a canonical rendering (sorted keys, 6-significant-digit floats,
 CI — verifies byte-for-byte, so hand-edits that drift from canonical
 form are caught.
 
-``compare`` writes the full verdict table to ``BENCH_ci.json`` so the CI
-artifact shows every measured value next to its baseline.
+``compare`` writes the full verdict table (default: the git-ignored
+``benchmarks/results/BENCH_ci.json``) for the CI artifact to show.
 """
 
 from __future__ import annotations
@@ -216,6 +216,7 @@ def compare(
             "ok": all_ok,
             "verdicts": [asdict(v) for v in verdicts],
         }
+        output_path.parent.mkdir(parents=True, exist_ok=True)
         tmp = output_path.with_suffix(output_path.suffix + ".tmp")
         tmp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
         tmp.replace(output_path)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.codec import Reader, encode_parts
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey, EcdsaSignature
 from repro.crypto.hashing import sha256
@@ -24,7 +25,6 @@ from repro.errors import (
 )
 from repro.faults import hooks as _faults
 from repro.sgx.enclave import Enclave
-from repro.tls.codec import Reader, encode_parts
 
 # TCB (trusted computing base) levels the service reports per platform,
 # mirroring IAS/DCAP appraisal statuses. The relying-party policy ladder

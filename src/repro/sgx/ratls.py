@@ -34,6 +34,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable
 
+from repro.codec import Reader, encode_parts
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ecdsa import EcdsaPrivateKey
 from repro.crypto.hashing import sha256
@@ -55,7 +56,6 @@ from repro.sgx.attestation import (
 from repro.sgx.enclave import Enclave, EnclaveConfig
 from repro.sgx.sealing import EpochState, SigningAuthority
 from repro.tls import handshake as hs
-from repro.tls.codec import Reader, encode_parts
 
 # Domain-separation contexts for the report-data binding. TLS evidence
 # binds the certificate public key; replica-join evidence binds the

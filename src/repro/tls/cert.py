@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.codec import Reader, encode_parts
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ecdsa import EcdsaPrivateKey, EcdsaPublicKey, EcdsaSignature
 from repro.crypto.hashing import sha256
 from repro.errors import TLSError
-from repro.tls.codec import Reader, encode_parts
 
 
 @dataclass(frozen=True)

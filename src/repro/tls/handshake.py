@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.codec import Reader, encode_parts
 from repro.crypto.ecdsa import EcdsaSignature
 from repro.crypto.hashing import hkdf, hmac_sha256, sha256
 from repro.errors import TLSError
 from repro.tls.cert import Certificate
-from repro.tls.codec import Reader, encode_parts
 
 # Handshake message types (TLS 1.2 numbering).
 CLIENT_HELLO = 1

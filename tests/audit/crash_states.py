@@ -60,12 +60,17 @@ class TickSSM(ServiceSpecificModule):
 class FsRecorder:
     """Performs each storage call with :mod:`os` and records it by name."""
 
-    def __init__(self) -> None:
+    def __init__(self, drop_dir_fsync_after: int | None = None) -> None:
         self.ops: list[tuple] = []
         self._names: dict[int, str | None] = {}  # fd -> file name (None: a dir)
         #: Set around a head-record append in the negative control: its
         #: fsync is skipped (and not recorded).
         self._head_write = False
+        #: The negative control for directory entries: the directory fsync
+        #: after this replace of the image (1: its first write) is skipped.
+        self._drop_dir_after = drop_dir_fsync_after
+        self._image_replaces = 0
+        self._drop_dir = False
 
     def open(self, path, flags, mode=0o777):
         is_dir = os.path.isdir(path)
@@ -91,6 +96,9 @@ class FsRecorder:
         if name is not None and self._head_write:
             self._head_write = False
             return  # the negative control: this fsync never happens
+        if name is None and self._drop_dir:
+            self._drop_dir = False
+            return  # the directory negative control: the rename stays volatile
         os.fsync(fd)
         self.ops.append(("fsync-dir",) if name is None else ("fsync", name))
 
@@ -112,6 +120,9 @@ class FsRecorder:
     def replace(self, src, dst):
         os.replace(src, dst)
         self.ops.append(("replace", Path(src).name, Path(dst).name))
+        if Path(dst).name == LOG:
+            self._image_replaces += 1
+            self._drop_dir = self._image_replaces == self._drop_dir_after
 
     def unlink(self, path):
         os.unlink(path)
@@ -131,12 +142,21 @@ def recording(recorder: FsRecorder):
         persistence.fs = saved
 
 
-def record_run(root: Path, seed: int = 7, negative: bool = False) -> list[tuple]:
-    """The recorded operations of one seeded run (see the module docstring).
+#: The negative controls :func:`record_run` can plant: a durability bug
+#: the enumeration must catch.
+NEGATIVE = {
+    "head": "the fsync of every head record is dropped",
+    "dir-first": "the directory fsync after the image's first write is dropped",
+    "dir-compaction": "the directory fsync after the trim compaction's rename is dropped",
+}
 
-    ``negative`` drops the fsync of every head record — the durability
-    bug the enumeration must catch."""
-    recorder = FsRecorder()
+
+def record_run(root: Path, seed: int = 7, negative: str | None = None) -> list[tuple]:
+    """The recorded operations of one seeded run (see the module docstring),
+    with the ``negative`` control of :data:`NEGATIVE` planted, if any.
+    The image is replaced first by the first seal, then by the trim."""
+    drop_after = {"dir-first": 1, "dir-compaction": 2}.get(negative)
+    recorder = FsRecorder(drop_after)
     rng = random.Random(seed)
     with recording(recorder):
         storage = LogStorage(root / LOG)
@@ -162,7 +182,7 @@ def record_run(root: Path, seed: int = 7, negative: bool = False) -> list[tuple]
             return head
 
         def append(record, seals=False):
-            recorder._head_write = negative and seals
+            recorder._head_write = negative == "head" and seals
             return real_append(storage, record, seals)
 
         libseal.rote.increment = increment

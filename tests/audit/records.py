@@ -6,21 +6,24 @@ An image is ``IMAGE_MAGIC`` then framed, MAC-chained records (see
 key, a test can do what only the enclave can: forge an image whose
 records all carry valid MACs, so the checks behind the MAC are reached.
 
-:func:`decode` and :func:`encode` give the *document view* the older
-JSON snapshot had — ``log_id``, ``schema``, ``payloads``,
-``watermark_state`` and ``head`` — so field edits port one to one: the
-view collects every tuple a head covers and the last head, and
-:func:`encode` writes it back as one intent record and one head record
-(the shape of a rewritten image), re-MAC'd under the view's log id and
-schema. A field the edit removed, or gave a shape the record format
-cannot hold, is written so that the record is malformed.
+:func:`decode` and :func:`encode` give a *document view* of an image —
+``log_id``, ``schema``, ``payloads`` (``[table, values]``, a bytes value
+as ``{"__bytes__": hex}``), ``watermark_state`` (with ``payload_ids``)
+and ``head`` (hashes and the signature as hex) — so an edit is a plain
+field change: the view collects every tuple a head covers and the last
+head, and :func:`encode` writes it back as one intent record and one
+head record (the shape of a rewritten image), re-MAC'd under the view's
+log id and schema. The records are parsed here with :mod:`struct`, not
+with the loader's reader. A field the edit removed, or gave a value its
+fixed-width or tagged encoding cannot hold, is left out or written as
+``?``, so that the record is malformed.
 """
 
 from __future__ import annotations
 
-import json
+import struct
 
-from repro.audit.hashchain import SealIntent
+from repro.audit.hashchain import decode_tuple, encode_tuple
 from repro.audit.log import (
     HEAD_RECORD,
     IMAGE_MAGIC,
@@ -29,11 +32,61 @@ from repro.audit.log import (
     record_genesis,
     seal_record,
 )
-from repro.audit.persistence import frame, split_frames
+from repro.audit.persistence import split_frames
 from repro.audit.wal import intent_key
+from repro.crypto.ecdsa import EcdsaPrivateKey
 
-HEAD_KEYS = ("head_hash", "counter", "count", "signature")
 STATE_KEYS = ("next_row_id", "trim_generation", "latest_time", "time_monotone")
+#: A head record: head hash, counter, count, signature, next row id, trim
+#: generation, latest time (signed), time_monotone.
+HEAD = struct.Struct(">32sQQ64sQQqB")
+ENTRY = struct.Struct(">QI")  # row id, tuple length
+
+#: A ``LIBSEAL-LOG/2`` image, kept as a refusal vector: two tuples under a
+#: head, then the intent record (``INTENT2`` seal intent, JSON tuples) of
+#: a seal that crashed after it, under :data:`V2_KEY`, the log id
+#: ``libseal-log`` and :data:`V2_SCHEMA`.
+#: Captured at commit b3fe67a with ``PYTHONPATH=src python`` on::
+#:
+#:     log = AuditLog(V2_SCHEMA, KEY, RoteCluster(f=1), storage=InMemoryStorage())
+#:     log.append("pairs", (1, "/p/0", None))
+#:     log.append("pairs", (2, "/p/1", b"\x01\x00\xff"))
+#:     log.seal_epoch()
+#:     log.append("pairs", (3, "/p/2", 2.5))
+#:     with faults.inject(FaultPlan([FaultEvent("audit.seal", "crash_after_intent")])):
+#:         log.seal_epoch()  # raises InjectedCrash
+#:     print(log.storage.load().hex())
+#:
+#: There, ``AuditLog.restore`` loads it with a valid seal intent.
+V2_KEY = EcdsaPrivateKey(
+    0x1F2E3D4C5B6A79788796A5B4C3D2E1F00112233445566778899AABBCCDDEEFF
+)
+V2_SCHEMA = "CREATE TABLE pairs(time INTEGER, path TEXT, body)"
+V2_IMAGE = bytes.fromhex(
+    "4c49425345414c2d4c4f472f320a00000121fffffede4900000097ffffff68494e54454e"
+    "5432006c69627365616c2d6c6f6700373730613036323161323030366237633437376330"
+    "373064653366366235353663363561363835633731336635343161346362363835333038"
+    "333935663739390032003638623131306263616336376130313133666261333335386237"
+    "656365373835613663623265613063326538623837353663376335643839383433393164"
+    "383700000059ffffffa65b5b302c20315d2c205b5b227061697273222c205b312c20222f"
+    "702f30222c206e756c6c5d5d2c205b227061697273222c205b322c20222f702f31222c20"
+    "7b225f5f62797465735f5f223a2022303130306666227d5d5d5d5d271c6e6abbadd41c42"
+    "ac7503dca8dbc2c32a44781f2de1696d20065d019c8d60000000feffffff01485b223737"
+    "306130363231613230303662376334373763303730646533663662353536633635613638"
+    "3563373133663534316134636236383533303833393566373939222c20312c20322c2022"
+    "383539326333373263346136366130643137666332306562303833653932353537383163"
+    "333130356331383363303561316565386333356437343161306464343831633437366239"
+    "393831343761323630333238333163383336346430616263616265663032663236353537"
+    "3539346237666564643461626130313334626165222c20322c20302c20322c2074727565"
+    "5d741785b528e4bd9ce2977c328b18d7f53c75342a72ca819cd23382c194c6e3a2000000"
+    "ecffffff134900000097ffffff68494e54454e5432006c69627365616c2d6c6f67003733"
+    "623066336233393062666532373264393431326535303437373763353637306435383431"
+    "393139393165613039363130653739613239363136363537383700330038663533313132"
+    "333164623730386330306561663761663339323133376265636266663263346465333163"
+    "39326366306230613537656265363132663536666200000024ffffffdb5b5b325d2c205b"
+    "5b227061697273222c205b332c20222f702f32222c20322e355d5d5d5d49c54df9e8e497"
+    "531aa43f61af5b3b007c828f8c6e05eadbe269cfffafddef44"
+)
 
 
 def records(blob, key, log_id="libseal-log", schema=""):
@@ -69,51 +122,113 @@ def record_spans(blob):
     return spans
 
 
-def intent_parts(content):
-    """An intent record's :class:`SealIntent` wire and its decoded tuples."""
-    wire, tuples = split_frames(content)[0]
-    return wire, json.loads(tuples)
+def intent_entries(content):
+    """``(row_id, tuple_bytes)`` of every tuple an intent record holds."""
+    entries, offset = [], 0
+    while offset < len(content):
+        row_id, length = ENTRY.unpack_from(content, offset)
+        offset += ENTRY.size
+        entries.append((row_id, content[offset : offset + length]))
+        offset += length
+    return entries
 
 
-def intent_content(wire, ids, payloads):
-    return frame(wire) + frame(json.dumps([ids, payloads]).encode())
+def intent_content(entries):
+    """An intent record's content from ``(row_id, tuple_bytes)`` pairs."""
+    return b"".join(ENTRY.pack(row_id, len(data)) + data for row_id, data in entries)
+
+
+def _view(value):
+    return {"__bytes__": value.hex()} if isinstance(value, bytes) else value
+
+
+def _unview(value):
+    if isinstance(value, dict):
+        return bytes.fromhex(value["__bytes__"])
+    return value
+
+
+def _tuple_bytes(payload):
+    try:
+        table, values = payload
+        return encode_tuple(str(table), [_unview(v) for v in values])
+    except (TypeError, ValueError, KeyError, AttributeError):
+        return b"?"
+
+
+def _u64(value, signed=False):
+    lo, hi = (-(2**63), 2**63) if signed else (0, 2**64)
+    if type(value) is int and lo <= value < hi:
+        return value.to_bytes(8, "big", signed=signed)
+    return b""
+
+
+def _unhex(text):
+    try:
+        return bytes.fromhex(text)
+    except (TypeError, ValueError):
+        return b""
 
 
 def decode(blob, key, log_id="libseal-log", schema=""):
     """The document view of ``blob`` (see the module docstring)."""
     doc = {"log_id": log_id, "schema": schema, "payloads": [], "head": None}
-    ids, pending, wire, state = [], None, None, None
+    ids, pending, state = [], None, None
     for kind, content in records(blob, key, log_id, schema):
         if kind == INTENT_RECORD:
             pending = content
-        else:
-            wire, (stored_ids, payloads) = intent_parts(pending)
-            ids += stored_ids
-            doc["payloads"] += payloads
-            fields = json.loads(content)
-            doc["head"] = dict(zip(HEAD_KEYS, fields[:4]))
-            state = dict(zip(STATE_KEYS, fields[4:]))
+            continue
+        for row_id, data in intent_entries(pending):
+            table, values = decode_tuple(data)
+            ids.append(row_id)
+            doc["payloads"].append([table, [_view(v) for v in values]])
+        fields = HEAD.unpack(content)
+        doc["head"] = {
+            "head_hash": fields[0].hex(),
+            "counter": fields[1],
+            "count": fields[2],
+            "signature": fields[3].hex(),
+        }
+        state = dict(zip(STATE_KEYS, fields[4:]))
+        state["time_monotone"] = bool(state["time_monotone"])
     doc["watermark_state"] = dict(state or {}, payload_ids=ids)
-    doc["intent"] = wire
     return doc
 
 
 def encode(doc, key):
     """The document view written back as a re-MAC'd two-record image."""
     state = doc.get("watermark_state")
-    tuples = [doc["payloads"]]
-    if isinstance(state, dict) and "payload_ids" in state:
-        tuples.insert(0, state["payload_ids"])
-    wire = doc.get("intent") or SealIntent.seal(
-        key, "libseal-log", bytes(32), 0
-    ).encode()
-    recs = [(INTENT_RECORD, frame(wire) + frame(json.dumps(tuples).encode()))]
+    ids = state.get("payload_ids", []) if isinstance(state, dict) else []
+    payloads = doc["payloads"]
+    if isinstance(payloads, list):
+        content = b""
+        for index in range(max(len(ids), len(payloads))):
+            if index < len(ids):
+                content += _u64(ids[index])
+            if index < len(payloads):
+                data = _tuple_bytes(payloads[index])
+                content += len(data).to_bytes(4, "big") + data
+    else:
+        content = b"?"
+    recs = [(INTENT_RECORD, content)]
     head = doc.get("head")
     if head is not None:
-        fields = [head[k] for k in HEAD_KEYS if k in head] if isinstance(head, dict) else [head]
-        if isinstance(state, dict):
-            fields += [state[k] for k in STATE_KEYS if k in state]
+        if isinstance(head, dict):
+            fields = b"".join((
+                _unhex(head.get("head_hash")),
+                _u64(head.get("counter")),
+                _u64(head.get("count")),
+                _unhex(head.get("signature")),
+            ))
         else:
-            fields.append(state)
-        recs.append((HEAD_RECORD, json.dumps(fields).encode()))
+            fields = b"?"
+        if isinstance(state, dict):
+            monotone = state.get("time_monotone")
+            fields += b"".join((
+                _u64(state.get("next_row_id")),
+                _u64(state.get("trim_generation")),
+                _u64(state.get("latest_time"), signed=True),
+                bytes([monotone]) if type(monotone) is bool else b"",
+            ))
+        recs.append((HEAD_RECORD, fields))
     return image(recs, key, str(doc.get("log_id")), doc.get("schema", ""))

@@ -45,9 +45,23 @@ def test_every_crash_state_recovers(tmp_path):
 
 def test_negative_control_a_head_without_fsync_is_caught(tmp_path):
     (tmp_path / "run").mkdir()
-    ops = record_run(tmp_path / "run", negative=True)
+    ops = record_run(tmp_path / "run", negative="head")
     _, violations = check_states(ops, tmp_path)
     assert any("acknowledged seal" in why for *_, why in violations)
+
+
+@pytest.mark.parametrize("negative", ["dir-first", "dir-compaction"])
+def test_negative_control_a_rename_without_directory_fsync_is_caught(tmp_path, negative):
+    (tmp_path / "run").mkdir()
+    ops = record_run(tmp_path / "run", negative=negative)
+    assert ops.count(("fsync-dir",)) < record_run_dir_fsyncs(tmp_path)
+    _, violations = check_states(ops, tmp_path)
+    assert violations, negative
+
+
+def record_run_dir_fsyncs(tmp_path):
+    (tmp_path / "control").mkdir()
+    return record_run(tmp_path / "control").count(("fsync-dir",))
 
 
 @pytest.mark.skipif(not FULL, reason="full crash space: REPRO_CRASH_FULL=1")

@@ -89,10 +89,10 @@ class TestHashChain:
 
     def test_append_advances_head(self):
         chain = HashChain()
-        first = chain.append("t", [1, "a"])
-        second = chain.append("t", [2, "b"])
-        assert first.chain_hash != second.chain_hash
-        assert chain.head == second.chain_hash
+        chain.append("t", [1, "a"])
+        first = chain.head
+        chain.append("t", [2, "b"])
+        assert first not in (GENESIS, chain.head)
         assert len(chain) == 2
 
     def test_verify_accepts_faithful_payloads(self):

@@ -191,8 +191,8 @@ class TestTrimMatchesByIdentity:
     def test_snapshot_with_an_uncoerced_value_fails_closed(self):
         # An older build chained and stored values as logged. Such a
         # snapshot used to load into a log whose table (coerced) and
-        # chained payloads (not) disagreed; now the chain is computed over
-        # the stored row, so the old signature no longer covers it.
+        # chained payloads (not) disagreed. The chain covers the stored
+        # bytes, and the row must enter its table as stored.
         rote = RoteCluster(f=1)
         chain = HashChain()
         chain.append("t", [1, "a", "5"])
@@ -216,7 +216,7 @@ class TestTrimMatchesByIdentity:
                 "signature": head.signature.encode().hex(),
             },
         }
-        with pytest.raises(IntegrityError, match="signed head does not match"):
+        with pytest.raises(IntegrityError, match="not the row its table holds"):
             AuditLog.load(
                 encode(doc, KEY), schema, KEY, KEY.public_key(), rote, "libseal-log"
             )

@@ -1,9 +1,10 @@
 """Loading a snapshot: one pass, no SQL per row, the tables INSERT builds.
 
 :meth:`AuditLog.load` puts each stored row straight into its table and
-computes the chain once. Two things pin that down: operation counts that
-must not grow with the log (SQL statements) or must equal it exactly
-(tuple encodings), and a reference built the way rows used to arrive —
+hashes the stored tuple bytes into the chain. Two things pin that down:
+operation counts that must not grow with the log (SQL statements) or are
+fixed per tuple (encodings: one per append, none in a seal or a load, one
+in a full verification), and a reference built the way rows used to arrive —
 ``INSERT … VALUES (?, …)`` through :meth:`Database.execute` — that the
 loaded tables, their sorted hints and the log's clock must equal.
 """
@@ -107,9 +108,9 @@ class TestOnePass:
         encodings = Counting(monkeypatch, hashchain, "encode_tuple")
         loaded = load(log, blob)
         assert statements.calls == 0  # the schema is a script, rows are not SQL
-        assert encodings.calls == n
+        assert encodings.calls == 0  # the stored bytes are hashed as they are
         loaded.verify(KEY.public_key())
-        assert encodings.calls == 2 * n
+        assert encodings.calls == n
 
     def test_loaded_tables_equal_the_sql_reference(self, n):
         log = sealed_log(n)
@@ -166,3 +167,49 @@ class TestRecoverBuildsOnce:
             assert recovered.pairs_logged == live.pairs_logged
         assert recovered.checker.audit_log is recovered.audit_log
         assert recovered.check_invariants(force_full=True).ok
+
+
+class TestOneEncodingPerTuple:
+    """A tuple is encoded once, when it is appended: a seal writes those
+    bytes as they are and a restart hashes them as stored, so the only
+    other encoding is a full verification's recomputation of the chain."""
+
+    @staticmethod
+    def count(monkeypatch):
+        from repro.audit import log as audit_log
+
+        owners = (hashchain, audit_log)
+        counters = [Counting(monkeypatch, owner, "encode_tuple") for owner in owners]
+        return lambda: sum(counter.calls for counter in counters)
+
+    def test_append_encodes_once_and_a_seal_never(self, monkeypatch):
+        log = AuditLog(SCHEMA, KEY, RoteCluster(f=1), storage=InMemoryStorage())
+        encodings = self.count(monkeypatch)
+        rows = mixed_rows(60, seed=3)
+        # The first seal writes the image whole, the later ones append.
+        for batch in (rows[:20], rows[20:40], rows[40:]):
+            before = encodings()
+            for table, values in batch:
+                log.append(table, values)
+            assert encodings() == before + len(batch)
+            log.seal_epoch()
+            assert encodings() == before + len(batch)
+
+    def test_restart_encodes_each_tuple_at_most_once(self, monkeypatch):
+        from repro.audit.recovery import RecoveryOutcome
+        from repro.core import LibSeal
+        from repro.ssm import GitSSM
+        from repro.workloads import GitReplayWorkload
+
+        storage, rote = InMemoryStorage(), RoteCluster(f=1)
+        live = LibSeal(GitSSM(), rote=rote, storage=storage)
+        GitReplayWorkload(live, seed=5).run(20)
+        tuples = len(live.audit_log.chain)
+        encodings = self.count(monkeypatch)
+        recovered, report = LibSeal.recover(
+            GitSSM(), storage, signing_key=live.signing_key, rote=rote
+        )
+        assert report.outcome is RecoveryOutcome.CLEAN_RESUME
+        assert encodings() == 0
+        recovered.verify_log()
+        assert 0 < encodings() <= tuples

@@ -15,11 +15,11 @@ signed-head field — and asserts that :func:`recover_log` *classifies* the
 result as a detection (never raises, never resumes) and that
 :meth:`LibSeal.recover` refuses to hand back a running instance.
 
-Not every byte behind the MACs is meaningful. Two kinds of edit are
-harmless and are pinned as such at the bottom: a value the column
-affinity coerces back to the sealed row, and watermark bookkeeping that
-cannot launder a tuple (a restarted checker always begins with a full
-scan).
+Not every byte behind the MACs is meaningful: watermark bookkeeping
+that cannot launder a tuple (a restarted checker always begins with a
+full scan) is harmless, and pinned as such at the bottom. A value the
+column affinity would coerce back to the sealed row is not: the chain
+covers the stored bytes, so it is a detection like any other edit.
 
 ``PARENT_JSON_SNAPSHOT`` is a snapshot in the JSON format the record
 image replaced, kept as a refusal vector. It was captured from a tree
@@ -39,23 +39,17 @@ import copy
 
 import pytest
 
-from repro.audit.hashchain import RotationIntent, SealIntent
-from repro.audit.log import INTENT_RECORD, UNSUPPORTED_SNAPSHOT
-from repro.audit.persistence import InMemoryStorage
+from repro.audit.hashchain import RotationIntent
+from repro.audit.log import INTENT_RECORD, UNSUPPORTED_SNAPSHOT, record_genesis, seal_record
+from repro.audit.persistence import InMemoryStorage, frame
 from repro.audit.recovery import RecoveryOutcome, recover_log
+from repro.audit.wal import intent_key
 from repro.core import LibSeal
 from repro.http import HttpRequest, HttpResponse
 from repro.ssm import GitSSM
 from repro.ssm.base import ServiceSpecificModule
 from repro.workloads import GitReplayWorkload
-from tests.audit.records import (
-    decode,
-    encode,
-    image,
-    intent_content,
-    record_spans,
-    records,
-)
+from tests.audit.records import V2_IMAGE, decode, encode, record_spans
 
 TAMPER = RecoveryOutcome.TAMPER_DETECTED
 ROLLBACK = RecoveryOutcome.ROLLBACK_DETECTED
@@ -214,6 +208,11 @@ def rename_column(doc):
     doc["schema"] = doc["schema"].replace("path TEXT", "route TEXT")
 
 
+def time_as_text(doc):
+    values = payload(doc, 1)[1]
+    values[0] = str(values[0])
+
+
 # payloads[0] is (1, "/p/0", NULL), payloads[1] is (2, "/p/1", {"__bytes__": "01ff"}).
 CASES = {
     "log_id": setitem(["log_id"], "another-log"),
@@ -230,6 +229,7 @@ CASES = {
     "value-bytes-to-text": setitem(["payloads", 1, 1, 2], "01ff"),
     "value-null-to-text": setitem(["payloads", 0, 1, 2], ""),
     "value-list": setitem(["payloads", 1, 1, 1], ["/p/1"]),
+    "value-int-as-numeric-text": time_as_text,
     "bytes-hex-changed": flip_hex(["payloads", 1, 1, 2, "__bytes__"]),
     "bytes-hex-invalid": setitem(["payloads", 1, 1, 2, "__bytes__"], "zz"),
     "payload-shape": setitem(["payloads", 1], ["pairs"]),
@@ -393,38 +393,46 @@ class TestByteMatrix:
 
 class TestInFlightIntentRecord:
     """The trailing intent record is what turns a counter gap of one into
-    ``IN_FLIGHT_DISCARDED``; a forged one (MAC-valid, so only the key
-    could write it) whose seal intent does not verify reads as absent."""
+    ``IN_FLIGHT_DISCARDED``: its MAC, chained onto the last head's, is a
+    proof only the enclave can make. Anything else in its place explains
+    nothing: a torn one is a rollback, a foreign one tampering."""
 
-    def gap_of_one(self, wire=None):
+    def gap_of_one(self):
         libseal, _, current = six_pairs()
-        key = libseal.signing_key
-        schema = libseal.ssm.schema_sql
-        recs = records(current, key, schema=schema)
-        if wire is not None:
-            recs[-2] = (INTENT_RECORD, intent_content(wire, [], []))
-        return libseal, image(recs[:-1], key, schema=schema)  # no final head
+        start, end = record_spans(current)[-1]  # the final head
+        return libseal, current[:start], record_spans(current)[-2]
 
     def test_genuine_intent_explains_the_gap(self):
-        libseal, blob = self.gap_of_one()
+        libseal, blob, _ = self.gap_of_one()
         recovered, report = restart(libseal, blob, once=True)
         assert report.outcome is RecoveryOutcome.IN_FLIGHT_DISCARDED
         assert report.intent_found and report.resealed
 
-    @pytest.mark.parametrize(
-        "forge",
-        [
-            lambda key: SealIntent.seal(key, "another-log", bytes(32), 5).encode(),
-            lambda key: SealIntent.seal(key, "libseal-log", bytes(32), 5).encode()[:-2],
-            lambda key: RotationIntent.seal(key, "libseal-log", 1, 2, "x").encode(),
-            lambda key: b"INTENT1\x00libseal-log",
-        ],
-        ids=["foreign-log", "tag-cut", "rotation-intent", "v1"],
-    )
-    def test_invalid_intent_is_a_rollback(self, forge):
-        libseal, blob = self.gap_of_one(forge(LibSeal(BodySSM()).signing_key))
-        recovered, report = restart(libseal, blob)
+    @pytest.mark.parametrize("cut", [9], ids=["tag-cut"])
+    def test_invalid_intent_is_a_rollback(self, cut):
+        libseal, blob, _ = self.gap_of_one()
+        recovered, report = restart(libseal, blob[:-cut])
         assert report.outcome is ROLLBACK
+        assert not report.intent_found and recovered is None
+
+    @pytest.mark.parametrize("forge", ["foreign-log", "rotation-intent", "v2"])
+    def test_foreign_intent_is_tamper(self, forge):
+        libseal, blob, (start, end) = self.gap_of_one()
+        key, schema = libseal.signing_key, libseal.ssm.schema_sql
+        content = blob[start + 9 : end - 32]  # the genuine record's content
+        mac_key = intent_key(key.d)
+        record = {
+            "foreign-log": lambda: seal_record(
+                mac_key, record_genesis(mac_key, "another-log", schema),
+                INTENT_RECORD, content,
+            )[0],
+            "rotation-intent": lambda: frame(
+                INTENT_RECORD + RotationIntent.seal(key, "libseal-log", 1, 2, "x").encode()
+            ),
+            "v2": lambda: V2_IMAGE[record_spans(V2_IMAGE)[-1][0] :],
+        }[forge]()
+        recovered, report = restart(libseal, blob[:start] + record)
+        assert report.outcome is TAMPER, report.describe()
         assert not report.intent_found and recovered is None
 
 
@@ -495,19 +503,6 @@ class TestStoredSchemaIsNotExecuted:
 
 
 class TestHarmlessEdits:
-    def test_value_the_affinity_coerces_back_loads_the_same_log(self, sealed):
-        # Numeric text in an INTEGER column is stored as the integer: the
-        # row, the chain and every query see exactly what was sealed.
-        libseal, _, current = sealed
-
-        def time_as_text(doc):
-            values = payload(doc, 1)[1]
-            values[0] = str(values[0])
-
-        recovered, report = restart(libseal, edited(libseal, current, time_as_text))
-        assert report.outcome is RecoveryOutcome.CLEAN_RESUME
-        assert list(recovered.audit_log.tuples()) == list(libseal.audit_log.tuples())
-
     def test_watermark_bookkeeping_cannot_rewind_the_clock(self, sealed):
         libseal, _, current = sealed
         recovered, report = restart(

@@ -3,6 +3,7 @@ modes (no summary, missing metric, malformed baseline) and the canonical
 machine-written baseline lifecycle."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -281,8 +282,6 @@ class TestCanonicalBaseline:
         assert canonical == canonical_text(doc)
 
     def test_committed_baseline_is_canonical(self):
-        from pathlib import Path
-
         ok, _ = check_canonical(
             Path(__file__).resolve().parents[2]
             / "benchmarks" / "baselines" / "ci_baseline.json"
@@ -319,6 +318,27 @@ class TestCli:
         baseline.write_text("{oops")
         assert cli_main(args) == 2
         capsys.readouterr()
+
+    def test_default_output_leaves_the_tracked_verdicts_alone(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The default ``--output`` is git-ignored under
+        ``benchmarks/results``: a default run never rewrites the committed
+        root ``BENCH_ci.json``."""
+        tracked = Path(__file__).resolve().parents[2] / "BENCH_ci.json"
+        before = tracked.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "BENCH_ci.json").write_bytes(before)
+        results = tmp_path / "benchmarks" / "results"
+        baseline = tmp_path / "base.json"
+        write_summary(results, "bench", {"x": 1})
+        write_baseline(baseline, {"bench.x": {"value": 1, "mode": "exact"}})
+        assert cli_main(["bench-compare", "--baseline", str(baseline)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "BENCH_ci.json").read_bytes() == before
+        assert tracked.read_bytes() == before
+        report = json.loads((results / "BENCH_ci.json").read_text())
+        assert report["ok"] and report["results_dir"] == "benchmarks/results"
 
     def test_update_and_check_canonical_flags(self, tmp_path, capsys):
         results = tmp_path / "results"

@@ -11,15 +11,18 @@ per-call HKDF this module was written against, with::
 
 which prints the tables in the form they appear here. Scalars sit on the
 signed 8-bit digit edges (127, 128, 129, 255, 256), at ``n - 1`` and at
-three DRBG draws; the records are one signed log head, one seal intent's
-wire encoding and one ROTE counter attestation, taken across a key
+three DRBG draws; the records are one signed log head, one seal intent
+record and one ROTE counter attestation, taken across a key
 rotation. Every signature also verifies. (Replicas no longer seal their
 counters, so the sealed replica blob once pinned next to it is gone.)
 
-The seal intent is the one vector not captured from that tree: its tag is
-an HMAC under a key derived from the record key's scalar (``INTENT2``,
-which replaced the ECDSA-signed ``INTENT1``), and ``SEAL_INTENT_SHA256``
-was captured with the same command from the tree that introduced it.
+The seal intent is the one vector not captured from that tree. It is the
+log image's intent record — two tuples as their :func:`encode_tuple`
+bytes behind their row ids, MAC'd with HMAC under a key derived from the
+record key's scalar, chained onto a head — which replaced the
+``INTENT2`` seal intent (itself the successor of the ECDSA-signed
+``INTENT1``); ``SEAL_INTENT_SHA256`` was captured with the same command
+from the tree that introduced the record format (``LIBSEAL-LOG/3``).
 """
 
 import hashlib
@@ -27,7 +30,9 @@ import json
 
 import pytest
 
-from repro.audit.hashchain import SealIntent, SignedHead
+from repro.audit.hashchain import SignedHead, encode_tuple
+from repro.audit.log import INTENT_RECORD, open_record, seal_record, stored_entry
+from repro.audit.wal import intent_key
 from repro.audit.rote import RoteCluster
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ec import CURVE_P256
@@ -79,7 +84,7 @@ SIGNATURE_SHA256 = {
 
 SIGNED_HEAD_SHA256 = "4af110a20017758f01e03f3250b761cf0b92a28c96ae2ab64128b7ae052e0dcd"
 
-SEAL_INTENT_SHA256 = "d40b0afd21513b8fb0596eead800ef3350b3eedfc976c34c9840921b91714758"
+SEAL_INTENT_SHA256 = "4da1460e565911cb38155bdccef18eb423f0127def0c0b3cff62a0b14f6315d4"
 
 ATTESTATION_SHA256 = "7b62053ceee688b219b1b623249330750decdde75ed0a0c0895b5f976f39a4c8"
 
@@ -96,10 +101,13 @@ def signed_head() -> SignedHead:
     return SignedHead.sign(record_key(), HEAD_HASH, 41, 1000)
 
 
-def seal_intent() -> SealIntent:
-    return SealIntent.seal(
-        record_key(), log_id=LOG_ID, head_hash=HEAD_HASH, entry_count=1000
-    )
+def seal_intent() -> bytes:
+    """An intent record chained onto ``HEAD_HASH`` (standing in for the
+    MAC of the head record it follows)."""
+    content = stored_entry(
+        999, encode_tuple("updates", [41, "repo.git", b"\x00\xff", 2.5, None])
+    ) + stored_entry(1000, encode_tuple("libseal_events", [41, "rotate", "x"]))
+    return seal_record(intent_key(record_key().d), HEAD_HASH, INTENT_RECORD, content)[0]
 
 
 def rote_after_rotation():
@@ -145,10 +153,10 @@ def test_signed_head_matches_golden():
 
 
 def test_seal_intent_encoding_matches_golden():
-    intent = seal_intent()
-    assert sha(intent.encode()) == SEAL_INTENT_SHA256
-    assert SealIntent.decode(intent.encode()) == intent
-    intent.verify(record_key())
+    record = seal_intent()
+    assert sha(record) == SEAL_INTENT_SHA256
+    kind, _, _ = open_record(intent_key(record_key().d), HEAD_HASH, record[8:])
+    assert kind == INTENT_RECORD
 
 
 def test_rote_attestation_matches_golden():
@@ -170,6 +178,6 @@ if __name__ == "__main__":
     print("}\n")
     head = signed_head()
     print(f'SIGNED_HEAD_SHA256 = "{sha(head.payload() + head.signature.encode())}"\n')
-    print(f'SEAL_INTENT_SHA256 = "{sha(seal_intent().encode())}"\n')
+    print(f'SEAL_INTENT_SHA256 = "{sha(seal_intent())}"\n')
     _, attestation = rote_after_rotation()
     print(f'ATTESTATION_SHA256 = "{sha(attestation_bytes(attestation))}"')

@@ -6,8 +6,8 @@ import os
 import pytest
 
 from repro import faults
-from repro.audit import AuditLog, RoteCluster, SealIntent
-from repro.audit.log import HEAD_RECORD, INTENT_RECORD
+from repro.audit import AuditLog, RoteCluster
+from repro.audit.log import HEAD_RECORD, INTENT_RECORD, UNSUPPORTED_SNAPSHOT
 from repro.audit.persistence import InMemoryStorage, LogStorage, frame
 from repro.audit.recovery import DETECTED_OUTCOMES, RecoveryOutcome, recover_log
 from repro.audit.sealed_storage import SealedLogStorage, make_log_enclave
@@ -25,14 +25,7 @@ from repro.sgx.sealing import SigningAuthority
 from repro.ssm.base import ServiceSpecificModule
 from repro.ssm.messaging import MessagingSSM
 from repro.workloads.messaging_traffic import MessagingWorkload
-from tests.audit.records import (
-    image,
-    intent_content,
-    intent_parts,
-    record_spans,
-    records,
-)
-from tests.audit.test_wal import v1_wire
+from tests.audit.records import V2_IMAGE, V2_KEY, V2_SCHEMA, record_spans, records
 from tests.quorum_outage import cut_off, reconnect
 
 SCHEMA = "CREATE TABLE updates(time INTEGER, note TEXT)"
@@ -193,27 +186,21 @@ class TestRecoveryOutcomes:
         assert report.outcome is RecoveryOutcome.TAMPER_DETECTED
         assert report.detected and report.log is None
 
-    def test_counter_gap_with_v1_intent_is_rollback(self, tmp_path, key):
-        """A version-1 seal intent (ECDSA-signed for exactly this state)
-        is refused even inside a record whose MAC verifies, so the gap
-        cannot be explained."""
+    def test_counter_gap_in_a_v2_image_is_refused(self, tmp_path):
+        """An image in the previous format whose last seal crashed after
+        its intent record is refused as that format: its ``INTENT2`` seal
+        intent explains no counter gap, and nothing resumes on it."""
         rote = RoteCluster(f=1)
+        rote.increment("libseal-log")
+        rote.increment("libseal-log")  # the head holds 1: a gap of one
         path = tmp_path / "log.bin"
-        log = make_log(LogStorage(path), key, rote)
-        seal_epochs(log, 1)
-        with pytest.raises(InjectedCrash):
-            with faults.inject(
-                FaultPlan([FaultEvent("audit.seal", "crash_after_increment")])
-            ):
-                seal_epochs(log, 1, start=1)
-        recs = records(path.read_bytes(), key, schema=SCHEMA)
-        wire, (ids, payloads) = intent_parts(recs[-1][1])
-        old = v1_wire(SealIntent.decode(wire), key)
-        recs[-1] = (INTENT_RECORD, intent_content(old, ids, payloads))
-        path.write_bytes(image(recs, key, schema=SCHEMA))
-        report = recover_log(LogStorage(path), SCHEMA, key, key.public_key(), rote)
-        assert report.outcome is RecoveryOutcome.ROLLBACK_DETECTED
-        assert not report.intent_found
+        path.write_bytes(V2_IMAGE)
+        report = recover_log(
+            LogStorage(path), V2_SCHEMA, V2_KEY, V2_KEY.public_key(), rote
+        )
+        assert report.outcome is RecoveryOutcome.TAMPER_DETECTED
+        assert UNSUPPORTED_SNAPSHOT in report.detail
+        assert not report.intent_found and report.log is None
 
     def test_tamper_detected_on_corrupt_read(self, tmp_path, key):
         rote = RoteCluster(f=1)
