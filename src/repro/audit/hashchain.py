@@ -2,10 +2,10 @@
 
 Every logged tuple's payload hash is chained onto the previous head (like
 PeerReview's tamper-evident logs, which §5.1 cites); the chain keeps only
-its head and length. The head is periodically signed with the enclave's
-ECDSA key (created at provisioning), together with the current monotonic
-counter value, producing a :class:`SignedHead` that anchors both
-integrity and freshness.
+its head and length. Each seal anchors the head, with a fresh monotonic
+counter value, in a :class:`SignedHead` (integrity and freshness), which
+carries an ECDSA signature under the enclave's provisioned key once it is
+signed (when, :mod:`repro.audit.log` says).
 
 Nothing stores the hashes: the paper keeps them apart from the tuples so
 trimming need not rewrite every row (§5.1), and here a trim recomputes the
@@ -14,7 +14,7 @@ chain over the survivors and the image stores tuples only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from repro.audit.wal import (
@@ -115,12 +115,13 @@ def decode_tuple(data: bytes) -> tuple[str, list[object]]:
 
 @dataclass(frozen=True)
 class SignedHead:
-    """A signed (chain head, counter value, entry count) anchor."""
+    """A (chain head, counter value, entry count) anchor; ``signature`` is
+    None until it is signed (its head record's MAC authenticates it)."""
 
     head_hash: bytes
     counter_value: int
     entry_count: int
-    signature: EcdsaSignature
+    signature: EcdsaSignature | None = None
 
     def payload(self) -> bytes:
         return (
@@ -130,17 +131,14 @@ class SignedHead:
             + self.entry_count.to_bytes(8, "big")
         )
 
-    @staticmethod
-    def sign(
-        key: EcdsaPrivateKey, head_hash: bytes, counter_value: int, entry_count: int
-    ) -> "SignedHead":
-        unsigned = SignedHead(head_hash, counter_value, entry_count, EcdsaSignature(0, 0))
-        return SignedHead(
-            head_hash, counter_value, entry_count, key.sign(unsigned.payload())
-        )
+    def signed(self, key: EcdsaPrivateKey) -> "SignedHead":
+        """This head with a signature: itself if it has one."""
+        if self.signature is not None:
+            return self
+        return replace(self, signature=key.sign(self.payload()))
 
     def verify(self, public_key: EcdsaPublicKey) -> None:
-        if not public_key.verify(self.payload(), self.signature):
+        if self.signature is None or not public_key.verify(self.payload(), self.signature):
             raise IntegrityError("audit log head signature invalid")
 
 

@@ -9,7 +9,8 @@ tracing systems collect remote logs).
 :func:`merge_logs` implements that combiner:
 
 1. every partial log is *fully verified first* (hash chain, head
-   signature, ROTE freshness) — a tampered partial poisons nothing;
+   signature, made on this export, ROTE freshness) — a tampered partial
+   poisons nothing;
 2. tuples are merged by (logical time, instance id) into a fresh
    database with the shared schema, preserving each instance's order;
 3. invariants run over the merged relations exactly as over a local log.

@@ -8,8 +8,9 @@ and benign crashes never masquerade as attacks.
 
 :func:`recover_log` is the startup path. It loads the stored record image
 from untrusted storage, verifies every record MAC, re-verifies the hash
-chain and the last head's signature, cross-checks freshness against the
-ROTE quorum (whose RPCs carry bounded retry/backoff), and classifies the
+chain and the last head's signature where its record stores one,
+cross-checks freshness against the ROTE quorum (whose RPCs carry
+bounded retry/backoff), and classifies the
 outcome:
 
 ==========================  ==================================================
@@ -56,8 +57,9 @@ by cutting the final head record off the image (whole or in part) is
 indistinguishable from a benign crash between the counter increment and
 the head append — an inherent limit of counter-based freshness shared
 with ROTE/Ariadne-class schemes. The damage is bounded to the single
-newest epoch, and the affected client holds the (signed) response header
-to dispute it.
+newest epoch. The affected client holds no signed head to dispute it:
+no response carries one, and the only header LibSEAL adds is
+``Libseal-Check-Result`` (:mod:`repro.core.logger`), a check's outcome.
 """
 
 from __future__ import annotations

@@ -422,7 +422,9 @@ class LibSeal:
         return removed
 
     def verify_log(self, public_key: EcdsaPublicKey | None = None) -> None:
-        """Full log verification (chain, signature, freshness)."""
+        """Full log verification: the chain, a valid signature on the
+        current head (an export: signed now if its seal did not sign it)
+        under ``public_key`` (the log's own by default), and freshness."""
         key = public_key if public_key is not None else self.signing_key.public_key()
         self.audit_log.verify(key)
 

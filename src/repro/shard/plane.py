@@ -377,7 +377,7 @@ class ShardPlane:
         """Full verification of every shard log and the control log.
 
         A shard that never received a pair has sealed nothing, so it has
-        no signed head to verify — accepted only while its counter quorum
+        no head to verify — accepted only while its counter quorum
         still reads 0. A headless log under an advanced counter is a
         deleted log and fails closed like any other.
         """

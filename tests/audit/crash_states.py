@@ -4,7 +4,9 @@
 (``repro.audit.persistence.fs``): it performs every call and records it
 by file name. :func:`record_run` drives a seeded LibSeal run through it —
 appends, per-pair and windowed seals, a trim compaction, a key-rotation
-re-seal, membership sidecar saves and clears — and records every ROTE
+re-seal, membership sidecar saves and clears, and enough seals to pass a
+cadence counter value (``SIGN_EVERY``), so both unsigned head records and
+one that stores a signature are written — and records every ROTE
 increment and every acknowledged seal among the file operations.
 
 :class:`DiskModel` replays the operations and says what a disk may hold
@@ -199,6 +201,7 @@ def record_run(root: Path, seed: int = 7, negative: str | None = None) -> list[t
         libseal.trim()  # a compaction: intent appended, image replaced
         pairs(3)
         KeyRotationCoordinator(libseal).rotate("crash-state run")
+        pairs(30)  # ten windows: past a cadence value, a signed head record
         storage.save_intent(b"membership-intent", "membership")
         pairs(2)
         storage.clear_intent("membership")

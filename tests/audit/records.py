@@ -9,7 +9,8 @@ records all carry valid MACs, so the checks behind the MAC are reached.
 :func:`decode` and :func:`encode` give a *document view* of an image —
 ``log_id``, ``schema``, ``payloads`` (``[table, values]``, a bytes value
 as ``{"__bytes__": hex}``), ``watermark_state`` (with ``payload_ids``)
-and ``head`` (hashes and the signature as hex) — so an edit is a plain
+and ``head`` (hashes and the signature as hex, ``None`` for an unsigned
+head) — so an edit is a plain
 field change: the view collects every tuple a head covers and the last
 head, and :func:`encode` writes it back as one intent record and one
 head record (the shape of a rewritten image), re-MAC'd under the view's
@@ -37,9 +38,11 @@ from repro.audit.wal import intent_key
 from repro.crypto.ecdsa import EcdsaPrivateKey
 
 STATE_KEYS = ("next_row_id", "trim_generation", "latest_time", "time_monotone")
-#: A head record: head hash, counter, count, signature, next row id, trim
-#: generation, latest time (signed), time_monotone.
-HEAD = struct.Struct(">32sQQ64sQQqB")
+#: A head record: head hash, counter, count, next row id, trim generation,
+#: latest time (signed), time_monotone, the "signed" flag — then the
+#: 64-byte signature only when the flag is set.
+HEAD = struct.Struct(">32sQQQQqBB")
+SIGNATURE_LEN = 64
 ENTRY = struct.Struct(">QI")  # row id, tuple length
 
 #: A ``LIBSEAL-LOG/2`` image, kept as a refusal vector: two tuples under a
@@ -86,6 +89,35 @@ V2_IMAGE = bytes.fromhex(
     "39326366306230613537656265363132663536666200000024ffffffdb5b5b325d2c205b"
     "5b227061697273222c205b332c20222f702f32222c20322e355d5d5d5d49c54df9e8e497"
     "531aa43f61af5b3b007c828f8c6e05eadbe269cfffafddef44"
+)
+
+
+#: A ``LIBSEAL-LOG/3`` image, kept as a refusal vector: the image
+#: ``tests/audit/test_wal.py``'s ``seal_image()`` wrote before the head
+#: record gained its "signed" flag — two seals of four tuples, each head
+#: record 137 bytes with its signature, under ``V2_KEY``, the log id
+#: ``golden-log`` and :data:`V2_SCHEMA`. Captured at commit 404b204 with
+#: ``PYTHONPATH=src python tests/audit/test_wal.py``; there,
+#: ``AuditLog.restore`` loads it: four tuples, counter 2, no seal in flight.
+V3_IMAGE = bytes.fromhex(
+    "4c49425345414c2d4c4f472f330a0000006cffffff934900000000000000000000001654"
+    "70616972730049310053000000042f702f30004e0000000000000000010000001d547061"
+    "6972730049320053000000042f702f310059000000030100ff00d81ba5cf9c497b0bdfe8"
+    "f3a95e96db214f45d694a46dad789cd27f376dffe6df000000aaffffff5548770a0621a2"
+    "006b7c477c070de3f6b556c65a685c713f541a4cb685308395f799000000000000000100"
+    "000000000000028592c372c4a66a0d17fc20eb083e9255781c3105c183c05a1ee8c35d74"
+    "1a0dd481c476b998147a26032831c8364d0abcabef02f26557594b7fedd4aba0134bae00"
+    "000000000000020000000000000000000000000000000201c860f8b33eab18ff2b733d15"
+    "bb8c2decdf73db68b4d95afd33ab57c283744b530000007affffff854900000000000000"
+    "02000000195470616972730049330053000000042f702f320046322e3500000000000000"
+    "00030000002854706169727300492d340053000000000049313030303030303030303030"
+    "3030303030303030300082f589dbcc5bd4828bb7dc3d1c971dae493eb50a67e1c5a603d6"
+    "d72086b4fb1e000000aaffffff5548487e7369d1a56afd26b5fd752f193c343fad61d1d5"
+    "3d12fa348a29ea012f251200000000000000020000000000000004cb0fe0b3ec133aca21"
+    "70e7e13c14454f34c43c1d460057efdd6bfa3740e29a35984183c7d28a67c520f36b6dd8"
+    "ba30f9efdae74b146883d6d9a184d20cfe7c050000000000000004000000000000000000"
+    "00000000000003008e1f0d03ba362bf1530043c94614234db30271b33a7cd5ab7df487a2"
+    "c29ed007"
 )
 
 
@@ -182,14 +214,15 @@ def decode(blob, key, log_id="libseal-log", schema=""):
             table, values = decode_tuple(data)
             ids.append(row_id)
             doc["payloads"].append([table, [_view(v) for v in values]])
-        fields = HEAD.unpack(content)
+        head_hash, counter, count, *state, signed = HEAD.unpack_from(content)
+        signature = content[HEAD.size :] if signed else None
         doc["head"] = {
-            "head_hash": fields[0].hex(),
-            "counter": fields[1],
-            "count": fields[2],
-            "signature": fields[3].hex(),
+            "head_hash": head_hash.hex(),
+            "counter": counter,
+            "count": count,
+            "signature": None if signature is None else signature.hex(),
         }
-        state = dict(zip(STATE_KEYS, fields[4:]))
+        state = dict(zip(STATE_KEYS, state))
         state["time_monotone"] = bool(state["time_monotone"])
     doc["watermark_state"] = dict(state or {}, payload_ids=ids)
     return doc
@@ -218,10 +251,10 @@ def encode(doc, key):
                 _unhex(head.get("head_hash")),
                 _u64(head.get("counter")),
                 _u64(head.get("count")),
-                _unhex(head.get("signature")),
             ))
+            signature = head.get("signature")
         else:
-            fields = b"?"
+            fields, signature = b"?", None
         if isinstance(state, dict):
             monotone = state.get("time_monotone")
             fields += b"".join((
@@ -230,5 +263,6 @@ def encode(doc, key):
                 _u64(state.get("latest_time"), signed=True),
                 bytes([monotone]) if type(monotone) is bool else b"",
             ))
+        fields += b"\x00" if signature is None else b"\x01" + _unhex(signature)
         recs.append((HEAD_RECORD, fields))
     return image(recs, key, str(doc.get("log_id")), doc.get("schema", ""))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.audit import AuditLog, RoteCluster
+from repro.audit.log import SIGN_EVERY
 from repro.audit.persistence import InMemoryStorage, LogStorage
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.ecdsa import EcdsaPrivateKey
@@ -125,7 +126,9 @@ class TestLoadAndTamper:
             load(encode(doc, key), key, rote)
 
     def test_forged_head_detected(self, key, rote, log):
-        fill(log)
+        for _ in range(SIGN_EVERY - 1):
+            rote.increment("libseal-log")
+        fill(log)  # a cadence seal: the head record stores its signature
         doc = doc_of(log, key)
         doc["head"]["counter"] += 1  # a forged, re-MAC'd head
         with pytest.raises(IntegrityError):

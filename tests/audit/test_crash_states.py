@@ -19,7 +19,12 @@ import os
 
 import pytest
 
-from tests.audit.crash_states import LOG, check_states, record_run
+from repro.audit.log import HEAD_RECORD, SIGN_EVERY
+from tests.audit.crash_states import KEY, LOG, TickSSM, check_states, record_run
+from tests.audit.records import records
+
+#: An unsigned head record's content; a signed one adds the signature.
+HEAD_BYTES = 74
 
 FULL = os.environ.get("REPRO_CRASH_FULL") == "1"
 
@@ -33,6 +38,16 @@ def test_the_run_covers_every_operation(tmp_path):
     }
     names = {op[1] for op in ops if op[0] in ("write", "truncate")}
     assert names >= {LOG, LOG + ".tmp", LOG + ".rotation", LOG + ".membership"}
+    # Seals on both sides of a cadence value: the image holds unsigned head
+    # records and one that stores its signature.
+    acked = [op[1] for op in ops if op[0] == "ack"]
+    assert acked == list(range(1, SIGN_EVERY + 2))
+    heads = [
+        len(content)
+        for kind, content in records((tmp_path / LOG).read_bytes(), KEY, schema=TickSSM.schema_sql)
+        if kind == HEAD_RECORD
+    ]
+    assert heads.count(HEAD_BYTES + 64) == 1 and heads.count(HEAD_BYTES) > 1
 
 
 def test_every_crash_state_recovers(tmp_path):

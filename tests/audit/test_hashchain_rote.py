@@ -139,17 +139,17 @@ class TestHashChain:
 
 class TestSignedHead:
     def test_sign_verify(self, key):
-        head = SignedHead.sign(key, b"\xab" * 32, counter_value=7, entry_count=3)
+        head = SignedHead(b"\xab" * 32, counter_value=7, entry_count=3).signed(key)
         head.verify(key.public_key())
 
     def test_wrong_key_rejected(self, key):
         other = EcdsaPrivateKey.generate(HmacDrbg(seed=b"other"))
-        head = SignedHead.sign(key, b"\xab" * 32, 7, 3)
+        head = SignedHead(b"\xab" * 32, 7, 3).signed(key)
         with pytest.raises(IntegrityError):
             head.verify(other.public_key())
 
     def test_tampered_counter_rejected(self, key):
-        head = SignedHead.sign(key, b"\xab" * 32, 7, 3)
+        head = SignedHead(b"\xab" * 32, 7, 3).signed(key)
         forged = SignedHead(head.head_hash, 99, head.entry_count, head.signature)
         with pytest.raises(IntegrityError):
             forged.verify(key.public_key())

@@ -213,3 +213,20 @@ class TestOneEncodingPerTuple:
         assert encodings() == 0
         recovered.verify_log()
         assert 0 < encodings() <= tuples
+
+    def test_trim_encodes_each_survivor_once(self, monkeypatch):
+        """The rebuilt chain and the rewritten image share one encoding of
+        each survivor (a trim once encoded every survivor twice)."""
+        log = AuditLog(SCHEMA, KEY, RoteCluster(f=1), storage=InMemoryStorage())
+        for index in range(100):
+            log.append("t", (index, f"k{index}", index, 0.5, None))
+        log.seal_epoch()
+        encodings = self.count(monkeypatch)
+        assert log.trim(["DELETE FROM t WHERE v % 2 = 1"]) == 50
+        assert encodings() == 50
+        reference = hashchain.HashChain()
+        reference.rebuild(log.tuples())
+        assert (log.chain.head, len(log.chain)) == (reference.head, 50)
+        assert log.storage.load() == log.serialize()
+        loaded = load(log, log.storage.load())
+        assert list(loaded.tuples()) == list(log.tuples())

@@ -40,7 +40,14 @@ import copy
 import pytest
 
 from repro.audit.hashchain import RotationIntent
-from repro.audit.log import INTENT_RECORD, UNSUPPORTED_SNAPSHOT, record_genesis, seal_record
+from repro.audit import RoteCluster
+from repro.audit.log import (
+    INTENT_RECORD,
+    SIGN_EVERY,
+    UNSUPPORTED_SNAPSHOT,
+    record_genesis,
+    seal_record,
+)
 from repro.audit.persistence import InMemoryStorage, frame
 from repro.audit.recovery import RecoveryOutcome, recover_log
 from repro.audit.wal import intent_key
@@ -93,9 +100,13 @@ PARENT_JSON_SNAPSHOT = (
 )
 
 
-def six_pairs():
-    """A six-pair log sealed per pair, plus its snapshot after pair three."""
-    libseal = LibSeal(BodySSM(), storage=InMemoryStorage())
+def six_pairs(counter_from=0):
+    """A six-pair log sealed per pair, plus its snapshot after pair three.
+    Its counter starts at ``counter_from``."""
+    rote = RoteCluster(f=1)
+    for _ in range(counter_from):
+        rote.increment("libseal-log")
+    libseal = LibSeal(BodySSM(), storage=InMemoryStorage(), rote=rote)
     drive(libseal, 0, 3)
     older = libseal.storage.load()
     drive(libseal, 3, 3)
@@ -106,6 +117,15 @@ def six_pairs():
 def sealed():
     """:func:`six_pairs`, shared by the tests that cannot move its counter."""
     return six_pairs()
+
+
+@pytest.fixture(scope="module")
+def cadence_sealed():
+    """:func:`six_pairs` whose last seal is a cadence seal: its head record
+    stores a signature, which every edit of the head's fields breaks. (An
+    unsigned head has its record MAC alone: behind it, an edit is the key
+    holder's, as a re-signed head always was.)"""
+    return six_pairs(counter_from=SIGN_EVERY - 6)
 
 
 def restart(libseal, blob, once=False):
@@ -272,8 +292,8 @@ CASES = {
 
 class TestTamperMatrix:
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_field_edit_is_detected(self, sealed, name):
-        libseal, _, current = sealed
+    def test_field_edit_is_detected(self, cadence_sealed, name):
+        libseal, _, current = cadence_sealed
         recovered, report = restart(libseal, edited(libseal, current, CASES[name]))
         assert report.outcome is TAMPER, report.describe()
         assert recovered is None and report.log is None

@@ -22,10 +22,11 @@ which prints the literals in the form they appear here, and
 ``test_tag_matches_stdlib_hmac`` recomputes every tag with nothing but
 :mod:`hmac` and :mod:`hashlib`. The previous formats stay as refusal
 vectors: the ``ROTATE2``/``SHARD2`` wires (NUL-joined text fields and a
-hex tag) and the ``LIBSEAL-LOG/2`` image (``tests/audit/records.py``),
-which ``test_v1_vector_is_a_valid_v1_intent`` shows are genuine, and
-the version-1 wires (an RFC 6979 ECDSA signature in place of the tag)
-before them.
+hex tag), the ``LIBSEAL-LOG/2`` image and the ``LIBSEAL-LOG/3`` image
+(every head record signed, no "signed" flag; both in
+``tests/audit/records.py``), which ``test_v1_vector_is_a_valid_v1_intent``
+shows are genuine, and the version-1 wires (an RFC 6979 ECDSA signature
+in place of the tag) before them.
 """
 
 import dataclasses
@@ -38,6 +39,8 @@ import pytest
 from repro.audit import AuditLog, MembershipIntent, RotationIntent, RoteCluster
 from repro.audit.hashchain import decode_tuple
 from repro.audit.log import (
+    HEAD_RECORD,
+    IMAGE_MAGIC,
     INTENT_RECORD,
     UNSUPPORTED_SNAPSHOT,
     seal_record,
@@ -56,6 +59,7 @@ from repro.errors import IntegrityError
 from tests.audit.records import (
     V2_IMAGE,
     V2_SCHEMA,
+    V3_IMAGE,
     image,
     intent_entries,
     record_spans,
@@ -342,9 +346,14 @@ class SealKind:
         assert json.loads(split_frames(recs[-1][1])[0][1]) == [
             [2], [["pairs", [3, "/p/2", 2.5]]]
         ]
+        assert V3_IMAGE.startswith(b"LIBSEAL-LOG/3\n")
+        v3 = records(V3_IMAGE, KEY, SEAL_LOG, V2_SCHEMA)  # every MAC verifies
+        assert [(kind, len(content)) for kind, content in v3[1::2]] == [
+            (HEAD_RECORD, 137), (HEAD_RECORD, 137)  # each with its signature
+        ]
 
     def old_wires(self):
-        return (V2_IMAGE,)
+        return (V2_IMAGE, V3_IMAGE)
 
     def refuse_old(self, blob):
         AuditLog.restore(blob, V2_SCHEMA, KEY, KEY.public_key(), ROTE, "libseal-log")
@@ -439,24 +448,20 @@ class SealKind:
 
 
 SEAL_IMAGE = bytes.fromhex(
-    "4c49425345414c2d4c4f472f330a0000006cffffff934900000000000000000000001654"
+    "4c49425345414c2d4c4f472f340a0000006cffffff934900000000000000000000001654"
     "70616972730049310053000000042f702f30004e0000000000000000010000001d547061"
     "6972730049320053000000042f702f310059000000030100ff00d81ba5cf9c497b0bdfe8"
-    "f3a95e96db214f45d694a46dad789cd27f376dffe6df000000aaffffff5548770a0621a2"
+    "f3a95e96db214f45d694a46dad789cd27f376dffe6df0000006bffffff9448770a0621a2"
     "006b7c477c070de3f6b556c65a685c713f541a4cb685308395f799000000000000000100"
-    "000000000000028592c372c4a66a0d17fc20eb083e9255781c3105c183c05a1ee8c35d74"
-    "1a0dd481c476b998147a26032831c8364d0abcabef02f26557594b7fedd4aba0134bae00"
-    "000000000000020000000000000000000000000000000201c860f8b33eab18ff2b733d15"
-    "bb8c2decdf73db68b4d95afd33ab57c283744b530000007affffff854900000000000000"
-    "02000000195470616972730049330053000000042f702f320046322e3500000000000000"
-    "00030000002854706169727300492d340053000000000049313030303030303030303030"
-    "3030303030303030300082f589dbcc5bd4828bb7dc3d1c971dae493eb50a67e1c5a603d6"
-    "d72086b4fb1e000000aaffffff5548487e7369d1a56afd26b5fd752f193c343fad61d1d5"
-    "3d12fa348a29ea012f251200000000000000020000000000000004cb0fe0b3ec133aca21"
-    "70e7e13c14454f34c43c1d460057efdd6bfa3740e29a35984183c7d28a67c520f36b6dd8"
-    "ba30f9efdae74b146883d6d9a184d20cfe7c050000000000000004000000000000000000"
-    "00000000000003008e1f0d03ba362bf1530043c94614234db30271b33a7cd5ab7df487a2"
-    "c29ed007"
+    "000000000000020000000000000002000000000000000000000000000000020100de0c57"
+    "c14f7a66be6eefb6bcc9293bcd3dadacdd46377f459097582548c5b3310000007affffff"
+    "85490000000000000002000000195470616972730049330053000000042f702f32004632"
+    "2e350000000000000000030000002854706169727300492d340053000000000049313030"
+    "30303030303030303030303030303030303000320be21fc4ecf4b09785401f3d65db997d"
+    "7d2d59c6f1b617ba44c849325f1d200000006bffffff9448487e7369d1a56afd26b5fd75"
+    "2f193c343fad61d1d53d12fa348a29ea012f251200000000000000020000000000000004"
+    "0000000000000004000000000000000000000000000000030000a59b452bf2607cdf0c32"
+    "80e38c92c7d576001852b422f738f66897eaf7c241f8"
 )
 
 SEAL = SealKind(SEAL_IMAGE)
@@ -494,7 +499,7 @@ class TestIntentCodec:
             genesis = stdlib_mac(
                 b"LOG-RECORDS\x00" + SEAL_LOG.encode() + b"\x00" + V2_SCHEMA.encode()
             )
-            first = split_frames(SEAL_IMAGE, len(b"LIBSEAL-LOG/3\n"))[0][0]
+            first = split_frames(SEAL_IMAGE, len(IMAGE_MAGIC))[0][0]
             assert first[-32:] == stdlib_mac(genesis + first[:-32])
 
     def test_v1_vector_is_a_valid_v1_intent(self, kind):

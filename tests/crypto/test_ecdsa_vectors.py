@@ -23,6 +23,13 @@ record key's scalar, chained onto a head — which replaced the
 ``INTENT2`` seal intent (itself the successor of the ECDSA-signed
 ``INTENT1``); ``SEAL_INTENT_SHA256`` was captured with the same command
 from the tree that introduced the record format (``LIBSEAL-LOG/3``).
+
+The head records are the other two: one unsigned (counter 41) and one a
+cadence seal's (counter 48, a multiple of ``SIGN_EVERY``), which stores
+its signature behind a "signed" flag, each chained onto ``HEAD_HASH``.
+``HEAD_RECORD_SHA256`` was captured with the same command from the tree
+that introduced that flag (``LIBSEAL-LOG/4``). The signed head's
+payload and signature are ``SIGNED_HEAD_SHA256``'s, which did not move.
 """
 
 import hashlib
@@ -31,7 +38,15 @@ import json
 import pytest
 
 from repro.audit.hashchain import SignedHead, encode_tuple
-from repro.audit.log import INTENT_RECORD, open_record, seal_record, stored_entry
+from repro.audit.log import (
+    HEAD_RECORD,
+    INTENT_RECORD,
+    SIGN_EVERY,
+    encode_head,
+    open_record,
+    seal_record,
+    stored_entry,
+)
 from repro.audit.wal import intent_key
 from repro.audit.rote import RoteCluster
 from repro.crypto.drbg import HmacDrbg
@@ -86,6 +101,11 @@ SIGNED_HEAD_SHA256 = "4af110a20017758f01e03f3250b761cf0b92a28c96ae2ab64128b7ae05
 
 SEAL_INTENT_SHA256 = "4da1460e565911cb38155bdccef18eb423f0127def0c0b3cff62a0b14f6315d4"
 
+HEAD_RECORD_SHA256 = {
+    "unsigned": "9e5577531143f50eb5125ae9ea1a3416f02c9cd3b9db1e3c9ba51aa11bb6214f",
+    "signed": "9022b1b17df9a21c305cbee931b4ed68a57d7312d11a4f2b36f2b0cf533ab8ff",
+}
+
 ATTESTATION_SHA256 = "7b62053ceee688b219b1b623249330750decdde75ed0a0c0895b5f976f39a4c8"
 
 
@@ -98,7 +118,7 @@ def record_key() -> EcdsaPrivateKey:
 
 
 def signed_head() -> SignedHead:
-    return SignedHead.sign(record_key(), HEAD_HASH, 41, 1000)
+    return SignedHead(HEAD_HASH, 41, 1000).signed(record_key())
 
 
 def seal_intent() -> bytes:
@@ -108,6 +128,19 @@ def seal_intent() -> bytes:
         999, encode_tuple("updates", [41, "repo.git", b"\x00\xff", 2.5, None])
     ) + stored_entry(1000, encode_tuple("libseal_events", [41, "rotate", "x"]))
     return seal_record(intent_key(record_key().d), HEAD_HASH, INTENT_RECORD, content)[0]
+
+
+def head_record(counter_value: int) -> bytes:
+    """A head record chained onto ``HEAD_HASH``: signed exactly when
+    ``counter_value`` is a cadence value."""
+    head = SignedHead(HEAD_HASH, counter_value, 1000)
+    if counter_value % SIGN_EVERY == 0:
+        head = head.signed(record_key())
+    content = encode_head(head, (1001, 2, -7, True))
+    return seal_record(intent_key(record_key().d), HEAD_HASH, HEAD_RECORD, content)[0]
+
+
+HEAD_RECORDS = {"unsigned": 41, "signed": 48}
 
 
 def rote_after_rotation():
@@ -159,6 +192,19 @@ def test_seal_intent_encoding_matches_golden():
     assert kind == INTENT_RECORD
 
 
+@pytest.mark.parametrize("name", list(HEAD_RECORDS))
+def test_head_record_matches_golden(name):
+    record = head_record(HEAD_RECORDS[name])
+    assert sha(record) == HEAD_RECORD_SHA256[name]
+    kind, content, _ = open_record(intent_key(record_key().d), HEAD_HASH, record[8:])
+    assert kind == HEAD_RECORD
+    assert len(content) == 74 + 64 * (name == "signed")
+    if name == "signed":
+        signed = SignedHead(HEAD_HASH, 48, 1000).signed(record_key())
+        assert content[-64:] == signed.signature.encode()
+        signed.verify(record_key().public_key())
+
+
 def test_rote_attestation_matches_golden():
     cluster, attestation = rote_after_rotation()
     assert (attestation.value, attestation.epoch) == (3, 2)
@@ -179,5 +225,9 @@ if __name__ == "__main__":
     head = signed_head()
     print(f'SIGNED_HEAD_SHA256 = "{sha(head.payload() + head.signature.encode())}"\n')
     print(f'SEAL_INTENT_SHA256 = "{sha(seal_intent())}"\n')
+    print("HEAD_RECORD_SHA256 = {")
+    for name, counter_value in HEAD_RECORDS.items():
+        print(f'    "{name}": "{sha(head_record(counter_value))}",')
+    print("}\n")
     _, attestation = rote_after_rotation()
     print(f'ATTESTATION_SHA256 = "{sha(attestation_bytes(attestation))}"')

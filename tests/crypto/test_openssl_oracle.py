@@ -103,6 +103,66 @@ def test_deterministic_signatures_are_bit_identical():
         assert EcdsaPrivateKey(d).sign(message) == EcdsaSignature(r, s)
 
 
+def _openssl_verifies_head(head, public: EcdsaPublicKey) -> None:
+    """OpenSSL verifies ``head``'s signature over its payload under ``public``."""
+    point = public.point
+    key = openssl_ec.EllipticCurvePublicNumbers(
+        point.x, point.y, openssl_ec.SECP256R1()
+    ).public_key()
+    der = encode_dss_signature(head.signature.r, head.signature.s)
+    key.verify(der, head.payload(), SHA256)  # raises InvalidSignature on mismatch
+    with pytest.raises(InvalidSignature):
+        key.verify(der, head.payload() + b"!", SHA256)
+
+
+def test_openssl_verifies_every_exported_head():
+    """A seal signs only at the cadence; every head that leaves the enclave
+    is signed on the way out. Through each exit point — ``export_head``,
+    ``AuditLog.verify`` (so ``LibSeal.verify_log`` and ``merge_logs``) and
+    ``ShardPlane.verify_all`` (shard and control logs) — the head that
+    leaves verifies under the log's public key in OpenSSL."""
+    from repro.audit import AuditLog, RoteCluster
+    from repro.audit.log import SIGN_EVERY
+    from repro.audit.merge import merge_logs
+    from repro.audit.persistence import InMemoryStorage
+    from repro.core import LibSeal
+    from repro.shard import ShardPlane
+    from repro.ssm import GitSSM
+    from repro.workloads import GitReplayWorkload
+    from repro.workloads.messaging_traffic import MessagingWorkload
+
+    key = EcdsaPrivateKey.generate(HmacDrbg(seed=b"openssl-oracle/heads"))
+    log = AuditLog(
+        "CREATE TABLE t(time INTEGER)", key, RoteCluster(f=1), storage=InMemoryStorage()
+    )
+    for index in range(SIGN_EVERY + 1):  # both sides of a cadence value
+        log.append("t", (index,))
+        log.seal_epoch()
+        _openssl_verifies_head(log.export_head(), key.public_key())
+
+    instances = [LibSeal(GitSSM()) for _ in range(2)]
+    workloads = [GitReplayWorkload(libseal, seed=seed) for seed, libseal in enumerate(instances)]
+    for workload in workloads:
+        workload.run(5)
+    partials = [libseal.audit_log for libseal in instances]
+    assert all(log.signed_head.signature is None for log in partials)
+    merge_logs(partials, [i.signing_key.public_key() for i in instances], GitSSM())
+    for libseal in instances:
+        _openssl_verifies_head(libseal.audit_log.signed_head, libseal.signing_key.public_key())
+    workloads[0].run(1)
+    assert instances[0].audit_log.signed_head.signature is None
+    instances[0].verify_log()
+    _openssl_verifies_head(instances[0].audit_log.signed_head, instances[0].signing_key.public_key())
+
+    plane = ShardPlane(shards=("shard-0", "shard-1"), seed=3)
+    MessagingWorkload(plane, channels=6, members=2, seed=3).run(12)
+    plane.verify_all()
+    for instance in plane.instances.values():
+        libseal = instance.libseal
+        _openssl_verifies_head(libseal.audit_log.signed_head, libseal.signing_key.public_key())
+    _openssl_verifies_head(plane.control_log.signed_head, plane.signing_key.public_key())
+
+
 # ---------------------------------------------------------------------------
 # AEAD vs a textbook HMAC-CTR + HMAC tag
 # ---------------------------------------------------------------------------
